@@ -43,7 +43,6 @@ from .pipeline import (
     LoaderStats,
     WorkerError,
     collate,
-    create_loader,
 )
 from .sampling import SamplerConfig, SampleOrder, epoch_order, shard_for_replica
 from .server import ObjectServer, serve

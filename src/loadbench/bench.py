@@ -31,7 +31,7 @@ import numpy as np
 
 from .dataset import SPLITS, load_manifest
 from .model import LinearModel, flatten_batch, synthetic_consumer
-from .pipeline import DataLoader, LoaderConfig, create_loader
+from .pipeline import DataLoader, LoaderConfig
 from .prng import SplitMix64
 from .storage import (
     CacheConfig,
@@ -141,7 +141,6 @@ class BenchConfig:
             "num_workers": self.loader.num_workers,
             "prefetch_depth": self.loader.resolved_prefetch_depth,
             "drop_last": self.loader.drop_last,
-            "staging": self.loader.staging,
             "sampler_kind": sampler.kind,
             "filter_classes": (sorted(sampler.classes) if sampler.classes else None),
             "rank": sampler.rank,
@@ -232,7 +231,7 @@ def run_loop(config: BenchConfig, repetition: int = 0) -> RunResult:
             manifest = load_manifest(backend, split)
         except NotFoundError:
             continue
-        loader, _ = create_loader(config.loader, manifest, backend)
+        loader = DataLoader(config.loader, manifest, backend)
         init_times[split] = time.perf_counter() - s0
         loaders[split] = loader
 

@@ -79,7 +79,6 @@ def loader_config_from_dict(payload: dict) -> LoaderConfig:
         num_workers=int(payload.get("num_workers", 0)),
         prefetch_depth=payload.get("prefetch_depth"),
         drop_last=bool(payload.get("drop_last", False)),
-        staging=bool(payload.get("staging", False)),
         sampler=_sampler_from_dict(payload.get("sampler", {})),
         transform=_transform_from_dict(payload.get("transform", {})))
 
@@ -138,7 +137,6 @@ def _add_bench_flags(parser: argparse.ArgumentParser) -> None:
                         default="indexed")
     parser.add_argument("--replicas", type=int)
     parser.add_argument("--repetitions", type=int)
-    parser.add_argument("--staging", action="store_true", default=None)
     parser.add_argument("--consumer-delay-ms", type=float)
     parser.add_argument("--latency-mean-ms", type=float)
     parser.add_argument("--latency-std-ms", type=float)
@@ -185,8 +183,6 @@ def _bench_config_from_args(args: argparse.Namespace) -> BenchConfig:
         loader = replace(loader, num_workers=args.workers)
     if args.prefetch_depth is not None:
         loader = replace(loader, prefetch_depth=args.prefetch_depth)
-    if args.staging is not None:
-        loader = replace(loader, staging=args.staging)
     loader = replace(loader, sampler=sampler, transform=transform)
 
     updates: dict = {"loader": loader, "backend": backend}
@@ -297,7 +293,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     else:
         import itertools
         axes = {k: v for k, v in payload.items()
-                if k in ("batch_size", "num_workers", "prefetch_depth", "staging")}
+                if k in ("batch_size", "num_workers", "prefetch_depth")}
         names = sorted(axes)
         space = []
         for values in itertools.product(*(axes[n] for n in names)):
@@ -313,8 +309,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         Path(args.out).write_text(json.dumps({
             "best": {"batch_size": best.batch_size,
                      "num_workers": best.num_workers,
-                     "prefetch_depth": best.resolved_prefetch_depth,
-                     "staging": best.staging},
+                     "prefetch_depth": best.resolved_prefetch_depth},
             "speed": tuned.best_result.m,
             "trials": [{"batch_size": c.batch_size, "num_workers": c.num_workers,
                         "m": (r.m if r else None), "error": e}

@@ -1,21 +1,31 @@
 """The dataloader: (manifest, backend, sampler, transforms) -> batches.
 
-Workers are threads.  Batch ``b`` is always built by worker ``b mod
-num_workers``, workers may finish out of order, and delivery is strictly
-in batch order, so the byte content of every batch depends only on the
-seeds, never on worker count, prefetch depth, or backend latency.  The
-number of batches in flight (being built or finished-but-undelivered) never
-exceeds ``prefetch_depth``; with zero workers everything happens lazily in
-the caller.
+Each epoch cuts the sampler's order into batches.  With workers, batches
+are built on a thread pool: the loader keeps a deque of futures in batch
+order and, after each delivery, tops it up to ``prefetch_depth``.  Delivery
+pops the leftmost future, so batches arrive strictly in order and their
+bytes depend only on the seeds, never on worker count, prefetch depth, or
+backend latency.  No more than ``prefetch_depth`` batches of an epoch are
+queued, being built, or finished but undelivered.  With zero workers each
+batch is built in the caller when it is asked for.
 
 One consumer owns the loader.  Iterating it yields one epoch; iterating
-again starts the next epoch with a fresh per-epoch shuffle.
+again starts the next epoch with a fresh per-epoch shuffle and abandons what
+was left of the previous one: its queued builds are cancelled and its
+finished batches are never delivered.
+
+``shutdown()`` cancels queued builds without waiting for builds in
+progress.  The pool's threads are not daemons, so at interpreter exit
+Python waits for a build still in progress (and, for a loader never shut
+down, for the builds still queued).  That wait is bounded by the backend's
+read timeout (30 s for HTTP).
 """
 
 from __future__ import annotations
 
-import threading
 import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +34,6 @@ from .dataset import DatasetManifest, read_record
 from .sampling import SamplerConfig, replica_order
 from .storage import StorageBackend
 from .transforms import TransformConfig, apply_stack, sample_seed
-
-_WAIT_TICK = 0.05
-_SHUTDOWN_GRACE_S = 2.0
 
 
 class WorkerError(Exception):
@@ -44,7 +51,6 @@ class LoaderConfig:
     num_workers: int = 0
     prefetch_depth: int | None = None  # None -> max(1, 2 * num_workers)
     drop_last: bool = False
-    staging: bool = False
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     transform: TransformConfig = field(default_factory=TransformConfig)
 
@@ -79,7 +85,6 @@ class LoaderStats:
     per_batch_durations: list[float] = field(default_factory=list)
     samples_delivered: int = 0
     delivered_ids: list[int] = field(default_factory=list)
-    staging_copy_seconds: float = 0.0
 
 
 def collate(samples: list[tuple[np.ndarray, int]], batch_index: int = 0) -> Batch:
@@ -95,28 +100,6 @@ def collate(samples: list[tuple[np.ndarray, int]], batch_index: int = 0) -> Batc
     return Batch(X=X, y=y, batch_index=batch_index)
 
 
-class _Failure:
-    __slots__ = ("error",)
-
-    def __init__(self, error: WorkerError) -> None:
-        self.error = error
-
-
-class _EpochRun:
-    """State of one epoch: the batch plan plus the in-flight accounting."""
-
-    def __init__(self, epoch: int, batches: list[np.ndarray], depth: int) -> None:
-        self.epoch = epoch
-        self.batches = batches
-        self.cond = threading.Condition()
-        self.tokens = depth        # free in-flight slots
-        self.next_ticket = 0       # next batch index allowed to start
-        self.buf: dict[int, Batch | _Failure] = {}
-        self.next_deliver = 0
-        self.stop = False
-        self.threads: list[threading.Thread] = []
-
-
 class DataLoader:
     """Iterator of collated batches with worker-based prefetching."""
 
@@ -126,12 +109,14 @@ class DataLoader:
         self.config = config
         self.manifest = manifest
         self.backend = backend
-        spec = manifest.spec
-        self._batch_shape = (spec.channels, spec.height, spec.width)
         self._stats = LoaderStats()
-        self._staging_buffer: np.ndarray | None = None
+        self._pool = (ThreadPoolExecutor(config.num_workers,
+                                         thread_name_prefix="loadbench-worker")
+                      if config.num_workers else None)
         self._epoch = -1
-        self._run: _EpochRun | None = None
+        self._plan: list[np.ndarray] | None = None  # the epoch's batches
+        self._delivered = 0
+        self._pending: deque[Future[Batch]] = deque()  # next batches, in order
         self._closed = False
         self._stats.init_duration = time.perf_counter() - t0
 
@@ -141,19 +126,16 @@ class DataLoader:
 
     @property
     def buffered_batches(self) -> int:
-        run = self._run
-        if run is None:
-            return 0
-        with run.cond:
-            return len(run.buf)
+        """Batches finished but not yet delivered."""
+        return sum(f.done() for f in self._pending)
 
     # -- epoch lifecycle -------------------------------------------------
 
     def start_epoch(self, epoch: int | None = None) -> None:
-        """Begin a new epoch (next in sequence by default); spawns workers."""
+        """Begin a new epoch (next in sequence by default); starts prefetching."""
         if self._closed:
             raise RuntimeError("loader is shut down")
-        self._abort_run()
+        self._abandon_epoch()
         self._epoch = self._epoch + 1 if epoch is None else epoch
         order = replica_order(self.config.sampler, self.manifest, self._epoch,
                               backend=self.backend)
@@ -163,28 +145,32 @@ class DataLoader:
         cuts = [ids[i * batch_size:(i + 1) * batch_size] for i in range(n_full)]
         if not self.config.drop_last and len(ids) % batch_size:
             cuts.append(ids[n_full * batch_size:])
-        run = _EpochRun(self._epoch, cuts, self.config.resolved_prefetch_depth)
-        self._run = run
-        for w in range(self.config.num_workers):
-            t = threading.Thread(target=self._worker_main, args=(run, w),
-                                 name=f"loadbench-worker-{w}", daemon=True)
-            run.threads.append(t)
-            t.start()
+        self._plan = cuts
+        self._delivered = 0
+        self._prefetch()
 
-    def _abort_run(self) -> None:
-        run = self._run
-        if run is None:
+    def _prefetch(self) -> None:
+        if self._pool is None:
             return
-        with run.cond:
-            run.stop = True
-            run.cond.notify_all()
-        for t in run.threads:
-            t.join(timeout=_SHUTDOWN_GRACE_S)
-        self._run = None
+        plan = self._plan
+        while len(self._pending) < self.config.resolved_prefetch_depth:
+            b = self._delivered + len(self._pending)
+            if b >= len(plan):
+                return
+            self._pending.append(
+                self._pool.submit(self._build_batch, self._epoch, b, plan[b]))
+
+    def _abandon_epoch(self) -> None:
+        for future in self._pending:
+            future.cancel()
+        self._pending.clear()
+        self._plan = None
 
     def shutdown(self) -> None:
-        """Stop workers and refuse further epochs; idempotent, best-effort."""
-        self._abort_run()
+        """Cancel queued builds and refuse further epochs; idempotent."""
+        self._abandon_epoch()
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
         self._closed = True
 
     def __enter__(self) -> "DataLoader":
@@ -209,92 +195,38 @@ class DataLoader:
             samples.append((img, record.label))
         return collate(samples, batch_index=batch_index)
 
-    def _worker_main(self, run: _EpochRun, worker_id: int) -> None:
-        for b in range(worker_id, len(run.batches), self.config.num_workers):
-            with run.cond:
-                while not run.stop and not (run.next_ticket == b and run.tokens > 0):
-                    run.cond.wait(_WAIT_TICK)
-                if run.stop:
-                    return
-                run.tokens -= 1
-                run.next_ticket += 1
-                run.cond.notify_all()
-            try:
-                item: Batch | _Failure = self._build_batch(run.epoch, b,
-                                                           run.batches[b])
-            except WorkerError as exc:
-                item = _Failure(exc)
-            with run.cond:
-                if run.stop:
-                    return
-                run.buf[b] = item
-                run.cond.notify_all()
-            if isinstance(item, _Failure):
-                return
-
-    def _stage(self, batch: Batch) -> None:
-        if self._staging_buffer is None:
-            self._staging_buffer = np.empty(
-                (self.config.batch_size, *self._batch_shape), dtype=np.float32)
-        t0 = time.perf_counter()
-        self._staging_buffer[: len(batch)] = batch.X
-        self._stats.staging_copy_seconds += time.perf_counter() - t0
-
     def next_batch(self) -> Batch | None:
         """The next batch in order, or None at end of epoch (and after shutdown)."""
         if self._closed:
             return None
-        if self._run is None:
+        if self._plan is None:
             self.start_epoch()
-        run = self._run
-        assert run is not None
         t0 = time.perf_counter()
-
-        if run.next_deliver >= len(run.batches):
-            self._abort_run()
+        b = self._delivered
+        if b >= len(self._plan):
+            self._abandon_epoch()
             return None
+        ids = self._plan[b]
+        try:
+            if self._pool is None:
+                batch = self._build_batch(self._epoch, b, ids)
+            else:
+                batch = self._pending.popleft().result()
+        except BaseException:
+            self._abandon_epoch()
+            raise
+        self._delivered += 1
+        self._prefetch()
 
-        if self.config.num_workers == 0:
-            try:
-                item: Batch | _Failure = self._build_batch(
-                    run.epoch, run.next_deliver, run.batches[run.next_deliver])
-            except WorkerError:
-                self._abort_run()
-                raise
-            run.next_deliver += 1
-        else:
-            with run.cond:
-                while run.next_deliver not in run.buf and not run.stop:
-                    run.cond.wait(_WAIT_TICK)
-                if run.stop and run.next_deliver not in run.buf:
-                    return None
-                item = run.buf.pop(run.next_deliver)
-                run.next_deliver += 1
-                run.tokens += 1
-                run.cond.notify_all()
-
-        if isinstance(item, _Failure):
-            self._abort_run()
-            raise item.error
-
-        if self.config.staging:
-            self._stage(item)
         self._stats.per_batch_durations.append(time.perf_counter() - t0)
-        self._stats.samples_delivered += len(item)
-        self._stats.delivered_ids.extend(run.batches[item.batch_index].tolist())
-        return item
+        self._stats.samples_delivered += len(batch)
+        self._stats.delivered_ids.extend(ids.tolist())
+        return batch
 
     def __iter__(self):
-        self._abort_run()  # restarting iteration abandons any unfinished epoch
+        self._abandon_epoch()  # restarting iteration abandons any unfinished epoch
         while True:
             batch = self.next_batch()
             if batch is None:
                 return
             yield batch
-
-
-def create_loader(config: LoaderConfig, manifest: DatasetManifest,
-                  backend: StorageBackend) -> tuple[DataLoader, float]:
-    """Construct a loader and report how long readiness took."""
-    loader = DataLoader(config, manifest, backend)
-    return loader, loader.stats.init_duration

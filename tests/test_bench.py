@@ -84,11 +84,17 @@ def test_run_model_changes_time_not_contents(bench_dataset):
 
 
 def test_run_model_never_faster(random_small):
-    # model work is strictly added on top of loading
+    # model work is strictly added on top of loading.  An untimed run warms
+    # the page cache and the init path; off and on then alternate, so a slow
+    # spell of the host hits both, and the median run of each is compared.
     root, _ = random_small
-    off = run_loop(_config(root, cutoff_batches=12, batch_size=64))
-    on = run_loop(_config(root, cutoff_batches=12, batch_size=64,
-                          run_model=True))
+    run_loop(_config(root, cutoff_batches=12, batch_size=64))
+    runs: dict[bool, list] = {False: [], True: []}
+    for _ in range(3):
+        for run_model in (False, True):
+            runs[run_model].append(run_loop(_config(
+                root, cutoff_batches=12, batch_size=64, run_model=run_model)))
+    off, on = (sorted(runs[flag], key=lambda r: r.m)[1] for flag in (False, True))
     assert off.m >= on.m, (off.m, on.m)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 import time
 
 import numpy as np
@@ -11,7 +12,6 @@ from loadbench.pipeline import (
     LoaderConfig,
     WorkerError,
     collate,
-    create_loader,
 )
 from loadbench.sampling import SamplerConfig
 from loadbench.storage import (
@@ -122,8 +122,8 @@ def test_empty_dataset_yields_no_batches():
                        channels=1, n_classes=2, seed=1)
     backend = MemoryBackend()
     manifests = generate_random_dataset(spec, backend)
-    loader, init_s = create_loader(_loader_config(), manifests["train"], backend)
-    assert init_s >= 0.0
+    loader = DataLoader(_loader_config(), manifests["train"], backend)
+    assert loader.stats.init_duration >= 0.0
     assert loader.next_batch() is None
 
 
@@ -184,7 +184,7 @@ def test_worker_count_does_not_change_contents(tiny_dataset):
         assert digests == reference
 
 
-def test_contents_independent_of_depth_staging_latency(tiny_dataset):
+def test_contents_independent_of_depth_latency(tiny_dataset):
     root, manifests = tiny_dataset
     manifest = manifests["train"]
     backend = LocalBackend(root)
@@ -192,7 +192,6 @@ def test_contents_independent_of_depth_staging_latency(tiny_dataset):
     variants = [
         (_loader_config(num_workers=2, prefetch_depth=1), backend),
         (_loader_config(num_workers=2, prefetch_depth=6), backend),
-        (_loader_config(num_workers=0, staging=True), backend),
         (_loader_config(num_workers=2),
          with_latency(backend, LatencyModel(mean_ms=1.0))),
     ]
@@ -260,19 +259,6 @@ def test_prefetch_depth_default_scales_with_workers():
     assert _loader_config(num_workers=2, prefetch_depth=7).resolved_prefetch_depth == 7
 
 
-# -- staging --------------------------------------------------------------------
-
-def test_staging_copy_is_inert_but_measured(tiny_dataset):
-    root, manifests = tiny_dataset
-    manifest = manifests["train"]
-    backend = LocalBackend(root)
-    plain = _epoch_digests(_loader_config(), manifest, backend)
-    loader = DataLoader(_loader_config(staging=True), manifest, backend)
-    staged = [_digest(b) for b in loader]
-    assert staged == plain
-    assert loader.stats.staging_copy_seconds > 0.0
-
-
 # -- epochs ----------------------------------------------------------------------
 
 def test_epochs_reshuffle(tiny_dataset):
@@ -284,6 +270,24 @@ def test_epochs_reshuffle(tiny_dataset):
     second = [b.y.tolist() for b in loader]
     assert len(first) == len(second)
     assert first != second  # per-epoch reshuffle
+
+
+def test_abandoned_epoch_leaks_no_batches(tiny_dataset):
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    backend = LocalBackend(root)
+    reference = DataLoader(_loader_config(batch_size=4), manifest, backend)
+    list(reference)
+    expected = [_digest(b) for b in reference]
+    loader = DataLoader(_loader_config(batch_size=4, num_workers=2), manifest,
+                        with_latency(backend, LatencyModel(mean_ms=1.0)))
+    try:
+        loader.next_batch()
+        loader.next_batch()
+        # iterating abandons epoch 0 while its later batches are in flight
+        assert [_digest(b) for b in loader] == expected
+    finally:
+        loader.shutdown()
 
 
 def test_stats_track_delivery(tiny_dataset):
@@ -309,6 +313,24 @@ def test_shutdown_idempotent(tiny_dataset):
     loader.shutdown()
     loader.shutdown()
     assert loader.next_batch() is None
+
+
+def _assert_new_workers_exit(before: set[threading.Thread]) -> None:
+    deadline = time.perf_counter() + 2.0
+    for t in threading.enumerate():
+        if t.name.startswith("loadbench-worker") and t not in before:
+            t.join(max(0.0, deadline - time.perf_counter()))
+            assert not t.is_alive(), t.name
+
+
+def test_shutdown_after_epoch_stops_workers(tiny_dataset):
+    root, manifests = tiny_dataset
+    before = set(threading.enumerate())
+    loader = DataLoader(_loader_config(num_workers=2), manifests["train"],
+                        LocalBackend(root))
+    assert len(list(loader)) == 6
+    loader.shutdown()
+    _assert_new_workers_exit(before)
 
 
 def test_shutdown_mid_epoch_is_bounded(tiny_dataset):
@@ -354,6 +376,7 @@ def test_worker_failure_carries_sample_id(tiny_dataset, workers):
     backend = _PoisonBackend(LocalBackend(root),
                              ByteRange(loc.offset, loc.offset + loc.length - 1),
                              loc.shard)
+    before = set(threading.enumerate())
     loader = DataLoader(_loader_config(batch_size=4, num_workers=workers),
                         manifest, backend)
     with pytest.raises(WorkerError) as err:
@@ -361,6 +384,7 @@ def test_worker_failure_carries_sample_id(tiny_dataset, workers):
             pass
     assert err.value.sample_id == victim
     loader.shutdown()
+    _assert_new_workers_exit(before)
 
 
 def test_loader_config_validation():
