@@ -221,6 +221,14 @@ def _batch_digest(batch) -> str:
 def run_loop(config: BenchConfig, repetition: int = 0) -> RunResult:
     """Execute one measured run and return its result."""
     backend = config.backend.build()
+    try:
+        return _measure(config, backend, repetition)
+    finally:
+        backend.close()
+
+
+def _measure(config: BenchConfig, backend: StorageBackend,
+             repetition: int) -> RunResult:
     t0 = time.perf_counter()
 
     init_times: dict[str, float] = {}
@@ -370,6 +378,9 @@ def run_replicated(config: BenchConfig, world_size: int,
             results[rank] = run_loop(cfg, repetition)
         except Exception as exc:  # surface with the replica id
             failures.append(ReplicaError(rank, exc))
+            # replicas at the barrier fail too, after this one, with
+            # BrokenBarrierError, instead of waiting forever
+            barrier.abort()
 
     threads = [threading.Thread(target=run_one, args=(rank,),
                                 name=f"loadbench-replica-{rank}")

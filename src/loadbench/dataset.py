@@ -298,17 +298,29 @@ def load_manifest(backend: StorageBackend, split: str) -> DatasetManifest:
     return DatasetManifest.from_json(backend.get(manifest_key(split)))
 
 
-def read_record(manifest: DatasetManifest, sample_id: int,
-                backend: StorageBackend) -> ImageRecord:
-    """Fetch one sample by id with a single ranged read."""
+def record_extent(manifest: DatasetManifest,
+                  sample_id: int) -> tuple[str, ByteRange]:
+    """The shard key and exact byte range of one sample's record."""
     if not 0 <= sample_id < len(manifest.locators):
         raise IndexError(
             f"sample id {sample_id} out of range [0, {len(manifest.locators)})")
     loc = manifest.locators[sample_id]
-    buf = backend.get(loc.shard, ByteRange(loc.offset, loc.offset + loc.length - 1))
+    return loc.shard, ByteRange(loc.offset, loc.offset + loc.length - 1)
+
+
+def read_record(manifest: DatasetManifest, sample_id: int,
+                backend: StorageBackend, buf: bytes | None = None) -> ImageRecord:
+    """Decode one sample by id and check its label against the manifest.
+
+    The record's bytes are ``buf`` when the caller fetched its
+    ``record_extent`` already, otherwise one ranged read from ``backend``.
+    """
+    if buf is None:
+        buf = backend.get(*record_extent(manifest, sample_id))
     record = unpack_record(buf)
-    if record.label != loc.label:
+    expected = manifest.locators[sample_id].label
+    if record.label != expected:
         raise DatasetError(
             f"label mismatch for sample {sample_id}: "
-            f"record says {record.label}, locator says {loc.label}")
+            f"record says {record.label}, locator says {expected}")
     return record

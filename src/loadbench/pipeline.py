@@ -7,7 +7,9 @@ pops the leftmost future, so batches arrive strictly in order and their
 bytes depend only on the seeds, never on worker count, prefetch depth, or
 backend latency.  No more than ``prefetch_depth`` batches of an epoch are
 queued, being built, or finished but undelivered.  With zero workers each
-batch is built in the caller when it is asked for.
+batch is built in the caller when it is asked for.  A build reads its
+batch's records with one ``backend.get_many`` call (concurrent over HTTP)
+and decodes and transforms each as it arrives, in id order.
 
 One consumer owns the loader.  Iterating it yields one epoch; iterating
 again starts the next epoch with a fresh per-epoch shuffle and abandons what
@@ -25,12 +27,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import closing
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DatasetManifest, read_record
+from .dataset import DatasetManifest, read_record, record_extent
 from .sampling import SamplerConfig, replica_order
 from .storage import StorageBackend
 from .transforms import TransformConfig, apply_stack, sample_seed
@@ -183,16 +186,21 @@ class DataLoader:
 
     def _build_batch(self, epoch: int, batch_index: int,
                      ids: np.ndarray) -> Batch:
+        sids = ids.tolist()
         tcfg = self.config.transform
         samples = []
-        for sid in ids.tolist():
-            try:
-                record = read_record(self.manifest, sid, self.backend)
-                img = apply_stack(record, tcfg,
-                                  sample_seed(tcfg.seed, epoch, sid))
-            except Exception as exc:
-                raise WorkerError(sid, exc) from exc
-            samples.append((img, record.label))
+        # one backend call reads every record of the batch, in id order
+        with closing(self.backend.get_many(
+                [record_extent(self.manifest, sid) for sid in sids])) as bufs:
+            for sid in sids:
+                try:
+                    record = read_record(self.manifest, sid, self.backend,
+                                         next(bufs))
+                    img = apply_stack(record, tcfg,
+                                      sample_seed(tcfg.seed, epoch, sid))
+                except Exception as exc:
+                    raise WorkerError(sid, exc) from exc
+                samples.append((img, record.label))
         return collate(samples, batch_index=batch_index)
 
     def next_batch(self) -> Batch | None:

@@ -4,16 +4,23 @@ Wire protocol (path-style keys, no auth):
 
     GET /{key}                 200 + full body
     GET /{key} + Range header  206 + requested bytes + Content-Range
+                               (bytes=a-b, bytes=a- or the suffix bytes=-n)
     HEAD /{key}                headers only (Content-Length, Accept-Ranges)
     PUT /{key}                 200 after storing the body
     GET /?prefix=p             200 + newline-separated keys (listing helper)
     404                        unknown key
     416                        unsatisfiable range (+ Content-Range: bytes */total)
 
+Connections are persistent (HTTP/1.1 keep-alive), and each is handled on
+its own thread, so concurrent clients each pay their own latency rather than
+queueing behind one another.  Responses go out as a header write and a body
+write, so the sockets set TCP_NODELAY: without it, a small body written after
+the headers waits on the client's delayed ACK (tens of milliseconds per
+request on a reused connection).
+
 An optional ``LatencyModel`` delays each request before it is served, which
 is how the remote-storage experiments dial in AWS-like or LAN-like round
-trips.  Connections are handled on independent threads, so concurrent
-clients each pay their own latency rather than queueing behind one another.
+trips.
 """
 
 from __future__ import annotations
@@ -33,12 +40,32 @@ from .storage import (
     StorageBackend,
 )
 
-_RANGE_RE = re.compile(r"bytes=(\d+)-(\d*)$")
+_RANGE_RE = re.compile(r"bytes=(?:(\d+)-(\d*)|-(\d+))$")
+
+
+def _parse_range(header: str, total: int) -> ByteRange:
+    """The range that a ``Range`` header asks of an object of ``total`` bytes.
+
+    ``bytes=a-b`` and ``bytes=a-`` are absolute (ByteRange raises ValueError
+    when b < a); the suffix ``bytes=-n`` is the last n bytes, the whole
+    object when n >= total.  A malformed header or ``bytes=-0`` raises
+    RangeError.
+    """
+    match = _RANGE_RE.match(header.strip())
+    if not match:
+        raise RangeError(f"unsupported range {header!r}")
+    first, last, suffix = match.groups()
+    if suffix is None:
+        return ByteRange(int(first), int(last) if last else None)
+    if int(suffix) == 0:
+        raise RangeError("empty suffix range")
+    return ByteRange(max(0, total - int(suffix)))
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "loadbench-store/0.1"
+    disable_nagle_algorithm = True  # headers and body are two writes
 
     # set per server class in ObjectServer
     backend: StorageBackend
@@ -100,14 +127,9 @@ class _Handler(BaseHTTPRequestHandler):
             })
             return
 
-        match = _RANGE_RE.match(range_header.strip())
-        if not match:
-            self._send(416, headers={"Content-Range": f"bytes */{total}"})
-            return
-        start = int(match.group(1))
-        end = int(match.group(2)) if match.group(2) else None
         try:
-            body = self.backend.get(key, ByteRange(start, end))
+            byte_range = _parse_range(range_header, total)
+            body = self.backend.get(key, byte_range)
         except (RangeError, ValueError):
             self._send(416, headers={"Content-Range": f"bytes */{total}"})
             return
@@ -117,6 +139,7 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception:
             self._send(500)
             return
+        start = byte_range.start
         last = start + len(body) - 1
         self._send(206, body, {
             "Content-Type": "application/octet-stream",

@@ -1,7 +1,17 @@
 """Byte stores: local directory, in-memory, and S3-compatible HTTP backends.
 
-All backends speak the same small contract (get / put / list / size) with
-inclusive byte ranges, so the loading pipeline never knows where bytes live.
+All backends speak the same small contract (get / put / list / size, plus
+``get_many`` and ``close``) with inclusive byte ranges, so the loading
+pipeline never knows where bytes live.  ``get_many`` reads a list of
+(key, range) requests and yields their bytes in request order.  How the
+requests run is ``map_requests``'s business: by default one ``get`` at a
+time, each when its bytes are asked for.  ``HTTPBackend`` keeps one
+persistent connection per thread and runs them on a pool of 8 fetch threads
+it owns, so up to 8 requests are in flight at once; ``close()`` releases the
+connections and the pool.  The wrappers below pass ``map_requests`` through
+to the backend they wrap, so their own per-request work runs with the inner
+backend's concurrency.
+
 Two wrappers recreate network conditions on top of any backend:
 
 * ``with_latency`` delays every request by a sample from a ``LatencyModel``
@@ -14,16 +24,17 @@ not a clamp, so every backend returns identical bytes for identical requests.
 
 from __future__ import annotations
 
+import http.client
 import math
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import OrderedDict
+from collections.abc import Callable, Generator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from urllib.parse import quote
+from urllib.parse import quote, urlsplit
 
 
 class StorageError(Exception):
@@ -36,6 +47,9 @@ class NotFoundError(StorageError):
 
 class RangeError(StorageError):
     """The requested byte range is not satisfiable."""
+
+
+_FETCH_THREADS = 8  # requests an HTTPBackend keeps in flight (16 ran slower on 2 vCPUs)
 
 
 def validate_key(key: str) -> str:
@@ -83,6 +97,30 @@ class StorageBackend:
 
     def size(self, key: str) -> int:
         return len(self.get(key))
+
+    def get_many(self, requests: list[tuple[str, ByteRange | None]]
+                 ) -> Generator[bytes, None, None]:
+        """Yield the bytes of each (key, range) request, in request order.
+
+        A failed request raises its own error when its turn comes.  Closing
+        the generator early drops the requests that have not started.
+        """
+        return self.map_requests(self.get, requests)
+
+    def map_requests(self, fetch: Callable[[str, ByteRange | None], bytes],
+                     requests: list[tuple[str, ByteRange | None]]
+                     ) -> Generator[bytes, None, None]:
+        """Yield ``fetch(key, range)`` for each request, in request order.
+
+        Here each fetch runs when its result is asked for, so one request's
+        bytes are held at a time; a backend that can keep several requests
+        in flight overrides this.
+        """
+        for key, byte_range in requests:
+            yield fetch(key, byte_range)
+
+    def close(self) -> None:
+        """Release connections and threads; a no-op for most backends."""
 
 
 class LocalBackend(StorageBackend):
@@ -176,55 +214,106 @@ class HTTPBackend(StorageBackend):
     """Client for the object server's wire protocol (path-style GET/PUT/HEAD).
 
     Ranged reads are sent as ``Range: bytes=a-b`` (``a-`` when open-ended);
-    404 maps to NotFoundError and 416 to RangeError.
+    404 maps to NotFoundError and 416 to RangeError.  Each thread keeps one
+    persistent HTTP/1.1 connection.  A GET or HEAD that fails on a reused
+    connection before a status line arrives (the server closed an idle
+    connection) is sent once more on a fresh one; nothing else is retried.
+    ``get_many`` runs its requests on a pool of ``_FETCH_THREADS`` fetch
+    threads, each with its own connection.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
+        parts = urlsplit(endpoint)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"endpoint must be http://host[:port], got {endpoint!r}")
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
+        self._host, self._port = parts.hostname, parts.port
+        self._base = parts.path.rstrip("/")
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._conns: list[http.client.HTTPConnection] = []
+        self._pool = ThreadPoolExecutor(_FETCH_THREADS,
+                                        thread_name_prefix="loadbench-fetch")
 
-    def _url(self, key: str, query: str = "") -> str:
-        url = f"{self.endpoint}/{quote(validate_key(key))}"
-        return f"{url}?{query}" if query else url
+    def _path(self, key: str) -> str:
+        return f"{self._base}/{quote(validate_key(key))}"
 
-    def _request(self, req: urllib.request.Request) -> bytes:
+    def _conn(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(self._host, self._port,
+                                              timeout=self.timeout)
+            self._local.conn = conn
+            with self._lock:
+                self._conns.append(conn)
+        return conn
+
+    def _request(self, method: str, path: str, body: bytes | None = None,
+                 headers: dict[str, str] | None = None
+                 ) -> tuple[http.client.HTTPResponse, bytes]:
+        conn = self._conn()
+        reused = conn.sock is not None
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            if exc.code == 404:
-                raise NotFoundError(req.full_url) from None
-            if exc.code == 416:
-                raise RangeError(req.full_url) from None
-            raise StorageError(f"HTTP {exc.code} for {req.full_url}") from exc
-        except urllib.error.URLError as exc:
-            raise StorageError(f"transport failure: {exc.reason}") from exc
+            try:
+                conn.request(method, path, body=body, headers=headers or {})
+                resp = conn.getresponse()
+            except ConnectionError:
+                # the server closed the idle connection: no status line came
+                if not (reused and method in ("GET", "HEAD")):
+                    raise
+                conn.close()
+                conn.request(method, path, body=body, headers=headers or {})
+                resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise StorageError(f"transport failure: {exc!r}") from exc
+        if resp.status == 404:
+            raise NotFoundError(path)
+        if resp.status == 416:
+            raise RangeError(path)
+        if not 200 <= resp.status < 300:
+            raise StorageError(f"HTTP {resp.status} for {method} {path}")
+        return resp, data
 
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
         headers = {}
         if byte_range is not None:
             end = "" if byte_range.end is None else byte_range.end
             headers["Range"] = f"bytes={byte_range.start}-{end}"
-        return self._request(urllib.request.Request(self._url(key), headers=headers))
+        return self._request("GET", self._path(key), headers=headers)[1]
+
+    def map_requests(self, fetch, requests):
+        # every request goes to the pool when iteration starts
+        futures = [self._pool.submit(fetch, key, byte_range)
+                   for key, byte_range in requests]
+        try:
+            for f in futures:
+                yield f.result()
+        finally:  # after a failure or an early close, drop the unstarted fetches
+            for f in futures:
+                f.cancel()
 
     def put(self, key: str, data: bytes) -> None:
-        self._request(urllib.request.Request(self._url(key), data=data, method="PUT"))
+        self._request("PUT", self._path(key), body=data)
 
     def list(self, prefix: str = "") -> list[str]:
-        req = urllib.request.Request(
-            f"{self.endpoint}/?prefix={quote(prefix)}")
-        body = self._request(req).decode("utf-8")
-        return [line for line in body.splitlines() if line]
+        _, body = self._request("GET", f"{self._base}/?prefix={quote(prefix)}")
+        return [line for line in body.decode("utf-8").splitlines() if line]
 
     def size(self, key: str) -> int:
-        req = urllib.request.Request(self._url(key), method="HEAD")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return int(resp.headers["Content-Length"])
-        except urllib.error.HTTPError as exc:
-            if exc.code == 404:
-                raise NotFoundError(key) from None
-            raise StorageError(f"HTTP {exc.code} for HEAD {key}") from exc
+        resp, _ = self._request("HEAD", self._path(key))
+        return int(resp.headers["Content-Length"])
+
+    def close(self) -> None:
+        """Shut the fetch pool (queued fetches are cancelled) and close every
+        connection.  A later ``get`` reconnects; ``get_many`` raises."""
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.close()
 
 
 @dataclass
@@ -291,6 +380,12 @@ class LatencyBackend(StorageBackend):
     def size(self, key: str) -> int:
         self._wait()
         return self.inner.size(key)
+
+    def map_requests(self, fetch, requests):
+        return self.inner.map_requests(fetch, requests)
+
+    def close(self) -> None:
+        self.inner.close()
 
 
 def with_latency(backend: StorageBackend, model: LatencyModel) -> LatencyBackend:
@@ -371,6 +466,12 @@ class CachedBackend(StorageBackend):
 
     def size(self, key: str) -> int:
         return self.inner.size(key)
+
+    def map_requests(self, fetch, requests):
+        return self.inner.map_requests(fetch, requests)
+
+    def close(self) -> None:
+        self.inner.close()
 
     @property
     def cached_bytes(self) -> int:

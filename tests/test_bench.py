@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from loadbench.bench import (
     BackendConfig,
     BenchConfig,
     BenchError,
+    ReplicaError,
     max_speed,
     pearson,
     run_loop,
@@ -23,7 +26,7 @@ from loadbench.bench import (
 from loadbench.dataset import DatasetSpec, generate_random_dataset
 from loadbench.pipeline import LoaderConfig
 from loadbench.sampling import SamplerConfig
-from loadbench.storage import LatencyModel
+from loadbench.storage import LatencyModel, StorageBackend
 from loadbench.transforms import TransformConfig
 
 
@@ -143,6 +146,40 @@ def test_replicated_world_two_disjoint_cover(bench_dataset):
     assert ids0.isdisjoint(ids1)
     assert ids0 | ids1 == set(range(800))
     assert rep.aggregate_speed == pytest.approx(sum(r.m for r in rep.replicas))
+
+
+def test_run_loop_closes_its_backend(bench_dataset, tmp_path, monkeypatch):
+    closed = []
+    monkeypatch.setattr(StorageBackend, "close",
+                        lambda backend: closed.append(backend))
+    run_loop(_config(bench_dataset, cutoff_batches=2))
+    assert len(closed) == 1
+    with pytest.raises(BenchError):  # no manifests: fails before any batch
+        run_loop(_config(bench_dataset, backend=BackendConfig(
+            kind="local", root=str(tmp_path))))
+    assert len(closed) == 2
+
+
+def test_replicated_failure_before_barrier_returns(bench_dataset, monkeypatch):
+    import loadbench.bench as bench_module
+
+    def replace(obj, **changes):  # rank 1's config cannot be built
+        if changes.get("rank") == 1:
+            raise RuntimeError("injected config failure")
+        return dataclasses.replace(obj, **changes)
+    monkeypatch.setattr(bench_module, "replace", replace)
+    outcome = []
+
+    def call():
+        try:
+            run_replicated(_config(bench_dataset, batch_size=16), world_size=3)
+        except ReplicaError as exc:
+            outcome.append(exc)
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(10)
+    assert not caller.is_alive()
+    assert [(e.rank, type(e.cause)) for e in outcome] == [(1, RuntimeError)]
 
 
 # -- sweep ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import threading
 import time
@@ -13,12 +14,16 @@ from loadbench.pipeline import (
     WorkerError,
     collate,
 )
-from loadbench.sampling import SamplerConfig
+from loadbench.sampling import SamplerConfig, replica_order
+from loadbench.server import serve
 from loadbench.storage import (
     ByteRange,
+    HTTPBackend,
     LatencyModel,
     LocalBackend,
     MemoryBackend,
+    RangeError,
+    StorageBackend,
     StorageError,
     with_latency,
 )
@@ -318,7 +323,8 @@ def test_shutdown_idempotent(tiny_dataset):
 def _assert_new_workers_exit(before: set[threading.Thread]) -> None:
     deadline = time.perf_counter() + 2.0
     for t in threading.enumerate():
-        if t.name.startswith("loadbench-worker") and t not in before:
+        if (t.name.startswith(("loadbench-worker", "loadbench-fetch"))
+                and t not in before):
             t.join(max(0.0, deadline - time.perf_counter()))
             assert not t.is_alive(), t.name
 
@@ -345,7 +351,7 @@ def test_shutdown_mid_epoch_is_bounded(tiny_dataset):
     assert loader.next_batch() is None
 
 
-class _PoisonBackend:
+class _PoisonBackend(StorageBackend):
     """Raises on the byte range of one chosen sample."""
 
     def __init__(self, inner, poison: ByteRange, shard: str):
@@ -385,6 +391,34 @@ def test_worker_failure_carries_sample_id(tiny_dataset, workers):
     assert err.value.sample_id == victim
     loader.shutdown()
     _assert_new_workers_exit(before)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_http_read_failure_carries_first_sample_id(tiny_dataset, workers):
+    # two records of the second batch point past the end of their shard;
+    # the error names the one that comes first in the batch
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    config = _loader_config(batch_size=4, num_workers=workers)
+    second = replica_order(config.sampler, manifest, 0).ids[4:8].tolist()
+    locators = list(manifest.locators)
+    for victim in (second[1], second[3]):
+        loc = locators[victim]
+        past_end = LocalBackend(root).size(loc.shard) - loc.length + 1
+        locators[victim] = dataclasses.replace(loc, offset=past_end)
+    broken = dataclasses.replace(manifest, locators=locators)
+    before = set(threading.enumerate())
+    with serve(root) as server:
+        backend = HTTPBackend(server.endpoint)
+        loader = DataLoader(config, broken, backend)
+        with pytest.raises(WorkerError) as err:
+            for _ in loader:
+                pass
+        loader.shutdown()
+        backend.close()
+        _assert_new_workers_exit(before)
+    assert err.value.sample_id == second[1]
+    assert isinstance(err.value.cause, RangeError)
 
 
 def test_loader_config_validation():

@@ -77,6 +77,25 @@ def test_unsatisfiable_range_416(store):
     assert status == 416
 
 
+def test_suffix_range(store):
+    root, local, server = store
+    url = f"{server.endpoint}/train/shard3.dlbs"
+    whole = local.get("train/shard3.dlbs")
+    total = len(whole)
+    status, headers, body = _status(url, {"Range": "bytes=-10"})
+    assert status == 206
+    assert body == whole[-10:]
+    assert headers["Content-Range"] == f"bytes {total - 10}-{total - 1}/{total}"
+    for n in (total, total + 5):
+        status, headers, body = _status(url, {"Range": f"bytes=-{n}"})
+        assert status == 206
+        assert body == whole
+        assert headers["Content-Range"] == f"bytes 0-{total - 1}/{total}"
+    status, headers, _ = _status(url, {"Range": "bytes=-0"})
+    assert status == 416
+    assert headers["Content-Range"] == f"bytes */{total}"
+
+
 def test_head(store):
     root, local, server = store
     status, headers, body = _status(f"{server.endpoint}/train/shard2.dlbs",

@@ -1,14 +1,20 @@
+import http.client
 import time
+from contextlib import closing
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+import loadbench.server as server_module
+import loadbench.storage as storage_module
 from loadbench.prng import SplitMix64, stream_bytes
+from loadbench.server import serve
 from loadbench.storage import (
     ByteRange,
     CacheConfig,
     CachedBackend,
+    HTTPBackend,
     LatencyModel,
     LocalBackend,
     MemoryBackend,
@@ -229,3 +235,164 @@ def test_cache_config_validation():
         CacheConfig(0)
     inner = MemoryBackend({"A": b"abc"})
     assert CachedBackend(inner, CacheConfig(1)).get("A") == b"abc"  # oversize bypass
+
+
+# -- get_many, persistent HTTP connections, close -------------------------------
+
+@pytest.fixture(scope="module")
+def shards(tmp_path_factory):
+    root = tmp_path_factory.mktemp("shards")
+    local = LocalBackend(root)
+    rng = SplitMix64(5)
+    for i in range(4):
+        local.put(f"s/shard{i}.bin", stream_bytes(rng.next_u64(), 300 + 41 * i))
+    return root, local
+
+
+def _random_requests(local, n, seed):
+    rng = SplitMix64(seed)
+    keys = local.list("s/")
+    requests = []
+    for _ in range(n):
+        key = keys[rng.next_below(len(keys))]
+        size = local.size(key)
+        if rng.next_below(8) == 0:
+            requests.append((key, None))
+            continue
+        start = rng.next_below(size)
+        requests.append((key, ByteRange(start, start + rng.next_below(size - start))))
+    return requests
+
+
+def _count_connects(monkeypatch) -> list:
+    opened = []
+    connect = http.client.HTTPConnection.connect
+
+    def counting(conn):
+        opened.append(conn)
+        connect(conn)
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return opened
+
+
+@pytest.mark.parametrize("kind", ["local", "memory", "latency", "cached", "http"])
+def test_get_many_matches_get_in_order(shards, kind):
+    root, local = shards
+    requests = _random_requests(local, 40, seed=9)
+    expected = [local.get(key, br) for key, br in requests]
+    with serve(root) as server:
+        backend = {
+            "local": lambda: LocalBackend(root),
+            "memory": lambda: MemoryBackend.load(local),
+            "latency": lambda: with_latency(local, LatencyModel(mean_ms=0.1)),
+            "cached": lambda: cached(local, 2000),
+            "http": lambda: HTTPBackend(server.endpoint),
+        }[kind]()
+        with closing(backend):
+            assert list(backend.get_many(requests)) == expected
+            assert list(backend.get_many(requests[:1])) == expected[:1]
+            assert list(backend.get_many([])) == []
+
+
+def test_default_get_many_reads_one_request_at_a_time():
+    class Counting(MemoryBackend):
+        gets = 0
+
+        def get(self, key, byte_range=None):
+            self.gets += 1
+            return super().get(key, byte_range)
+
+    backend = Counting({"A": b"abc"})
+    bufs = backend.get_many([("A", None), ("A", ByteRange(1, 1)), ("absent", None)])
+    assert backend.gets == 0
+    assert next(bufs) == b"abc" and backend.gets == 1
+    assert next(bufs) == b"b" and backend.gets == 2
+    with pytest.raises(NotFoundError):
+        next(bufs)
+
+
+def test_http_connections_are_reused(shards, monkeypatch):
+    root, local = shards
+    opened = _count_connects(monkeypatch)
+    requests = _random_requests(local, 100, seed=3)
+    with serve(root) as server, closing(HTTPBackend(server.endpoint)) as client:
+        t0 = time.perf_counter()
+        for key, br in requests:
+            assert client.get(key, br) == local.get(key, br)
+        serial = time.perf_counter() - t0
+        assert list(client.get_many(requests)) == [local.get(k, r) for k, r in requests]
+    assert 1 < len(opened) <= storage_module._FETCH_THREADS + 1
+    # about 0.5 ms a request; a server that leaves Nagle on stalls each
+    # request on a reused connection for tens of ms (over 4 s in all)
+    assert serial < 2.0
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda client: client,
+    lambda client: with_latency(client, LatencyModel(mean_ms=10.0)),
+    lambda client: cached(client, 1 << 20),
+], ids=["http", "latency", "cached"])
+def test_get_many_overlaps_round_trips(shards, wrap):
+    # the injected 20 ms per request dominates the noise: serially, 32
+    # requests cannot take less than 640 ms
+    root, local = shards
+    requests = _random_requests(local, 32, seed=4)
+    with serve(root, latency=LatencyModel(mean_ms=20.0)) as server, \
+            closing(wrap(HTTPBackend(server.endpoint))) as client:
+        t0 = time.perf_counter()
+        data = list(client.get_many(requests))
+        wall = time.perf_counter() - t0
+    assert data == [local.get(key, br) for key, br in requests]
+    assert wall < 0.5 * 32 * 0.020
+
+
+def test_http_reopens_connection_the_server_closed(shards, monkeypatch):
+    root, local = shards
+    monkeypatch.setattr(server_module._Handler, "timeout", 0.05)  # idle drop
+    opened = _count_connects(monkeypatch)
+    key = local.list("s/")[1]
+    with serve(root) as server, closing(HTTPBackend(server.endpoint)) as client:
+        assert client.get(key) == local.get(key)
+        time.sleep(0.3)  # the server closes the idle connection
+        assert client.get(key, ByteRange(3, 9)) == local.get(key, ByteRange(3, 9))
+        time.sleep(0.3)
+        assert client.size(key) == local.size(key)
+    assert len(opened) == 3
+
+
+class _CountingBackend(MemoryBackend):
+    def __init__(self, objects):
+        super().__init__(objects)
+        self.sizes = 0
+
+    def size(self, key):
+        self.sizes += 1  # the server asks for the size once per GET
+        return super().size(key)
+
+
+def test_failed_get_many_cancels_queued_fetches(shards, monkeypatch):
+    # one fetch thread, so the failing first request runs alone
+    monkeypatch.setattr(storage_module, "_FETCH_THREADS", 1)
+    root, local = shards
+    key = local.list("s/")[0]
+    served = _CountingBackend({key: local.get(key)})
+    requests = [("s/absent.bin", None)] + [(key, None)] * 20
+    with serve(served, latency=LatencyModel(mean_ms=20.0)) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        with pytest.raises(NotFoundError):
+            list(client.get_many(requests))
+        time.sleep(0.2)  # ten more round trips, had the fetches gone on
+        assert served.sizes <= 3
+
+
+def test_wrappers_forward_close():
+    class Closing(MemoryBackend):
+        closed = 0
+
+        def close(self):
+            self.closed += 1
+
+    inner = Closing({"A": b"abc"})
+    with closing(cached(with_latency(inner, LatencyModel(mean_ms=0.0)), 100)) as backend:
+        assert list(backend.get_many([("A", ByteRange(1, 2))])) == [b"bc"]
+    assert inner.closed == 1
