@@ -19,7 +19,6 @@ from loadbench import (
     TransformConfig,
     generate_random_dataset,
     run_loop,
-    timing_bands,
 )
 
 root = Path(tempfile.mkdtemp(prefix="loadbench-demo-"))
@@ -40,11 +39,10 @@ def bench(num_workers: int) -> None:
         capture_digests=True,
     )
     result = run_loop(config)
-    bands = timing_bands(result)
-    warm = bands.batch_bands[1:]
+    warm = result.per_batch_seconds[1:]
     digest = hashlib.md5("".join(result.batch_digests).encode()).hexdigest()[:8]
     print(f"workers={num_workers}: m={result.m:6.1f} samples/s  "
-          f"first batch={bands.first_batch_s * 1000:5.0f}ms  "
+          f"first batch={result.first_batch_s * 1000:5.0f}ms  "
           f"mean batch={sum(warm) / len(warm) * 1000:5.0f}ms  "
           f"contents={digest}")
 

@@ -7,24 +7,19 @@ backend latency, filtering, and replica counts.
 """
 
 from .bench import (
-    AnalysisResult,
     BackendConfig,
     BenchConfig,
     BenchError,
     ReplicatedResult,
     RunResult,
-    TimingBands,
     TuneResult,
-    max_speed,
-    pearson,
     run_loop,
     run_repetitions,
     run_replicated,
-    slowdown_pct,
     sweep,
-    timing_bands,
     tune_for_speed,
 )
+from .config import decode, encode, override
 from .dataset import (
     DatasetError,
     DatasetManifest,
@@ -44,6 +39,7 @@ from .pipeline import (
     WorkerError,
     collate,
 )
+from .report import AnalysisResult, pearson, slowdown_pct
 from .sampling import SamplerConfig, SampleOrder, epoch_order, shard_for_replica
 from .server import ObjectServer, serve
 from .storage import (

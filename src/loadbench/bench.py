@@ -20,7 +20,6 @@ import csv
 import hashlib
 import itertools
 import json
-import math
 import os
 import threading
 import time
@@ -29,10 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import decode, encode, override
 from .dataset import SPLITS, load_manifest
 from .model import LinearModel, flatten_batch, synthetic_consumer
 from .pipeline import DataLoader, LoaderConfig
-from .prng import SplitMix64
+from .prng import fisher_yates
+from .sampling import FILTER_KINDS
 from .storage import (
     CacheConfig,
     CachedBackend,
@@ -133,36 +134,9 @@ class BenchConfig:
             raise ValueError("consumer_delay_s must be >= 0")
 
     def fingerprint(self) -> dict:
-        sampler = self.loader.sampler
-        latency = self.backend.latency
-        return {
-            "split": self.split,
-            "batch_size": self.loader.batch_size,
-            "num_workers": self.loader.num_workers,
-            "prefetch_depth": self.loader.resolved_prefetch_depth,
-            "drop_last": self.loader.drop_last,
-            "sampler_kind": sampler.kind,
-            "filter_classes": (sorted(sampler.classes) if sampler.classes else None),
-            "rank": sampler.rank,
-            "world_size": sampler.world_size,
-            "seed": sampler.seed,
-            "transform_seed": self.loader.transform.seed,
-            "backend": self.backend.kind,
-            "endpoint": self.backend.endpoint,
-            "latency_mean_ms": latency.mean_ms if latency else 0.0,
-            "latency_std_ms": latency.std_ms if latency else 0.0,
-            "latency_min_ms": latency.min_ms if latency else 0.0,
-            "latency_distribution": latency.distribution if latency else None,
-            "cache_bytes": self.backend.cache_bytes,
-            "run_model": self.run_model,
-            "consumer_delay_s": self.consumer_delay_s,
-            "epochs": self.epochs,
-            "cutoff_batches": self.cutoff_batches,
-            "cutoff_seconds": self.cutoff_seconds,
-            "warmup_batches": self.warmup_batches,
-            "speed_window": self.speed_window,
-            "replicas": self.replicas,
-        }
+        """The whole config as plain JSON; ``decode(BenchConfig, fp)``
+        rebuilds it, so any result row can be run again."""
+        return encode(self)
 
 
 @dataclass
@@ -186,29 +160,31 @@ class RunResult:
         return self.per_batch_seconds[0] if self.per_batch_seconds else 0.0
 
     def to_row(self) -> dict:
-        fp = self.fingerprint
-        classes = fp.get("filter_classes")
-        return {
-            "split": fp.get("split"),
-            "batch_size": fp.get("batch_size"),
-            "num_workers": fp.get("num_workers"),
-            "prefetch_depth": fp.get("prefetch_depth"),
-            "backend": fp.get("backend"),
-            "latency_mean_ms": fp.get("latency_mean_ms"),
-            "run_model": fp.get("run_model"),
-            "filter_classes": ";".join(str(c) for c in classes) if classes else "",
-            "replicas": fp.get("replicas"),
-            "seed": fp.get("seed"),
-            "repetition": self.repetition,
-            "m": self.m,
-            "N": self.N,
-            "t_f": self.t_f,
-            "init_train_s": self.init_times.get("train", 0.0),
-            "init_val_s": self.init_times.get("val", 0.0),
-            "init_test_s": self.init_times.get("test", 0.0),
-            "first_batch_s": self.first_batch_s,
-            "error": "",
-        }
+        return result_row(decode(BenchConfig, self.fingerprint),
+                          self.repetition, self)
+
+
+def result_row(config: BenchConfig, repetition: int,
+               result: RunResult | None = None, error: str = "") -> dict:
+    """One ``results.csv`` row: the config's columns, then the run's metrics
+    (left empty for a failed run)."""
+    loader, latency = config.loader, config.backend.latency
+    row = dict.fromkeys(RESULT_COLUMNS, "")
+    row.update(
+        split=config.split, batch_size=loader.batch_size,
+        num_workers=loader.num_workers,
+        prefetch_depth=loader.resolved_prefetch_depth,
+        backend=config.backend.kind,
+        latency_mean_ms=latency.mean_ms if latency else 0.0,
+        run_model=config.run_model,
+        filter_classes=";".join(map(str, sorted(loader.sampler.classes or ()))),
+        replicas=config.replicas, seed=loader.sampler.seed,
+        repetition=repetition, error=error)
+    if result is not None:
+        row.update(m=result.m, N=result.N, t_f=result.t_f,
+                   first_batch_s=result.first_batch_s,
+                   **{f"init_{s}_s": result.init_times.get(s, 0.0) for s in SPLITS})
+    return row
 
 
 def _batch_digest(batch) -> str:
@@ -398,78 +374,66 @@ def run_replicated(config: BenchConfig, world_size: int,
 
 # -- sweeps and tuning ----------------------------------------------------
 
-SWEEP_AXES = ("batch_size", "num_workers", "backend", "run_model", "filter_classes")
+# sweep axes are dotted config paths; these short names stay as aliases
+AXIS_ALIASES = {"batch_size": "loader.batch_size",
+                "num_workers": "loader.num_workers",
+                "prefetch_depth": "loader.prefetch_depth"}
 
 
-def _sweep_variant(base: BenchConfig, combo: dict) -> BenchConfig:
-    loader = base.loader
-    sampler = loader.sampler
-    if combo.get("filter_classes"):
-        sampler = replace(sampler, kind="filter_indexed",
-                          classes=frozenset(combo["filter_classes"]))
-    elif "filter_classes" in combo:
-        sampler = replace(sampler, kind=sampler.kind
-                          if sampler.kind not in ("filter_indexed", "filter_naive")
-                          else "shuffle", classes=None)
-    loader = replace(loader,
-                     batch_size=combo.get("batch_size", loader.batch_size),
-                     num_workers=combo.get("num_workers", loader.num_workers),
-                     sampler=sampler)
-    backend = base.backend
-    if "backend" in combo:
-        value = combo["backend"]
-        if isinstance(value, str):
-            backend = replace(backend, kind=value)
-        else:
-            backend = BackendConfig(
-                kind=value.get("kind", backend.kind),
-                root=value.get("root", backend.root),
-                endpoint=value.get("endpoint", backend.endpoint),
-                latency=(LatencyModel(**value["latency"])
-                         if value.get("latency") else backend.latency),
-                cache_bytes=value.get("cache_bytes", backend.cache_bytes))
-    run_model = combo.get("run_model", base.run_model)
-    return replace(base, loader=loader, backend=backend, run_model=run_model)
+def with_filter(config: BenchConfig, classes,
+                kind: str | None = None) -> BenchConfig:
+    """``config`` filtered to ``classes``; None or empty removes the filter.
+
+    A filtering sampler keeps its kind unless ``kind`` names one, any other
+    sampler becomes ``filter_indexed``.  Without a filter, a filtering
+    sampler becomes ``shuffle``.
+    """
+    current = config.loader.sampler.kind
+    if classes:
+        kind = kind or (current if current in FILTER_KINDS else "filter_indexed")
+    else:
+        kind = "shuffle" if current in FILTER_KINDS else current
+    return override(config, "loader.sampler",
+                    {"kind": kind, "classes": classes or None})
+
+
+def expand(grid: dict, base: BenchConfig) -> list[BenchConfig]:
+    """``base`` under each combination of the grid's axis values.
+
+    Axes are dotted config paths, the ``AXIS_ALIASES`` or
+    ``filter_classes`` (see ``with_filter``); combinations come in
+    ``itertools.product`` order over the sorted axis names.
+    """
+    if not grid or any(len(v) == 0 for v in grid.values()):
+        raise ValueError("sweep grid is empty")
+    names = sorted(grid)
+    configs = []
+    for values in itertools.product(*(grid[n] for n in names)):
+        config = base
+        for name, value in zip(names, values):
+            config = (with_filter(config, value) if name == "filter_classes"
+                      else override(config, AXIS_ALIASES.get(name, name), value))
+        configs.append(config)
+    return configs
 
 
 def sweep(grid: dict, base: BenchConfig,
           out_dir: str | Path | None = None) -> list[dict]:
     """Run every grid combination x repetitions; one row per run.
 
-    Rows from failed runs carry the error message and the sweep continues.
-    When ``out_dir`` is given, results land in ``results.csv`` and
-    ``results.json`` underneath it.
+    Rows from failed runs carry the exception type and message in
+    ``error`` and the sweep continues.  Every row also carries its config's
+    ``fingerprint``.  When ``out_dir`` is given, results land in
+    ``results.csv`` (fixed columns) and ``results.json`` underneath it.
     """
-    axes = {name: values for name, values in grid.items() if name in SWEEP_AXES}
-    unknown = set(grid) - set(axes)
-    if unknown:
-        raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
-    if not axes or any(len(v) == 0 for v in axes.values()):
-        raise ValueError("sweep grid is empty")
-
-    names = sorted(axes)
     rows: list[dict] = []
-    for values in itertools.product(*(axes[n] for n in names)):
-        combo = dict(zip(names, values))
-        config = _sweep_variant(base, combo)
-        for rep in range(base.repetitions):
+    for config in expand(grid, base):
+        for rep in range(config.repetitions):
             try:
-                result = run_loop(config, repetition=rep)
-                # CSV keeps the fixed columns; JSON rows keep the whole fingerprint
-                rows.append({**result.to_row(), "fingerprint": result.fingerprint})
+                row = result_row(config, rep, run_loop(config, repetition=rep))
             except Exception as exc:
-                row = {col: "" for col in RESULT_COLUMNS}
-                row.update({
-                    "split": config.split,
-                    "batch_size": config.loader.batch_size,
-                    "num_workers": config.loader.num_workers,
-                    "prefetch_depth": config.loader.resolved_prefetch_depth,
-                    "backend": config.backend.kind,
-                    "run_model": config.run_model,
-                    "repetition": rep,
-                    "error": str(exc),
-                })
-                rows.append(row)
+                row = result_row(config, rep, error=f"{type(exc).__name__}: {exc}")
+            rows.append({**row, "fingerprint": config.fingerprint()})
     if out_dir is not None:
         write_rows(rows, out_dir)
     return rows
@@ -508,12 +472,7 @@ def tune_for_speed(space: list[LoaderConfig], base: BenchConfig,
     if not space:
         raise ValueError("empty search space")
 
-    order = list(range(len(space)))
-    rng = SplitMix64(seed)
-    for i in range(len(order) - 1, 0, -1):
-        j = rng.next_below(i + 1)
-        order[i], order[j] = order[j], order[i]
-
+    order = fisher_yates(len(space), seed)
     trials: list[tuple[LoaderConfig, RunResult | None, str | None]] = []
     best: tuple[float, LoaderConfig, RunResult] | None = None
     for idx in order[:budget]:
@@ -529,85 +488,3 @@ def tune_for_speed(space: list[LoaderConfig], base: BenchConfig,
     if best is None:
         raise BenchError("all tuning candidates failed")
     return TuneResult(best=best[1], best_result=best[2], trials=trials)
-
-
-# -- analysis -------------------------------------------------------------
-
-@dataclass
-class AnalysisResult:
-    pearson_r: float
-    t_statistic: float
-    n: int
-
-
-def pearson(xs, ys) -> AnalysisResult:
-    """Product-moment correlation and its t statistic."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("xs and ys must be 1-d and equally long")
-    n = len(x)
-    if n < 3:
-        raise ValueError("need at least 3 points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float((dx * dx).sum())
-    syy = float((dy * dy).sum())
-    if sxx == 0.0 or syy == 0.0:
-        raise ValueError("zero variance")
-    r = float((dx * dy).sum() / math.sqrt(sxx * syy))
-    r = max(-1.0, min(1.0, r))
-    if abs(r) < 1.0:
-        t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    else:
-        t = math.copysign(math.inf, r)
-    return AnalysisResult(pearson_r=r, t_statistic=t, n=n)
-
-
-def _total_time(result) -> float:
-    return result.t_f if isinstance(result, RunResult) else float(result)
-
-
-def slowdown_pct(baseline, other) -> float:
-    """Percent increase in total running time over the baseline."""
-    t_base = _total_time(baseline)
-    t_other = _total_time(other)
-    if t_base <= 0:
-        raise ValueError("baseline time must be positive")
-    return (t_other - t_base) / t_base * 100.0
-
-
-def max_speed(results, group_key) -> dict:
-    """Per-group maximum of m; ``group_key`` is a fingerprint field or callable."""
-    if callable(group_key):
-        key_fn = group_key
-    else:
-        key_fn = lambda res: res.fingerprint.get(group_key)  # noqa: E731
-    table: dict = {}
-    for res in results:
-        key = key_fn(res)
-        if key not in table or res.m > table[key]:
-            table[key] = res.m
-    return table
-
-
-@dataclass
-class TimingBands:
-    """Per-phase durations behind a stacked-bar view of one run."""
-
-    init_s: float
-    batch_bands: list[float]
-    wrapup_s: float
-    total_s: float
-
-    @property
-    def first_batch_s(self) -> float:
-        return self.batch_bands[0] if self.batch_bands else 0.0
-
-
-def timing_bands(result: RunResult) -> TimingBands:
-    init_s = float(sum(result.init_times.values()))
-    bands = list(result.per_batch_seconds)
-    wrapup = result.t_f - init_s - float(sum(bands))
-    return TimingBands(init_s=init_s, batch_bands=bands,
-                       wrapup_s=wrapup, total_s=result.t_f)

@@ -17,13 +17,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
-    BackendConfig,
     BenchConfig,
+    expand,
     run_repetitions,
     run_replicated,
     sweep,
     tune_for_speed,
+    with_filter,
 )
+from .config import decode, encode, override
 from .dataset import DatasetSpec, generate_random_dataset
 from .pipeline import LoaderConfig
 from .report import (
@@ -33,87 +35,26 @@ from .report import (
     rows_slowdown,
     write_report,
 )
-from .sampling import SamplerConfig
 from .server import serve as serve_store
 from .storage import LatencyModel
-from .transforms import TransformConfig
-
-
-def _latency_from_dict(payload: dict | None) -> LatencyModel | None:
-    if not payload:
-        return None
-    return LatencyModel(
-        mean_ms=float(payload.get("mean_ms", 0.0)),
-        std_ms=float(payload.get("std_ms", 0.0)),
-        min_ms=float(payload.get("min_ms", 0.0)),
-        distribution=payload.get("distribution", "constant"),
-        seed=payload.get("seed"))
-
-
-def _sampler_from_dict(payload: dict) -> SamplerConfig:
-    classes = payload.get("classes")
-    return SamplerConfig(
-        kind=payload.get("kind", "shuffle"),
-        seed=int(payload.get("seed", 0)),
-        classes=frozenset(classes) if classes else None,
-        rank=int(payload.get("rank", 0)),
-        world_size=int(payload.get("world_size", 1)),
-        drop_last_partial=bool(payload.get("drop_last_partial", False)),
-        scan_storage=bool(payload.get("scan_storage", False)))
-
-
-def _transform_from_dict(payload: dict) -> TransformConfig:
-    mean = payload.get("mean", 0.5)
-    std = payload.get("std", 0.5)
-    return TransformConfig(
-        flip_probability=float(payload.get("flip_probability", 0.5)),
-        mean=tuple(mean) if isinstance(mean, list) else mean,
-        std=tuple(std) if isinstance(std, list) else std,
-        cutout_side=payload.get("cutout_side"),
-        seed=int(payload.get("seed", 0)))
-
-
-def loader_config_from_dict(payload: dict) -> LoaderConfig:
-    return LoaderConfig(
-        batch_size=int(payload.get("batch_size", 64)),
-        num_workers=int(payload.get("num_workers", 0)),
-        prefetch_depth=payload.get("prefetch_depth"),
-        drop_last=bool(payload.get("drop_last", False)),
-        sampler=_sampler_from_dict(payload.get("sampler", {})),
-        transform=_transform_from_dict(payload.get("transform", {})))
-
-
-def _backend_from_dict(payload, root: str | None) -> BackendConfig:
-    if isinstance(payload, str):
-        payload = {"kind": payload}
-    payload = payload or {}
-    return BackendConfig(
-        kind=payload.get("kind", "local"),
-        root=payload.get("root", root),
-        endpoint=payload.get("endpoint"),
-        latency=_latency_from_dict(payload.get("latency")),
-        cache_bytes=int(payload.get("cache_bytes", 0)))
-
-
-def bench_config_from_dict(payload: dict) -> BenchConfig:
-    root = payload.get("data")
-    return BenchConfig(
-        loader=loader_config_from_dict(payload.get("loader", {})),
-        backend=_backend_from_dict(payload.get("backend"), root),
-        split=payload.get("split", "train"),
-        epochs=int(payload.get("epochs", 1)),
-        cutoff_batches=payload.get("cutoff_batches"),
-        cutoff_seconds=payload.get("cutoff_seconds"),
-        run_model=bool(payload.get("run_model", False)),
-        warmup_batches=int(payload.get("warmup_batches", 1)),
-        speed_window=payload.get("speed_window", 10),
-        repetitions=int(payload.get("repetitions", 1)),
-        replicas=int(payload.get("replicas", 1)),
-        consumer_delay_s=float(payload.get("consumer_delay_s", 0.0)))
 
 
 def _load_json(path: str) -> dict:
     return json.loads(Path(path).read_text())
+
+
+def load_bench_config(path: str | None) -> BenchConfig:
+    """The bench config in the JSON file at ``path``; defaults when None.
+
+    A top-level ``"data"`` key is shorthand for ``backend.root``; a root set
+    under ``backend`` wins over it.
+    """
+    payload = _load_json(path) if path else {}
+    root = payload.pop("data", None)
+    config = decode(BenchConfig, payload)
+    if root is not None and config.backend.root is None:
+        config = override(config, "backend.root", root)
+    return config
 
 
 def _add_bench_flags(parser: argparse.ArgumentParser) -> None:
@@ -144,73 +85,45 @@ def _add_bench_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--latency-distribution", choices=("constant", "lognormal"))
 
 
+# bench flags that each set one config field: argparse dest -> dotted path
+_FLAG_PATHS = {
+    "data": "backend.root", "backend": "backend.kind",
+    "endpoint": "backend.endpoint", "split": "split",
+    "batch_size": "loader.batch_size", "workers": "loader.num_workers",
+    "prefetch_depth": "loader.prefetch_depth", "epochs": "epochs",
+    "cutoff_batches": "cutoff_batches", "cutoff_seconds": "cutoff_seconds",
+    "run_model": "run_model", "warmup": "warmup_batches",
+    "replicas": "replicas", "repetitions": "repetitions",
+}
+
+
 def _bench_config_from_args(args: argparse.Namespace) -> BenchConfig:
-    payload = _load_json(args.config) if args.config else {}
-    config = bench_config_from_dict(payload)
-
-    loader = config.loader
-    sampler = loader.sampler
-    transform = loader.transform
-    backend = config.backend
-
-    if args.data is not None:
-        backend = replace(backend, root=args.data)
-    if args.backend is not None:
-        backend = replace(backend, kind=args.backend)
-    if args.endpoint is not None:
-        backend = replace(backend, endpoint=args.endpoint)
-    if any(getattr(args, f) is not None for f in
-           ("latency_mean_ms", "latency_std_ms", "latency_min_ms",
-            "latency_distribution")):
-        base = backend.latency or LatencyModel(mean_ms=0.0)
-        backend = replace(backend, latency=LatencyModel(
-            mean_ms=args.latency_mean_ms if args.latency_mean_ms is not None else base.mean_ms,
-            std_ms=args.latency_std_ms if args.latency_std_ms is not None else base.std_ms,
-            min_ms=args.latency_min_ms if args.latency_min_ms is not None else base.min_ms,
-            distribution=args.latency_distribution or base.distribution))
-
+    config = load_bench_config(args.config)
+    for dest, path in _FLAG_PATHS.items():
+        if getattr(args, dest) is not None:
+            config = override(config, path, getattr(args, dest))
     if args.seed is not None:
-        sampler = replace(sampler, seed=args.seed)
-        transform = replace(transform, seed=args.seed)
+        config = override(config, "loader", {"sampler": {"seed": args.seed},
+                                             "transform": {"seed": args.seed}})
     if args.filter_classes is not None:
-        classes = frozenset(int(c) for c in args.filter_classes.split(",") if c)
-        kind = "filter_indexed" if args.filter_kind == "indexed" else "filter_naive"
-        sampler = replace(sampler, kind=kind, classes=classes)
-
-    if args.batch_size is not None:
-        loader = replace(loader, batch_size=args.batch_size)
-    if args.workers is not None:
-        loader = replace(loader, num_workers=args.workers)
-    if args.prefetch_depth is not None:
-        loader = replace(loader, prefetch_depth=args.prefetch_depth)
-    loader = replace(loader, sampler=sampler, transform=transform)
-
-    updates: dict = {"loader": loader, "backend": backend}
-    if args.split is not None:
-        updates["split"] = args.split
-    if args.epochs is not None:
-        updates["epochs"] = args.epochs
-    if args.cutoff_batches is not None:
-        updates["cutoff_batches"] = args.cutoff_batches
-    if args.cutoff_seconds is not None:
-        updates["cutoff_seconds"] = args.cutoff_seconds
-    if args.run_model is not None:
-        updates["run_model"] = args.run_model
-    if args.warmup is not None:
-        updates["warmup_batches"] = args.warmup
-    if args.replicas is not None:
-        updates["replicas"] = args.replicas
-    if args.repetitions is not None:
-        updates["repetitions"] = args.repetitions
+        classes = [int(c) for c in args.filter_classes.split(",") if c]
+        config = with_filter(config, classes, kind=f"filter_{args.filter_kind}")
     if args.consumer_delay_ms is not None:
-        updates["consumer_delay_s"] = args.consumer_delay_ms / 1000.0
-    return replace(config, **updates)
+        config = override(config, "consumer_delay_s", args.consumer_delay_ms / 1000.0)
+    latency = {key: getattr(args, f"latency_{key}")
+               for key in ("mean_ms", "std_ms", "min_ms", "distribution")
+               if getattr(args, f"latency_{key}") is not None}
+    if latency:
+        if config.backend.latency is None:
+            latency = {"mean_ms": 0.0, **latency}
+        config = override(config, "backend.latency", latency)
+    return config
 
 
 # -- subcommands ----------------------------------------------------------------
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = DatasetSpec.from_dict(_load_json(args.spec))
+    spec = decode(DatasetSpec, _load_json(args.spec))
     manifests = generate_random_dataset(spec, args.out,
                                         shard_capacity=args.shard_capacity)
     for split, manifest in manifests.items():
@@ -257,7 +170,7 @@ def _summarize(results) -> None:
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _bench_config_from_args(args)
     if args.repetitions is None and not args.config:
-        config = replace(config, repetitions=3)  # harness default: 3 reps
+        config = override(config, "repetitions", 3)  # harness default: 3 reps
     if config.replicas > 1:
         rep = run_replicated(config, config.replicas)
         _summarize(rep.replicas)
@@ -289,16 +202,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     base = _bench_config_from_args(args)
     payload = _load_json(args.space)
     if isinstance(payload, list):
-        space = [loader_config_from_dict(p) for p in payload]
+        space = [decode(LoaderConfig, p) for p in payload]
     else:
-        import itertools
-        axes = {k: v for k, v in payload.items()
-                if k in ("batch_size", "num_workers", "prefetch_depth")}
-        names = sorted(axes)
-        space = []
-        for values in itertools.product(*(axes[n] for n in names)):
-            overrides = dict(zip(names, values))
-            space.append(replace(base.loader, **overrides))
+        configs = expand(payload, base)
+        if any(replace(c, loader=base.loader) != base for c in configs):
+            raise ValueError(f"tune axes must set loader fields: {sorted(payload)}")
+        space = [c.loader for c in configs]
     tuned = tune_for_speed(space, base, budget=args.budget, seed=args.tune_seed)
     print(f"evaluated {len(tuned.trials)} candidates")
     best = tuned.best
@@ -307,12 +216,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
           f"-> {tuned.best_result.m:.1f} samples/s")
     if args.out:
         Path(args.out).write_text(json.dumps({
-            "best": {"batch_size": best.batch_size,
-                     "num_workers": best.num_workers,
-                     "prefetch_depth": best.resolved_prefetch_depth},
+            "best": encode(best),
             "speed": tuned.best_result.m,
-            "trials": [{"batch_size": c.batch_size, "num_workers": c.num_workers,
-                        "m": (r.m if r else None), "error": e}
+            "trials": [{**encode(c), "m": (r.m if r else None), "error": e}
                        for c, r, e in tuned.trials],
         }, indent=2))
         print(f"wrote {args.out}")

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import decode, encode
 from .prng import derive_seed, stream_bytes, stream_u64
 from .storage import StorageBackend, LocalBackend, ByteRange
 
@@ -79,24 +80,6 @@ class DatasetSpec:
 
     def split_size(self, split: str) -> int:
         return {"train": self.n_train, "val": self.n_val, "test": self.n_test}[split]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_test": self.n_test,
-            "width": self.width,
-            "height": self.height,
-            "channels": self.channels,
-            "n_classes": self.n_classes,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSpec":
-        return cls(**{k: int(d[k]) for k in (
-            "n_train", "n_val", "n_test", "width", "height",
-            "channels", "n_classes", "seed")})
 
 
 @dataclass(frozen=True)
@@ -149,7 +132,7 @@ class DatasetManifest:
     def to_json(self) -> str:
         payload = {
             "split": self.split,
-            "spec": self.spec.to_dict(),
+            "spec": encode(self.spec),
             "locators": [[l.shard, l.offset, l.length, l.label] for l in self.locators],
             "class_index": {str(c): ids for c, ids in sorted(self.class_index.items())},
         }
@@ -159,7 +142,7 @@ class DatasetManifest:
     def from_json(cls, text: str | bytes) -> "DatasetManifest":
         payload = json.loads(text)
         try:
-            spec = DatasetSpec.from_dict(payload["spec"])
+            spec = decode(DatasetSpec, payload["spec"])
             locators = [Locator(s, int(o), int(n), int(lb))
                         for s, o, n, lb in payload["locators"]]
             class_index = {int(c): [int(i) for i in ids]

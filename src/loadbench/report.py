@@ -9,12 +9,52 @@ from __future__ import annotations
 
 import html
 import json
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
-from .bench import AnalysisResult, pearson, slowdown_pct
+import numpy as np
 
 _GROUP_DEFAULT = ("batch_size", "num_workers", "backend")
 _MATCH_FIELDS = ("split", "batch_size", "num_workers", "run_model", "filter_classes")
+
+
+@dataclass
+class AnalysisResult:
+    pearson_r: float
+    t_statistic: float
+    n: int
+
+
+def pearson(xs, ys) -> AnalysisResult:
+    """Product-moment correlation and its t statistic."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("xs and ys must be 1-d and equally long")
+    n = len(x)
+    if n < 3:
+        raise ValueError("need at least 3 points")
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float((dx * dx).sum())
+    syy = float((dy * dy).sum())
+    if sxx == 0.0 or syy == 0.0:
+        raise ValueError("zero variance")
+    r = float((dx * dy).sum() / math.sqrt(sxx * syy))
+    r = max(-1.0, min(1.0, r))
+    if abs(r) < 1.0:
+        t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    else:
+        t = math.copysign(math.inf, r)
+    return AnalysisResult(pearson_r=r, t_statistic=t, n=n)
+
+
+def slowdown_pct(t_base: float, t_other: float) -> float:
+    """Percent increase in total running time (seconds) over the baseline."""
+    if t_base <= 0:
+        raise ValueError("baseline time must be positive")
+    return (t_other - t_base) / t_base * 100.0
 
 
 def _ok_rows(rows: list[dict]) -> list[dict]:

@@ -20,12 +20,12 @@ from loadbench.bench import (
     BenchConfig,
     run_loop,
     run_replicated,
-    slowdown_pct,
     tune_for_speed,
 )
 from loadbench.model import LinearModel
 from loadbench.pipeline import DataLoader, LoaderConfig
 from loadbench.prng import SplitMix64
+from loadbench.report import slowdown_pct
 from loadbench.sampling import SamplerConfig, epoch_order
 from loadbench.server import serve
 from loadbench.storage import (
@@ -180,7 +180,7 @@ def test_criterion_05_warmup_effect(random_small):
 
 def test_criterion_06_speed_time_correlation(random_small):
     root, _ = random_small
-    from loadbench.bench import pearson
+    from loadbench.report import pearson
     # a 1 ms constant read latency keeps loading cost non-trivial; with pure
     # in-cache reads the 10-batch window measures thread noise, not loading
     latency = LatencyModel(mean_ms=1.0)

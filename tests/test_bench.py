@@ -13,18 +13,17 @@ from loadbench.bench import (
     BenchConfig,
     BenchError,
     ReplicaError,
-    max_speed,
-    pearson,
+    expand,
     run_loop,
     run_repetitions,
     run_replicated,
-    slowdown_pct,
     sweep,
-    timing_bands,
     tune_for_speed,
 )
+from loadbench.config import decode
 from loadbench.dataset import DatasetSpec, generate_random_dataset
 from loadbench.pipeline import LoaderConfig
+from loadbench.report import pearson, rows_max_speed, slowdown_pct
 from loadbench.sampling import SamplerConfig
 from loadbench.storage import LatencyModel, StorageBackend
 from loadbench.transforms import TransformConfig
@@ -225,7 +224,10 @@ def test_sweep_records_partial_failures(bench_dataset):
     assert len(rows) == 2
     errors = [row["error"] for row in rows]
     assert errors.count("") == 1
-    assert any("nowhere" in e or e for e in errors if e)
+    failed = next(row for row in rows if row["error"])
+    assert failed["fingerprint"]["backend"]["root"] == "/nonexistent/loadbench-nowhere"
+    assert failed["error"].startswith("StorageError: ")
+    assert failed["batch_size"] == 64 and failed["m"] == ""
 
 
 def test_sweep_filter_axis(bench_dataset):
@@ -233,6 +235,52 @@ def test_sweep_filter_axis(bench_dataset):
     rows = sweep(grid, _config(bench_dataset, cutoff_batches=2, batch_size=8))
     assert len(rows) == 2
     assert {row["filter_classes"] for row in rows} == {"", "0;13"}
+
+
+def test_sweep_filter_axis_keeps_the_filter_kind(bench_dataset):
+    naive = _config(bench_dataset, loader=LoaderConfig(sampler=SamplerConfig(
+        kind="filter_naive", classes=frozenset({1}))))
+    samplers = [c.loader.sampler for c in
+                expand({"filter_classes": [None, [0, 13]]}, naive)]
+    assert [(s.kind, s.classes) for s in samplers] == [
+        ("shuffle", None), ("filter_naive", frozenset({0, 13}))]
+    plain = expand({"filter_classes": [[2]]}, _config(bench_dataset))
+    assert plain[0].loader.sampler.kind == "filter_indexed"
+
+
+def test_sweep_axes_are_dotted_paths(bench_dataset):
+    base = _config(bench_dataset)
+    configs = expand({"loader.transform.cutout_side": [0, 1],
+                      "model_seed": [5]}, base)
+    assert [c.loader.transform.cutout_side for c in configs] == [0, 1]
+    assert all(c.model_seed == 5 for c in configs)
+    with pytest.raises(ValueError, match="loader.sampler.sed"):
+        expand({"loader.sampler.sed": [1]}, base)
+
+
+def test_sweep_fingerprints_rerun_their_rows(bench_dataset):
+    base = _config(bench_dataset, cutoff_batches=3, capture_digests=True,
+                   loader=LoaderConfig(
+                       batch_size=16,
+                       sampler=SamplerConfig(kind="shuffle", seed=4),
+                       transform=TransformConfig(seed=4, cutout_side=0,
+                                                 flip_probability=1.0)))
+    grid = {"num_workers": [0, 2]}
+    rows = sweep(grid, base)
+    for config, row in zip(expand(grid, base), rows):
+        rerun = decode(BenchConfig, json.loads(json.dumps(row["fingerprint"])))
+        assert rerun == config
+        again = run_loop(rerun)
+        assert again.N == row["N"]
+        assert again.batch_digests == run_loop(config).batch_digests
+
+
+def test_fingerprint_keeps_every_field():
+    a = BenchConfig()
+    b = BenchConfig(loader=LoaderConfig(transform=TransformConfig(
+        cutout_side=0, flip_probability=0.0, mean=0.1)), model_seed=5)
+    assert a.fingerprint() != b.fingerprint()
+    assert decode(BenchConfig, b.fingerprint()) == b
 
 
 # -- tuning ---------------------------------------------------------------------
@@ -306,27 +354,23 @@ def test_slowdown_percentages():
 
 
 def test_max_speed_matches_sorting_oracle(bench_dataset):
-    base = _config(bench_dataset, cutoff_batches=3)
     results = [run_loop(_config(bench_dataset, cutoff_batches=3, batch_size=b))
                for b in (16, 16, 64)]
-    table = max_speed(results, "batch_size")
+    table = rows_max_speed([r.to_row() for r in results], ("batch_size",))
     for b in (16, 64):
         group = sorted(r.m for r in results
-                       if r.fingerprint["batch_size"] == b)
-        assert table[b] == group[-1]
+                       if r.to_row()["batch_size"] == b)
+        assert table[(b,)] == group[-1]
 
 
-def test_timing_bands_conservation(bench_dataset):
+def test_run_result_time_conservation(bench_dataset):
     result = run_loop(_config(bench_dataset, cutoff_batches=6))
-    bands = timing_bands(result)
-    total = bands.init_s + sum(bands.batch_bands) + bands.wrapup_s
-    assert abs(total - result.t_f) < 1e-3
-    assert bands.first_batch_s == result.per_batch_seconds[0]
-    assert bands.wrapup_s >= 0.0
+    assert sum(result.init_times.values()) + sum(result.per_batch_seconds) <= result.t_f
+    assert result.first_batch_s == result.per_batch_seconds[0]
 
 
-def test_timing_bands_uniform_without_prefetch(bench_dataset):
-    # deterministic per-request latency, synchronous loading: stable bands
+def test_batch_times_uniform_without_prefetch(bench_dataset):
+    # deterministic per-request latency, synchronous loading: stable batch times
     backend = BackendConfig(kind="memory", root=str(bench_dataset),
                             latency=LatencyModel(mean_ms=2.0))
     config = _config(bench_dataset, batch_size=4, cutoff_batches=10,

@@ -1,9 +1,15 @@
+import functools
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from loadbench.cli import bench_config_from_dict, loader_config_from_dict, main
+from loadbench.bench import expand
+from loadbench.cli import _bench_config_from_args, build_parser, load_bench_config, main
+from loadbench.config import decode
 from loadbench.dataset import DatasetSpec, generate_random_dataset
+from loadbench.pipeline import LoaderConfig
 from loadbench.report import render_bar_chart_svg, render_markdown, rows_slowdown
 
 
@@ -122,7 +128,12 @@ def test_tune_command(cli_dataset, tmp_path, capsys):
     assert len(payload["trials"]) == 2
 
 
-def test_config_dict_roundtrip():
+def _write_json(path, payload) -> str:
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_config_dict_roundtrip(tmp_path):
     payload = {
         "data": "/tmp/x",
         "backend": "memory",
@@ -133,8 +144,9 @@ def test_config_dict_roundtrip():
                                  "seed": 4}},
         "cutoff_seconds": 2.5,
         "run_model": True,
+        "model_seed": 3, "model_learning_rate": 0.5, "capture_digests": True,
     }
-    config = bench_config_from_dict(payload)
+    config = load_bench_config(_write_json(tmp_path / "c.json", payload))
     assert config.backend.kind == "memory"
     assert config.backend.root == "/tmp/x"
     assert config.loader.batch_size == 32
@@ -142,9 +154,93 @@ def test_config_dict_roundtrip():
     assert config.loader.transform.mean == (0.5, 0.5, 0.5)
     assert config.cutoff_seconds == 2.5
     assert config.run_model is True
+    assert (config.model_seed, config.model_learning_rate,
+            config.capture_digests) == (3, 0.5, True)
 
-    loader = loader_config_from_dict({})
+    loader = decode(LoaderConfig, {})
     assert loader.batch_size == 64 and loader.num_workers == 0
+
+
+def test_config_file_rejects_unknown_keys(tmp_path):
+    for payload, path in (({"loader": {"batchsize": 8}}, "loader.batchsize"),
+                          ({"backend": {"latency": {"mean": 1.0}}},
+                           "backend.latency.mean"),
+                          ({"cutof_batches": 3}, "cutof_batches")):
+        with pytest.raises(ValueError, match=re.escape(repr(path))):
+            load_bench_config(_write_json(tmp_path / "c.json", payload))
+
+
+def _readme_json_blocks() -> list:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [json.loads(block) for block in
+            re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)]
+
+
+def test_readme_config_and_grid_are_accepted(tmp_path):
+    config_block, grid_block = _readme_json_blocks()
+    config = load_bench_config(_write_json(tmp_path / "c.json", config_block))
+    assert config.backend.root == "data/"
+    assert config.backend.latency.mean_ms == 17.3
+    assert config.loader.sampler.seed == config.loader.transform.seed == 7
+    configs = expand(grid_block, config)
+    assert len(configs) == 9
+    assert {(c.loader.batch_size, c.loader.num_workers, c.run_model)
+            for c in configs} == {(b, w, True) for b in (16, 64, 128)
+                                  for w in (0, 1, 2)}
+
+
+@pytest.mark.parametrize("flags, path, expected", [
+    (["--data", "d/"], "backend.root", "d/"),
+    (["--backend", "memory"], "backend.kind", "memory"),
+    (["--endpoint", "http://h:1"], "backend.endpoint", "http://h:1"),
+    (["--split", "val"], "split", "val"),
+    (["--batch-size", "8"], "loader.batch_size", 8),
+    (["--workers", "3"], "loader.num_workers", 3),
+    (["--prefetch-depth", "5"], "loader.prefetch_depth", 5),
+    (["--epochs", "2"], "epochs", 2),
+    (["--cutoff-batches", "7"], "cutoff_batches", 7),
+    (["--cutoff-seconds", "1.5"], "cutoff_seconds", 1.5),
+    (["--run-model"], "run_model", True),
+    (["--warmup", "2"], "warmup_batches", 2),
+    (["--seed", "9"], "loader.sampler.seed", 9),
+    (["--seed", "9"], "loader.transform.seed", 9),
+    (["--filter-classes", "0,13"], "loader.sampler.classes", frozenset({0, 13})),
+    (["--filter-classes", "0,13"], "loader.sampler.kind", "filter_indexed"),
+    (["--filter-classes", "1", "--filter-kind", "naive"],
+     "loader.sampler.kind", "filter_naive"),
+    (["--replicas", "2"], "replicas", 2),
+    (["--repetitions", "4"], "repetitions", 4),
+    (["--consumer-delay-ms", "5"], "consumer_delay_s", 0.005),
+    (["--latency-mean-ms", "3"], "backend.latency.mean_ms", 3.0),
+    (["--latency-std-ms", "2"], "backend.latency.std_ms", 2.0),
+    (["--latency-min-ms", "1"], "backend.latency.min_ms", 1.0),
+    (["--latency-distribution", "lognormal"], "backend.latency.distribution",
+     "lognormal"),
+])
+def test_bench_flag_sets_its_field(flags, path, expected):
+    config = _bench_config_from_args(build_parser().parse_args(["bench", *flags]))
+    assert functools.reduce(getattr, path.split("."), config) == expected
+
+
+def test_latency_flags_merge_onto_the_config_file(tmp_path):
+    config_file = _write_json(tmp_path / "c.json", {"backend": {"latency": {
+        "mean_ms": 4.0, "std_ms": 1.0, "distribution": "lognormal", "seed": 2}}})
+    config = _bench_config_from_args(build_parser().parse_args(
+        ["bench", "--config", config_file, "--latency-std-ms", "3"]))
+    latency = config.backend.latency
+    assert (latency.mean_ms, latency.std_ms, latency.distribution,
+            latency.seed) == (4.0, 3.0, "lognormal", 2)
+
+
+def test_tune_grid_rejects_unknown_and_non_loader_axes(cli_dataset, tmp_path):
+    base = ["tune", "--data", str(cli_dataset), "--budget", "1",
+            "--cutoff-batches", "2"]
+    space = _write_json(tmp_path / "s.json", {"num_workers": [0], "bogus": [1]})
+    with pytest.raises(ValueError, match="'bogus'"):
+        main([*base, "--space", space])
+    space = _write_json(tmp_path / "s.json", {"num_workers": [0], "run_model": [True]})
+    with pytest.raises(ValueError, match="loader fields"):
+        main([*base, "--space", space])
 
 
 def test_report_rendering_handles_failures():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -81,7 +82,7 @@ def test_generation_is_byte_identical(tmp_path):
 
 
 def test_different_seed_changes_content(tmp_path):
-    spec2 = DatasetSpec(**{**TINY_SPEC.to_dict(), "seed": 12})
+    spec2 = dataclasses.replace(TINY_SPEC, seed=12)
     a = generate_random_dataset(TINY_SPEC, MemoryBackend())
     b = generate_random_dataset(spec2, MemoryBackend())
     labels_a = [l.label for l in a["train"].locators]
