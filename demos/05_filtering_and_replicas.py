@@ -8,6 +8,7 @@ across two consumers on disjoint shards.
 
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from loadbench import (
@@ -21,7 +22,7 @@ from loadbench import (
     TransformConfig,
     epoch_order,
     generate_random_dataset,
-    run_replicated,
+    run,
 )
 
 root = Path(tempfile.mkdtemp(prefix="loadbench-demo-"))
@@ -56,10 +57,11 @@ config = BenchConfig(
                           latency=LatencyModel(mean_ms=5.0)))
 
 for world in (1, 2):
-    rep = run_replicated(config, world_size=world)
-    ids = [set(r.processed_ids) for r in rep.replicas]
+    # one result per replica; they ran concurrently, so their speeds add up
+    results = run(replace(config, replicas=world))
+    ids = [set(r.processed_ids) for r in results]
     covered = len(set().union(*ids))
-    print(f"world={world}: aggregate {rep.aggregate_speed:6.1f} samples/s, "
+    print(f"world={world}: aggregate {sum(r.m for r in results):6.1f} samples/s, "
           f"{covered} distinct samples processed")
 
 print("\nTwo replicas read disjoint halves concurrently, so the aggregate")

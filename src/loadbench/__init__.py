@@ -10,12 +10,12 @@ from .bench import (
     BackendConfig,
     BenchConfig,
     BenchError,
-    ReplicatedResult,
+    ReplicaError,
     RunResult,
     TuneResult,
+    aggregate_speeds,
+    run,
     run_loop,
-    run_repetitions,
-    run_replicated,
     sweep,
     tune_for_speed,
 )
@@ -35,7 +35,6 @@ from .pipeline import (
     Batch,
     DataLoader,
     LoaderConfig,
-    LoaderStats,
     WorkerError,
     collate,
 )

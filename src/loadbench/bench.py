@@ -12,6 +12,10 @@ m * (counted elapsed) == N exactly.
 A cutoff stops the run early: ``cutoff_batches`` counts processed batches
 (warm-up included), ``cutoff_seconds`` is checked against the epoch clock
 when a batch arrives, before it is processed.
+
+``run_loop`` is one such run.  ``run`` is what the CLI's bench, sweep and
+tune all call: the config's repetitions, each as its replicas running
+concurrently.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import decode, encode, override
+from .config import encode, override
 from .dataset import SPLITS, load_manifest
 from .model import LinearModel, flatten_batch, synthetic_consumer
 from .pipeline import DataLoader, LoaderConfig
@@ -159,15 +163,16 @@ class RunResult:
     def first_batch_s(self) -> float:
         return self.per_batch_seconds[0] if self.per_batch_seconds else 0.0
 
-    def to_row(self) -> dict:
-        return result_row(decode(BenchConfig, self.fingerprint),
-                          self.repetition, self)
 
+def result_row(config: BenchConfig, result: RunResult | None = None,
+               error: str = "", repetition: int = 0) -> dict:
+    """One result row of ``config``: the ``results.csv`` columns, with the
+    run's metrics (left empty for a failed run), then ``fingerprint``.
 
-def result_row(config: BenchConfig, repetition: int,
-               result: RunResult | None = None, error: str = "") -> dict:
-    """One ``results.csv`` row: the config's columns, then the run's metrics
-    (left empty for a failed run)."""
+    The fingerprint is the config that ``result`` itself ran (a replica's
+    carries its sampler rank), or ``config``'s for a failed run; either
+    runs again through ``decode`` and ``run_loop`` or ``run``.
+    """
     loader, latency = config.loader, config.backend.latency
     row = dict.fromkeys(RESULT_COLUMNS, "")
     row.update(
@@ -183,7 +188,9 @@ def result_row(config: BenchConfig, repetition: int,
     if result is not None:
         row.update(m=result.m, N=result.N, t_f=result.t_f,
                    first_batch_s=result.first_batch_s,
+                   repetition=result.repetition,
                    **{f"init_{s}_s": result.init_times.get(s, 0.0) for s in SPLITS})
+    row["fingerprint"] = result.fingerprint if result else config.fingerprint()
     return row
 
 
@@ -238,6 +245,7 @@ def _measure(config: BenchConfig, backend: StorageBackend,
     per_batch: list[float] = []
     epoch_times: list[float] = []
     digests: list[str] = []
+    processed_ids: list[int] = []
     counted_sizes: list[int] = []
     counted_durs: list[float] = []
     warm_left = config.warmup_batches
@@ -265,6 +273,7 @@ def _measure(config: BenchConfig, backend: StorageBackend,
                 per_batch.append(t_now - t_prev)
                 t_prev = t_now
                 processed += 1
+                processed_ids.extend(batch.ids.tolist())
                 if config.capture_digests:
                     digests.append(_batch_digest(batch))
 
@@ -301,59 +310,52 @@ def _measure(config: BenchConfig, backend: StorageBackend,
         counted_batches=len(counted_sizes),
         fingerprint=config.fingerprint(),
         repetition=repetition,
-        processed_ids=list(loader.stats.delivered_ids),
+        processed_ids=processed_ids,
         batch_digests=digests,
     )
 
 
-def run_repetitions(config: BenchConfig) -> list[RunResult]:
-    return [run_loop(config, repetition=r) for r in range(config.repetitions)]
-
-
-@dataclass
-class ReplicatedResult:
-    replicas: list[RunResult]
-    aggregate_speed: float
-
-
 class ReplicaError(BenchError):
-    def __init__(self, rank: int, cause: BaseException) -> None:
-        super().__init__(f"replica {rank} failed: {cause!r}")
+    def __init__(self, rank: int, cause: BaseException,
+                 repetition: int) -> None:
+        super().__init__(
+            f"replica {rank} of repetition {repetition} failed: {cause!r}")
         self.rank = rank
         self.cause = cause
+        self.repetition = repetition
 
 
-def run_replicated(config: BenchConfig, world_size: int,
-                   repetition: int = 0) -> ReplicatedResult:
-    """Run ``world_size`` independent consumers on disjoint shards, concurrently.
+def run(config: BenchConfig) -> list[RunResult]:
+    """``config.repetitions`` repetitions of ``config.replicas`` concurrent
+    consumers; the results come in repetition order, then rank order.
 
-    Each replica gets its own loader, backend, and model copy; the aggregate
-    speed is the sum of per-replica speeds over the same wall-clock window.
+    Replica ``rank`` of a repetition runs ``run_loop`` with the sampler's
+    ``rank`` and ``world_size`` set to (rank, replicas), so the replicas read
+    disjoint shards of each epoch, each with its own loader, backend and
+    model.  They start together behind a barrier.  The aggregate speed of a
+    repetition is the sum of its replicas' ``m`` (``aggregate_speeds``).
+    A failure raises ``ReplicaError`` with the rank and repetition, once
+    every replica of that repetition has stopped.
     """
-    if world_size < 1:
-        raise ValueError("world_size must be >= 1")
+    return [result for repetition in range(config.repetitions)
+            for result in _run_replicas(config, repetition)]
 
-    def replica_config(rank: int) -> BenchConfig:
-        sampler = replace(config.loader.sampler, rank=rank, world_size=world_size)
-        return replace(config,
-                       loader=replace(config.loader, sampler=sampler),
-                       replicas=world_size)
 
-    if world_size == 1:
-        result = run_loop(replica_config(0), repetition)
-        return ReplicatedResult(replicas=[result], aggregate_speed=result.m)
-
+def _run_replicas(config: BenchConfig, repetition: int) -> list[RunResult]:
+    world_size = config.replicas
     results: list[RunResult | None] = [None] * world_size
     failures: list[ReplicaError] = []
     barrier = threading.Barrier(world_size)
 
     def run_one(rank: int) -> None:
         try:
-            cfg = replica_config(rank)
+            sampler = replace(config.loader.sampler, rank=rank,
+                              world_size=world_size)
+            cfg = replace(config, loader=replace(config.loader, sampler=sampler))
             barrier.wait()
             results[rank] = run_loop(cfg, repetition)
         except Exception as exc:  # surface with the replica id
-            failures.append(ReplicaError(rank, exc))
+            failures.append(ReplicaError(rank, exc, repetition))
             # replicas at the barrier fail too, after this one, with
             # BrokenBarrierError, instead of waiting forever
             barrier.abort()
@@ -367,9 +369,15 @@ def run_replicated(config: BenchConfig, world_size: int,
         t.join()
     if failures:
         raise failures[0]
-    replicas = [r for r in results if r is not None]
-    return ReplicatedResult(replicas=replicas,
-                            aggregate_speed=sum(r.m for r in replicas))
+    return results
+
+
+def aggregate_speeds(results: list[RunResult]) -> list[float]:
+    """Per repetition, in order, the sum of its replicas' ``m``."""
+    speeds: dict[int, float] = {}
+    for result in results:
+        speeds[result.repetition] = speeds.get(result.repetition, 0.0) + result.m
+    return list(speeds.values())
 
 
 # -- sweeps and tuning ----------------------------------------------------
@@ -419,21 +427,21 @@ def expand(grid: dict, base: BenchConfig) -> list[BenchConfig]:
 
 def sweep(grid: dict, base: BenchConfig,
           out_dir: str | Path | None = None) -> list[dict]:
-    """Run every grid combination x repetitions; one row per run.
+    """``run`` every grid combination; one row per replica run.
 
-    Rows from failed runs carry the exception type and message in
-    ``error`` and the sweep continues.  Every row also carries its config's
-    ``fingerprint``.  When ``out_dir`` is given, results land in
+    A combination whose run fails gives one row instead, for the failed
+    repetition, with the exception type and message in ``error``, and the
+    sweep continues.  When ``out_dir`` is given, results land in
     ``results.csv`` (fixed columns) and ``results.json`` underneath it.
     """
     rows: list[dict] = []
     for config in expand(grid, base):
-        for rep in range(config.repetitions):
-            try:
-                row = result_row(config, rep, run_loop(config, repetition=rep))
-            except Exception as exc:
-                row = result_row(config, rep, error=f"{type(exc).__name__}: {exc}")
-            rows.append({**row, "fingerprint": config.fingerprint()})
+        try:
+            rows.extend(result_row(config, result) for result in run(config))
+        except ReplicaError as exc:
+            rows.append(result_row(
+                config, error=f"{type(exc.cause).__name__}: {exc.cause}",
+                repetition=exc.repetition))
     if out_dir is not None:
         write_rows(rows, out_dir)
     return rows
@@ -455,17 +463,17 @@ def write_rows(rows: list[dict], out_dir: str | Path) -> tuple[Path, Path]:
 @dataclass
 class TuneResult:
     best: LoaderConfig
-    best_result: RunResult
-    trials: list[tuple[LoaderConfig, RunResult | None, str | None]]
+    best_m: float
+    trials: list[tuple[LoaderConfig, float | None, str | None]]  # (config, m, error)
 
 
 def tune_for_speed(space: list[LoaderConfig], base: BenchConfig,
                    budget: int, seed: int = 0) -> TuneResult:
     """Random search without replacement over loader configs, maximizing m.
 
-    Each candidate is evaluated by ``run_loop`` under ``base`` (which should
-    carry a short cutoff); a budget at least the size of the space makes the
-    search exhaustive.
+    Each candidate is ``run`` under ``base`` (which should carry a short
+    cutoff) and scored by its best repetition's aggregate speed; a budget
+    at least the size of the space makes the search exhaustive.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -473,18 +481,18 @@ def tune_for_speed(space: list[LoaderConfig], base: BenchConfig,
         raise ValueError("empty search space")
 
     order = fisher_yates(len(space), seed)
-    trials: list[tuple[LoaderConfig, RunResult | None, str | None]] = []
-    best: tuple[float, LoaderConfig, RunResult] | None = None
+    trials: list[tuple[LoaderConfig, float | None, str | None]] = []
+    best: tuple[float, LoaderConfig] | None = None
     for idx in order[:budget]:
         candidate = space[idx]
         try:
-            result = run_loop(replace(base, loader=candidate))
-        except Exception as exc:
+            m = max(aggregate_speeds(run(replace(base, loader=candidate))))
+        except ReplicaError as exc:
             trials.append((candidate, None, str(exc)))
             continue
-        trials.append((candidate, result, None))
-        if best is None or result.m > best[0]:
-            best = (result.m, candidate, result)
+        trials.append((candidate, m, None))
+        if best is None or m > best[0]:
+            best = (m, candidate)
     if best is None:
         raise BenchError("all tuning candidates failed")
-    return TuneResult(best=best[1], best_result=best[2], trials=trials)
+    return TuneResult(best=best[1], best_m=best[0], trials=trials)

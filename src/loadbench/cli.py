@@ -17,10 +17,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
+    BackendConfig,
     BenchConfig,
+    aggregate_speeds,
     expand,
-    run_repetitions,
-    run_replicated,
+    result_row,
+    run,
     sweep,
     tune_for_speed,
     with_filter,
@@ -36,7 +38,6 @@ from .report import (
     write_report,
 )
 from .server import serve as serve_store
-from .storage import LatencyModel
 
 
 def _load_json(path: str) -> dict:
@@ -79,10 +80,28 @@ def _add_bench_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replicas", type=int)
     parser.add_argument("--repetitions", type=int)
     parser.add_argument("--consumer-delay-ms", type=float)
+    _add_latency_flags(parser)
+
+
+def _add_latency_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--latency-mean-ms", type=float)
     parser.add_argument("--latency-std-ms", type=float)
     parser.add_argument("--latency-min-ms", type=float)
     parser.add_argument("--latency-distribution", choices=("constant", "lognormal"))
+
+
+def _with_latency_flags(backend: BackendConfig,
+                        args: argparse.Namespace) -> BackendConfig:
+    """``backend`` with the latency fields that the ``--latency-*`` flags name
+    set; a backend without latency gets one, with ``mean_ms`` 0 unless set."""
+    latency = {key: getattr(args, f"latency_{key}")
+               for key in ("mean_ms", "std_ms", "min_ms", "distribution")
+               if getattr(args, f"latency_{key}") is not None}
+    if not latency:
+        return backend
+    if backend.latency is None:
+        latency = {"mean_ms": 0.0, **latency}
+    return override(backend, "latency", latency)
 
 
 # bench flags that each set one config field: argparse dest -> dotted path
@@ -110,14 +129,7 @@ def _bench_config_from_args(args: argparse.Namespace) -> BenchConfig:
         config = with_filter(config, classes, kind=f"filter_{args.filter_kind}")
     if args.consumer_delay_ms is not None:
         config = override(config, "consumer_delay_s", args.consumer_delay_ms / 1000.0)
-    latency = {key: getattr(args, f"latency_{key}")
-               for key in ("mean_ms", "std_ms", "min_ms", "distribution")
-               if getattr(args, f"latency_{key}") is not None}
-    if latency:
-        if config.backend.latency is None:
-            latency = {"mean_ms": 0.0, **latency}
-        config = override(config, "backend.latency", latency)
-    return config
+    return replace(config, backend=_with_latency_flags(config.backend, args))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -134,14 +146,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    latency = None
-    if args.latency_mean_ms or args.latency_std_ms or args.latency_min_ms:
-        latency = LatencyModel(
-            mean_ms=args.latency_mean_ms or 0.0,
-            std_ms=args.latency_std_ms or 0.0,
-            min_ms=args.latency_min_ms or 0.0,
-            distribution=args.latency_distribution
-            or ("lognormal" if args.latency_std_ms else "constant"))
+    latency = _with_latency_flags(BackendConfig(), args).latency
     server = serve_store(args.dir, port=args.port, latency=latency)
     print(f"serving {args.dir} at {server.endpoint}")
     if latency:
@@ -155,35 +160,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summarize(results) -> None:
-    speeds = [r.m for r in results]
-    if len(speeds) > 1:
-        print(f"m over {len(speeds)} repetitions: min={min(speeds):.1f} "
-              f"median={statistics.median(speeds):.1f} max={max(speeds):.1f} samples/s")
-    for r in results:
-        init = "/".join(f"{r.init_times.get(s, 0.0) * 1000:.1f}ms"
-                        for s in ("train", "val", "test"))
-        print(f"rep {r.repetition}: m={r.m:.1f} samples/s N={r.N} "
-              f"t_f={r.t_f:.3f}s init({init}) first_batch={r.first_batch_s * 1000:.1f}ms")
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _bench_config_from_args(args)
     if args.repetitions is None and not args.config:
         config = override(config, "repetitions", 3)  # harness default: 3 reps
-    if config.replicas > 1:
-        rep = run_replicated(config, config.replicas)
-        _summarize(rep.replicas)
-        print(f"aggregate speed over {config.replicas} replicas: "
-              f"{rep.aggregate_speed:.1f} samples/s")
-        rows = [r.to_row() for r in rep.replicas]
-    else:
-        results = run_repetitions(config)
-        _summarize(results)
-        rows = [r.to_row() for r in results]
+    results = run(config)
+    for i, r in enumerate(results):
+        init = "/".join(f"{r.init_times.get(s, 0.0) * 1000:.1f}ms"
+                        for s in ("train", "val", "test"))
+        print(f"rep {r.repetition} rank {i % config.replicas}: m={r.m:.1f} "
+              f"samples/s N={r.N} t_f={r.t_f:.3f}s init({init}) "
+              f"first_batch={r.first_batch_s * 1000:.1f}ms")
+    speeds = aggregate_speeds(results)
+    print(f"aggregate speed over {config.replicas} replicas, "
+          f"{len(speeds)} repetitions: min={min(speeds):.1f} "
+          f"median={statistics.median(speeds):.1f} max={max(speeds):.1f} samples/s")
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
+        rows = [result_row(config, r) for r in results]
         out.write_text(json.dumps(rows, indent=2, default=str))
         print(f"wrote {out}")
     return 0
@@ -213,13 +208,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     best = tuned.best
     print(f"best: batch_size={best.batch_size} num_workers={best.num_workers} "
           f"prefetch_depth={best.resolved_prefetch_depth} "
-          f"-> {tuned.best_result.m:.1f} samples/s")
+          f"-> {tuned.best_m:.1f} samples/s")
     if args.out:
         Path(args.out).write_text(json.dumps({
             "best": encode(best),
-            "speed": tuned.best_result.m,
-            "trials": [{**encode(c), "m": (r.m if r else None), "error": e}
-                       for c, r, e in tuned.trials],
+            "speed": tuned.best_m,
+            "trials": [{**encode(c), "m": m, "error": e}
+                       for c, m, e in tuned.trials],
         }, indent=2))
         print(f"wrote {args.out}")
     return 0
@@ -282,10 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve a directory as an object store")
     p.add_argument("--dir", required=True)
     p.add_argument("--port", type=int, default=0)
-    p.add_argument("--latency-mean-ms", type=float, default=0.0)
-    p.add_argument("--latency-std-ms", type=float, default=0.0)
-    p.add_argument("--latency-min-ms", type=float, default=0.0)
-    p.add_argument("--latency-distribution", choices=("constant", "lognormal"))
+    _add_latency_flags(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("bench", help="run one benchmark configuration")

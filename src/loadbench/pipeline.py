@@ -25,7 +25,6 @@ read timeout (30 s for HTTP).
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from contextlib import closing
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -77,17 +76,10 @@ class Batch:
     X: np.ndarray  # (B, C, H, W) float32
     y: np.ndarray  # (B,) int64
     batch_index: int
+    ids: np.ndarray | None = None  # (B,) sample ids; the loader sets them
 
     def __len__(self) -> int:
         return len(self.y)
-
-
-@dataclass
-class LoaderStats:
-    init_duration: float = 0.0
-    per_batch_durations: list[float] = field(default_factory=list)
-    samples_delivered: int = 0
-    delivered_ids: list[int] = field(default_factory=list)
 
 
 def collate(samples: list[tuple[np.ndarray, int]], batch_index: int = 0) -> Batch:
@@ -108,11 +100,9 @@ class DataLoader:
 
     def __init__(self, config: LoaderConfig, manifest: DatasetManifest,
                  backend: StorageBackend) -> None:
-        t0 = time.perf_counter()
         self.config = config
         self.manifest = manifest
         self.backend = backend
-        self._stats = LoaderStats()
         self._pool = (ThreadPoolExecutor(config.num_workers,
                                          thread_name_prefix="loadbench-worker")
                       if config.num_workers else None)
@@ -121,11 +111,6 @@ class DataLoader:
         self._delivered = 0
         self._pending: deque[Future[Batch]] = deque()  # next batches, in order
         self._closed = False
-        self._stats.init_duration = time.perf_counter() - t0
-
-    @property
-    def stats(self) -> LoaderStats:
-        return self._stats
 
     @property
     def buffered_batches(self) -> int:
@@ -201,7 +186,9 @@ class DataLoader:
                 except Exception as exc:
                     raise WorkerError(sid, exc) from exc
                 samples.append((img, record.label))
-        return collate(samples, batch_index=batch_index)
+        batch = collate(samples, batch_index=batch_index)
+        batch.ids = ids
+        return batch
 
     def next_batch(self) -> Batch | None:
         """The next batch in order, or None at end of epoch (and after shutdown)."""
@@ -209,15 +196,13 @@ class DataLoader:
             return None
         if self._plan is None:
             self.start_epoch()
-        t0 = time.perf_counter()
         b = self._delivered
         if b >= len(self._plan):
             self._abandon_epoch()
             return None
-        ids = self._plan[b]
         try:
             if self._pool is None:
-                batch = self._build_batch(self._epoch, b, ids)
+                batch = self._build_batch(self._epoch, b, self._plan[b])
             else:
                 batch = self._pending.popleft().result()
         except BaseException:
@@ -225,10 +210,6 @@ class DataLoader:
             raise
         self._delivered += 1
         self._prefetch()
-
-        self._stats.per_batch_durations.append(time.perf_counter() - t0)
-        self._stats.samples_delivered += len(batch)
-        self._stats.delivered_ids.extend(ids.tolist())
         return batch
 
     def __iter__(self):

@@ -26,6 +26,7 @@ trips.
 from __future__ import annotations
 
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -180,6 +181,14 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+    # socketserver's default backlog is 5: a burst of first connections,
+    # such as a client's fetch threads waking together, overflows it, and
+    # each dropped handshake is only retried a second later
+    request_queue_size = socket.SOMAXCONN
+
+
 class ObjectServer:
     """A running store; use as a context manager or call ``stop()`` yourself."""
 
@@ -188,8 +197,7 @@ class ObjectServer:
                  latency: LatencyModel | None = None) -> None:
         handler = type("BoundHandler", (_Handler,),
                        {"backend": backend, "latency": latency})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), handler)
         self.backend = backend
         self.host = host
         self.port = self._httpd.server_address[1]

@@ -18,8 +18,9 @@ import pytest
 from loadbench.bench import (
     BackendConfig,
     BenchConfig,
+    aggregate_speeds,
+    run,
     run_loop,
-    run_replicated,
     tune_for_speed,
 )
 from loadbench.model import LinearModel
@@ -259,8 +260,7 @@ def test_criterion_08_filtering(random_small):
                                     scan_storage=scan)
             loader = DataLoader(_loader_config(batch_size=16, sampler=sampler),
                                 manifest, backend)
-            list(loader)
-            ids[kind] = set(loader.stats.delivered_ids)
+            ids[kind] = {i for batch in loader for i in batch.ids.tolist()}
         assert ids["filter_indexed"] == ids["filter_naive"]
         print(f"  index: {indexed_s * 1000:.1f}ms, naive scan: {naive_s * 1000:.1f}ms, "
               f"{len(indexed_order)} samples kept")
@@ -270,23 +270,22 @@ def test_criterion_09_replication(random_small):
     root, _ = random_small
     latency = LatencyModel(mean_ms=10.0)
 
-    def config():
+    def config(replicas):
         return BenchConfig(loader=_loader_config(batch_size=8, num_workers=0),
                            backend=BackendConfig(kind="local", root=str(root),
                                                  latency=latency),
-                           split="val")
+                           split="val", replicas=replicas)
 
     with criterion(9, "world 2 aggregate >= 1.3x world 1; disjoint full coverage"):
-        single = run_replicated(config(), world_size=1)
-        double = run_replicated(config(), world_size=2)
-        assert double.aggregate_speed >= 1.3 * single.aggregate_speed, (
-            double.aggregate_speed, single.aggregate_speed)
-        ids0 = set(double.replicas[0].processed_ids)
-        ids1 = set(double.replicas[1].processed_ids)
+        [single] = aggregate_speeds(run(config(1)))
+        replicas = run(config(2))
+        [double] = aggregate_speeds(replicas)
+        assert double >= 1.3 * single, (double, single)
+        ids0 = set(replicas[0].processed_ids)
+        ids1 = set(replicas[1].processed_ids)
         assert ids0.isdisjoint(ids1)
         assert ids0 | ids1 == set(range(200))
-        print(f"  world1={single.aggregate_speed:.0f} samples/s, "
-              f"world2={double.aggregate_speed:.0f} samples/s")
+        print(f"  world1={single:.0f} samples/s, world2={double:.0f} samples/s")
 
 
 def test_criterion_10_protocol_conformance(random_small):
@@ -337,8 +336,8 @@ def test_criterion_11_tuning(random_small):
         # budget covers the space: this is the exhaustive evaluation
         assert len(tuned.trials) == 3
         assert all(r is not None for _, r, _ in tuned.trials)
-        by_speed = max(tuned.trials, key=lambda t: t[1].m)
+        by_speed = max(tuned.trials, key=lambda t: t[1])
         assert tuned.best == by_speed[0]
         assert tuned.best.num_workers >= 1, tuned.best
-        print("  " + ", ".join(f"workers={c.num_workers}: {r.m:.0f}/s"
-                               for c, r, _ in tuned.trials))
+        print("  " + ", ".join(f"workers={c.num_workers}: {m:.0f}/s"
+                               for c, m, _ in tuned.trials))

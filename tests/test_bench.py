@@ -13,10 +13,11 @@ from loadbench.bench import (
     BenchConfig,
     BenchError,
     ReplicaError,
+    aggregate_speeds,
     expand,
+    result_row,
+    run,
     run_loop,
-    run_repetitions,
-    run_replicated,
     sweep,
     tune_for_speed,
 )
@@ -113,6 +114,8 @@ def test_cutoff_seconds_stops_early(bench_dataset):
                      consumer_delay_s=0.01)
     result = run_loop(config)
     assert 1 <= len(result.per_batch_seconds) < 100
+    # the batch that arrived after the cutoff was not processed: no ids
+    assert len(result.processed_ids) == 8 * len(result.per_batch_seconds)
 
 
 def test_init_times_cover_all_splits(bench_dataset):
@@ -123,7 +126,7 @@ def test_init_times_cover_all_splits(bench_dataset):
 
 def test_run_repetitions(bench_dataset):
     config = _config(bench_dataset, cutoff_batches=3, repetitions=3)
-    results = run_repetitions(config)
+    results = run(config)
     assert [r.repetition for r in results] == [0, 1, 2]
     assert len({r.N for r in results}) == 1
 
@@ -131,20 +134,24 @@ def test_run_repetitions(bench_dataset):
 def test_replicated_world_one_matches_run_loop(bench_dataset):
     config = _config(bench_dataset, cutoff_batches=5)
     single = run_loop(config)
-    rep = run_replicated(config, world_size=1)
-    assert len(rep.replicas) == 1
-    assert rep.replicas[0].N == single.N
-    assert rep.aggregate_speed == rep.replicas[0].m
+    results = run(config)
+    assert len(results) == 1
+    assert results[0].N == single.N
+    assert aggregate_speeds(results) == [results[0].m]
 
 
 def test_replicated_world_two_disjoint_cover(bench_dataset):
-    config = _config(bench_dataset, batch_size=16)
-    rep = run_replicated(config, world_size=2)
-    ids0 = set(rep.replicas[0].processed_ids)
-    ids1 = set(rep.replicas[1].processed_ids)
-    assert ids0.isdisjoint(ids1)
-    assert ids0 | ids1 == set(range(800))
-    assert rep.aggregate_speed == pytest.approx(sum(r.m for r in rep.replicas))
+    config = _config(bench_dataset, batch_size=16, replicas=2, repetitions=2)
+    results = run(config)
+    assert [(r.repetition, r.fingerprint["loader"]["sampler"]["rank"])
+            for r in results] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for rep in (results[:2], results[2:]):
+        ids0 = set(rep[0].processed_ids)
+        ids1 = set(rep[1].processed_ids)
+        assert ids0.isdisjoint(ids1)
+        assert ids0 | ids1 == set(range(800))
+    assert aggregate_speeds(results) == [
+        pytest.approx(sum(r.m for r in rep)) for rep in (results[:2], results[2:])]
 
 
 def test_run_loop_closes_its_backend(bench_dataset, tmp_path, monkeypatch):
@@ -171,7 +178,7 @@ def test_replicated_failure_before_barrier_returns(bench_dataset, monkeypatch):
 
     def call():
         try:
-            run_replicated(_config(bench_dataset, batch_size=16), world_size=3)
+            run(_config(bench_dataset, batch_size=16, replicas=3))
         except ReplicaError as exc:
             outcome.append(exc)
     caller = threading.Thread(target=call, daemon=True)
@@ -189,6 +196,7 @@ def test_sweep_grid_size(bench_dataset, tmp_path):
     rows = sweep(grid, base, out_dir=tmp_path)
     assert len(rows) == 9
     assert all(row["error"] == "" for row in rows)
+    assert all("fingerprint" in row for row in rows)
     with (tmp_path / "results.csv").open() as fh:
         reader = csv.DictReader(fh)
         assert reader.fieldnames == RESULT_COLUMNS
@@ -228,6 +236,19 @@ def test_sweep_records_partial_failures(bench_dataset):
     assert failed["fingerprint"]["backend"]["root"] == "/nonexistent/loadbench-nowhere"
     assert failed["error"].startswith("StorageError: ")
     assert failed["batch_size"] == 64 and failed["m"] == ""
+
+
+def test_sweep_runs_replicas(bench_dataset):
+    base = _config(bench_dataset, batch_size=16, repetitions=2)
+    rows = sweep({"replicas": [2]}, base)
+    assert [(r["repetition"], r["replicas"]) for r in rows] == [
+        (0, 2), (0, 2), (1, 2), (1, 2)]
+    for rep in (rows[:2], rows[2:]):
+        # each row's fingerprint re-runs its own replica's shard
+        ids0, ids1 = (set(run_loop(decode(BenchConfig, r["fingerprint"]))
+                          .processed_ids) for r in rep)
+        assert ids0.isdisjoint(ids1)
+        assert ids0 | ids1 == set(range(800))
 
 
 def test_sweep_filter_axis(bench_dataset):
@@ -292,7 +313,7 @@ def test_tune_single_candidate(bench_dataset):
     base = _config(bench_dataset, cutoff_batches=3)
     tuned = tune_for_speed([only], base, budget=5)
     assert tuned.best == only
-    assert tuned.best_result.m > 0
+    assert tuned.best_m > 0
 
 
 def test_tune_budget_covers_space_is_exhaustive(bench_dataset):
@@ -306,8 +327,30 @@ def test_tune_budget_covers_space_is_exhaustive(bench_dataset):
     evaluated = {cfg.batch_size for cfg, _, _ in tuned.trials}
     assert evaluated == {8, 32, 128}
     best_trial = max((t for t in tuned.trials if t[1] is not None),
-                     key=lambda t: t[1].m)
+                     key=lambda t: t[1])
     assert tuned.best == best_trial[0]
+    assert tuned.best_m == best_trial[1]
+
+
+def test_tune_runs_repetitions_and_replicas(bench_dataset, monkeypatch):
+    import loadbench.bench as bench_module
+
+    speeds = iter([10.0, 30.0, 20.0, 1.0, 2.0, 4.0])
+    calls = []
+
+    def fake_run_loop(config, repetition=0):
+        sampler = config.loader.sampler
+        calls.append((repetition, sampler.rank, sampler.world_size))
+        return dataclasses.replace(run_loop(config, repetition),
+                                   m=next(speeds))
+    monkeypatch.setattr(bench_module, "run_loop", fake_run_loop)
+    only = _config(bench_dataset).loader
+    base = _config(bench_dataset, cutoff_batches=2, repetitions=3, replicas=2)
+    tuned = tune_for_speed([only], base, budget=1)
+    assert sorted(calls) == [(r, k, 2) for r in range(3) for k in range(2)]
+    # scored by the best repetition's aggregate: 10+30, 20+1, 2+4
+    assert tuned.best_m == 40.0
+    assert tuned.trials == [(only, 40.0, None)]
 
 
 def test_tune_validation(bench_dataset):
@@ -354,12 +397,14 @@ def test_slowdown_percentages():
 
 
 def test_max_speed_matches_sorting_oracle(bench_dataset):
-    results = [run_loop(_config(bench_dataset, cutoff_batches=3, batch_size=b))
+    configs = [_config(bench_dataset, cutoff_batches=3, batch_size=b)
                for b in (16, 16, 64)]
-    table = rows_max_speed([r.to_row() for r in results], ("batch_size",))
+    results = [run_loop(c) for c in configs]
+    table = rows_max_speed([result_row(c, r) for c, r in zip(configs, results)],
+                           ("batch_size",))
     for b in (16, 64):
-        group = sorted(r.m for r in results
-                       if r.to_row()["batch_size"] == b)
+        group = sorted(r.m for c, r in zip(configs, results)
+                       if c.loader.batch_size == b)
         assert table[(b,)] == group[-1]
 
 
@@ -409,6 +454,7 @@ def test_bench_config_validation(bench_dataset):
 
 
 def test_result_row_covers_columns(bench_dataset):
-    result = run_loop(_config(bench_dataset, cutoff_batches=2))
-    row = result.to_row()
-    assert list(row) == RESULT_COLUMNS
+    config = _config(bench_dataset, cutoff_batches=2)
+    row = result_row(config, run_loop(config))
+    assert list(row) == [*RESULT_COLUMNS, "fingerprint"]
+    assert list(result_row(config, error="E: x")) == list(row)

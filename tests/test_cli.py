@@ -1,11 +1,13 @@
 import functools
 import json
 import re
+import types
 from pathlib import Path
 
 import pytest
 
-from loadbench.bench import expand
+import loadbench.cli as cli
+from loadbench.bench import BenchConfig, expand, run_loop
 from loadbench.cli import _bench_config_from_args, build_parser, load_bench_config, main
 from loadbench.config import decode
 from loadbench.dataset import DatasetSpec, generate_random_dataset
@@ -63,6 +65,35 @@ def test_bench_command_filter_and_replicas(cli_dataset, capsys):
                  "--repetitions", "1"])
     assert code == 0
     assert "aggregate speed" in capsys.readouterr().out
+
+
+def test_bench_command_runs_repetitions_times_replicas(cli_dataset, tmp_path,
+                                                       capsys):
+    out = tmp_path / "run.json"
+    assert main(["bench", "--data", str(cli_dataset), "--batch-size", "8",
+                 "--replicas", "2", "--repetitions", "2",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert [(r["repetition"], r["replicas"]) for r in rows] == [
+        (0, 2), (0, 2), (1, 2), (1, 2)]
+    assert [(r["fingerprint"]["loader"]["sampler"]["rank"],
+             r["fingerprint"]["loader"]["sampler"]["world_size"])
+            for r in rows] == [(0, 2), (1, 2)] * 2
+    assert "rep 1 rank 1:" in capsys.readouterr().out
+
+
+def test_bench_out_rows_rerun_from_their_fingerprints(cli_dataset, tmp_path):
+    out = tmp_path / "run.json"
+    assert main(["bench", "--data", str(cli_dataset), "--batch-size", "8",
+                 "--cutoff-batches", "3", "--seed", "4", "--repetitions", "2",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert len(rows) == 2
+    for row in rows:
+        config = decode(BenchConfig, row["fingerprint"])
+        assert (config.loader.batch_size, config.cutoff_batches,
+                config.loader.sampler.seed, config.repetitions) == (8, 3, 4, 2)
+        assert run_loop(config).N == row["N"]
 
 
 def test_bench_command_config_file(cli_dataset, tmp_path, capsys):
@@ -230,6 +261,32 @@ def test_latency_flags_merge_onto_the_config_file(tmp_path):
     latency = config.backend.latency
     assert (latency.mean_ms, latency.std_ms, latency.distribution,
             latency.seed) == (4.0, 3.0, "lognormal", 2)
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--latency-mean-ms", "5"],
+    ["--latency-std-ms", "5"],
+    ["--latency-mean-ms", "0", "--latency-distribution", "lognormal"],
+    ["--latency-mean-ms", "59.2", "--latency-std-ms", "58.5",
+     "--latency-min-ms", "8.8", "--latency-distribution", "lognormal"],
+])
+def test_serve_latency_flags_mean_what_bench_flags_mean(flags, monkeypatch,
+                                                        capsys):
+    served = []
+
+    def fake_serve(directory, port, latency):
+        served.append(latency)
+        return types.SimpleNamespace(endpoint="http://127.0.0.1:1",
+                                     stop=lambda: None)
+
+    def interrupt(_seconds):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "serve_store", fake_serve)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(sleep=interrupt))
+    assert main(["serve", "--dir", "d/", *flags]) == 0
+    bench = _bench_config_from_args(build_parser().parse_args(["bench", *flags]))
+    assert served == [bench.backend.latency]
 
 
 def test_tune_grid_rejects_unknown_and_non_loader_axes(cli_dataset, tmp_path):

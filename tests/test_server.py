@@ -1,3 +1,4 @@
+import http.client
 import threading
 import time
 import urllib.error
@@ -176,3 +177,36 @@ def test_serve_backend_or_directory(tmp_path):
     backend = MemoryBackend({"k": b"v"})
     with serve(backend) as server:
         assert HTTPBackend(server.endpoint).get("k") == b"v"
+
+
+def test_burst_of_first_connections_is_accepted_at_once(store):
+    # 16 clients open their first connection together, as a backend's fetch
+    # threads do after waking behind a latency wrapper.  A handshake the
+    # accept queue drops is retried only after a second.
+    root, local, server = store
+    key = "train/shard1.dlbs"
+    clients = 16
+    for _ in range(10):
+        barrier = threading.Barrier(clients)
+        times: list[float] = []
+        bodies: list[bytes] = []
+
+        def fetch() -> None:
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+            barrier.wait()
+            t0 = time.perf_counter()
+            try:
+                conn.request("GET", f"/{key}")
+                bodies.append(conn.getresponse().read())
+            finally:
+                conn.close()
+            times.append(time.perf_counter() - t0)
+
+        threads = [threading.Thread(target=fetch) for _ in range(clients)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(15)
+        assert not any(t.is_alive() for t in threads)
+        assert bodies == [local.get(key)] * clients
+        assert max(times) < 0.5, sorted(times)[-3:]
