@@ -60,9 +60,11 @@ from .storage import (
 from .transforms import (
     TransformConfig,
     apply_stack,
+    apply_stack_batch,
     cutout,
     horizontal_flip,
     normalize,
+    sample_seeds,
     to_tensor,
 )
 

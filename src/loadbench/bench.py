@@ -195,9 +195,9 @@ def result_row(config: BenchConfig, result: RunResult | None = None,
 
 
 def _batch_digest(batch) -> str:
-    h = hashlib.md5()
-    h.update(np.ascontiguousarray(batch.X).tobytes())
-    h.update(np.ascontiguousarray(batch.y).tobytes())
+    h = hashlib.md5()  # hashes the arrays' buffers, without a bytes copy
+    h.update(np.ascontiguousarray(batch.X).data)
+    h.update(np.ascontiguousarray(batch.y).data)
     return h.hexdigest()
 
 

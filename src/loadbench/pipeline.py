@@ -8,8 +8,11 @@ bytes depend only on the seeds, never on worker count, prefetch depth, or
 backend latency.  No more than ``prefetch_depth`` batches of an epoch are
 queued, being built, or finished but undelivered.  With zero workers each
 batch is built in the caller when it is asked for.  A build reads its
-batch's records with one ``backend.get_many`` call (concurrent over HTTP)
-and decodes and transforms each as it arrives, in id order.
+batch's records with one ``backend.get_many`` call (concurrent over HTTP),
+decodes each as it arrives, in id order, and then builds the whole batch
+at once with ``apply_stack_batch``: the per-sample seeds and draws, the
+uint8 gather and the float32 normalize run as array operations over the
+batch, not per sample.
 
 One consumer owns the loader.  Iterating it yields one epoch; iterating
 again starts the next epoch with a fresh per-epoch shuffle and abandons what
@@ -35,7 +38,11 @@ import numpy as np
 from .dataset import DatasetManifest, read_record, record_extent
 from .sampling import SamplerConfig, replica_order
 from .storage import StorageBackend
-from .transforms import TransformConfig, apply_stack, sample_seed
+from .transforms import TransformConfig, apply_stack_batch, sample_seeds
+# perfbench/spans.py traces a run by rebinding names on this module: these
+# two, ``read_record``, ``collate`` and ``replica_order``.  The batch build
+# calls neither of these two; they stay bound so that the tracer installs.
+from .transforms import apply_stack, sample_seed  # noqa: F401
 
 
 class WorkerError(Exception):
@@ -173,22 +180,27 @@ class DataLoader:
                      ids: np.ndarray) -> Batch:
         sids = ids.tolist()
         tcfg = self.config.transform
-        samples = []
+        records = []
         # one backend call reads every record of the batch, in id order
         with closing(self.backend.get_many(
                 [record_extent(self.manifest, sid) for sid in sids])) as bufs:
             for sid in sids:
                 try:
-                    record = read_record(self.manifest, sid, self.backend,
-                                         next(bufs))
-                    img = apply_stack(record, tcfg,
-                                      sample_seed(tcfg.seed, epoch, sid))
+                    records.append(read_record(self.manifest, sid,
+                                               self.backend, next(bufs)))
                 except Exception as exc:
                     raise WorkerError(sid, exc) from exc
-                samples.append((img, record.label))
-        batch = collate(samples, batch_index=batch_index)
-        batch.ids = ids
-        return batch
+        # A stack that does not fit the images fails on the batch's first
+        # sample, the one a per-sample build would have failed on.
+        first = records[0]
+        try:
+            tcfg.resolved_cutout_side(first.height, first.width)
+        except ValueError as exc:
+            raise WorkerError(sids[0], exc) from exc
+        X = apply_stack_batch(records, tcfg,
+                              sample_seeds(tcfg.seed, epoch, ids))
+        y = np.array([r.label for r in records], dtype=np.int64)
+        return Batch(X=X, y=y, batch_index=batch_index, ids=ids)
 
     def next_batch(self) -> Batch | None:
         """The next batch in order, or None at end of epoch (and after shutdown)."""

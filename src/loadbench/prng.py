@@ -73,16 +73,20 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
 
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of every element of a uint64 array (arithmetic wraps)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
 def stream_u64(seed: int, n: int) -> np.ndarray:
     """First ``n`` outputs of ``SplitMix64(seed)`` as a uint64 array.
 
     Exploits the counter form: out[i] = mix64(seed + (i + 1) * GAMMA).
     """
     idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + idx * np.uint64(GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    return mix64_array(np.uint64(seed & MASK64) + idx * np.uint64(GAMMA))
 
 
 def stream_bytes(seed: int, n: int) -> bytes:
@@ -93,10 +97,15 @@ def stream_bytes(seed: int, n: int) -> bytes:
 
 
 def fisher_yates(n: int, seed: int) -> np.ndarray:
-    """Seeded Fisher-Yates permutation of 0..n-1 (int64)."""
-    order = np.arange(n, dtype=np.int64)
-    rng = SplitMix64(seed)
-    for i in range(n - 1, 0, -1):
-        j = rng.next_below(i + 1)
+    """Seeded Fisher-Yates permutation of 0..n-1 (int64).
+
+    The swap at position i (n-1 down to 1) is with ``SplitMix64(seed)``'s
+    next draw modulo i + 1.  The draws do not depend on the swaps, so they
+    are taken in bulk; only the swap loop is sequential.
+    """
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    draws = (stream_u64(seed, len(bounds)) % bounds).tolist()
+    order = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), draws):
         order[i], order[j] = order[j], order[i]
-    return order
+    return np.array(order, dtype=np.int64)

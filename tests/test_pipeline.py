@@ -6,7 +6,12 @@ import time
 import numpy as np
 import pytest
 
-from loadbench.dataset import DatasetSpec, generate_random_dataset
+from loadbench.dataset import (
+    DatasetSpec,
+    ImageRecord,
+    generate_random_dataset,
+    pack_record,
+)
 from loadbench.pipeline import (
     Batch,
     DataLoader,
@@ -419,6 +424,45 @@ def test_http_read_failure_carries_first_sample_id(tiny_dataset, workers):
         _assert_new_workers_exit(before)
     assert err.value.sample_id == second[1]
     assert isinstance(err.value.cause, RangeError)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_record_of_another_shape_fails_its_batch(tiny_dataset, workers):
+    # one record of the second batch is 5 pixels wide instead of 8
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    config = _loader_config(batch_size=4, num_workers=workers)
+    victim = replica_order(config.sampler, manifest, 0).ids[6]
+    backend = MemoryBackend.load(LocalBackend(root))
+    label = manifest.locators[victim].label
+    blob = pack_record(ImageRecord(label=label, width=5, height=6, channels=3,
+                                   pixels=bytes(90)))
+    backend.put("train/odd.bin", blob)
+    locators = list(manifest.locators)
+    locators[victim] = dataclasses.replace(
+        locators[victim], shard="train/odd.bin", offset=0, length=len(blob))
+    odd = dataclasses.replace(manifest, locators=locators)
+    with DataLoader(config, odd, backend) as loader:
+        assert len(loader.next_batch()) == 4
+        with pytest.raises(ValueError, match="heterogeneous sample shapes"):
+            loader.next_batch()
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_cutout_too_large_names_the_first_sample(tiny_dataset, workers):
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]  # 8 x 6 images
+    config = _loader_config(batch_size=4, num_workers=workers,
+                            transform=TransformConfig(seed=3, cutout_side=7))
+    first = replica_order(config.sampler, manifest, 0).ids[0]
+    before = set(threading.enumerate())
+    with DataLoader(config, manifest, LocalBackend(root)) as loader:
+        with pytest.raises(WorkerError) as err:
+            loader.next_batch()
+    _assert_new_workers_exit(before)
+    assert err.value.sample_id == first
+    assert isinstance(err.value.cause, ValueError)
+    assert "exceeds image min dimension 6" in str(err.value.cause)
 
 
 def test_loader_config_validation():

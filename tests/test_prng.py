@@ -5,6 +5,7 @@ from loadbench.prng import (
     derive_seed,
     fisher_yates,
     mix64,
+    mix64_array,
     stream_bytes,
     stream_u64,
 )
@@ -66,3 +67,28 @@ def test_fisher_yates_is_permutation_and_seeded():
         assert sorted(perm.tolist()) == list(range(n))
     assert fisher_yates(100, 1).tolist() == fisher_yates(100, 1).tolist()
     assert fisher_yates(100, 1).tolist() != fisher_yates(100, 2).tolist()
+
+
+def _fisher_yates_reference(n, seed):
+    # one scalar draw per swap, interleaved with the swaps
+    order = list(range(n))
+    rng = SplitMix64(seed)
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def test_fisher_yates_matches_scalar_reference():
+    for n in (0, 1, 2, 3, 100, 1000, 2000, 20_000):
+        for seed in (0, 9, 2**64 - 1):
+            perm = fisher_yates(n, seed)
+            assert perm.dtype == np.int64
+            assert perm.tolist() == _fisher_yates_reference(n, seed), (n, seed)
+
+
+def test_mix64_array_matches_scalar():
+    values = [0, 1, 255, 2**32 + 7, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+    mixed = mix64_array(np.array(values, dtype=np.uint64))
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [mix64(v) for v in values]

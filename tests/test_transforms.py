@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadbench.dataset import ImageRecord
-from loadbench.prng import stream_bytes
+from loadbench.prng import SplitMix64, derive_seed, stream_bytes
 from loadbench.transforms import (
     TransformConfig,
     apply_stack,
+    apply_stack_batch,
     cutout,
     horizontal_flip,
     normalize,
     sample_seed,
+    sample_seeds,
     to_tensor,
 )
 
@@ -151,3 +155,85 @@ def test_flip_probability_validation():
         TransformConfig(flip_probability=1.5)
     with pytest.raises(ValueError):
         TransformConfig(cutout_side=-1)
+
+
+# -- the batch stack against a per-sample oracle --------------------------------
+
+def _oracle_stack(record, config, seed):
+    # the stack one sample at a time, from the single-image steps
+    rng = SplitMix64(seed)
+    img = to_tensor(record)
+    img = horizontal_flip(img, rng.next_float() < config.flip_probability)
+    img = normalize(img, config.mean, config.std)
+    side = config.resolved_cutout_side(record.height, record.width)
+    if side > 0:
+        cy = rng.next_below(record.height)
+        cx = rng.next_below(record.width)
+        img = cutout(img, side, (cy, cx))
+    return img
+
+
+@st.composite
+def _batches(draw):
+    channels = draw(st.sampled_from([1, 3]))
+    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 12))
+    size = draw(st.integers(1, 6))
+    pixel_seed = draw(st.integers(0, 2**64 - 1))
+    records = [_record(width, height, channels,
+                       stream_bytes(derive_seed(pixel_seed, i),
+                                    width * height * channels))
+               for i in range(size)]
+    side = draw(st.sampled_from([0, None, min(height, width)]))
+    moments = st.floats(0.05, 1.0)
+    if draw(st.booleans()):
+        mean, std = draw(moments), draw(moments)
+    else:
+        mean = tuple(draw(st.lists(moments, min_size=channels,
+                                   max_size=channels)))
+        std = tuple(draw(st.lists(moments, min_size=channels,
+                                  max_size=channels)))
+    config = TransformConfig(
+        flip_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        mean=mean, std=std, cutout_side=side,
+        seed=draw(st.integers(0, 2**64 - 1)))
+    epoch = draw(st.integers(0, 1000))
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=size,
+                        max_size=size))
+    return records, config, [sample_seed(config.seed, epoch, i) for i in ids]
+
+
+@settings(deadline=None, max_examples=200)
+@given(_batches())
+def test_batch_stack_matches_per_sample_oracle(case):
+    records, config, seeds = case
+    out = apply_stack_batch(records, config, np.array(seeds, dtype=np.uint64))
+    expected = np.stack([_oracle_stack(r, config, s)
+                         for r, s in zip(records, seeds)])
+    assert out.dtype == np.float32 and out.flags.c_contiguous
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()  # bit for bit, signed zeros too
+    for record, seed, img in zip(records, seeds, expected):
+        assert apply_stack(record, config, seed).tobytes() == img.tobytes()
+
+
+def test_batch_stack_rejects_mixed_shapes():
+    records = [_record(8, 8, 3), _record(8, 8, 1)]
+    with pytest.raises(ValueError, match="heterogeneous sample shapes"):
+        apply_stack_batch(records, TransformConfig(), sample_seeds(0, 0, [0, 1]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**64 - 1), epoch=st.integers(0, 2**40),
+       ids=st.lists(st.integers(0, 2**63 - 1), max_size=8))
+def test_sample_seeds_match_scalar(seed, epoch, ids):
+    seeds = sample_seeds(seed, epoch, np.array(ids, dtype=np.int64))
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [sample_seed(seed, epoch, i) for i in ids]
+
+
+def test_sample_seeds_wide_ids_and_late_epochs():
+    ids = [0, 1, 255, 256, 2**56 - 1, 2**56, 2**56 + 3, 2**62 + 12345]
+    for epoch in (0, 1, 255, 256, 70_000):
+        assert (sample_seeds(5, epoch, np.array(ids)).tolist()
+                == [sample_seed(5, epoch, i) for i in ids])
