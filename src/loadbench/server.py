@@ -5,11 +5,14 @@ Wire protocol (path-style keys, no auth):
     GET /{key}                 200 + full body
     GET /{key} + Range header  206 + requested bytes + Content-Range
                                (bytes=a-b, bytes=a- or the suffix bytes=-n)
-    HEAD /{key}                headers only (Content-Length, Accept-Ranges)
+    HEAD /{key}                the GET's status and headers, no body
     PUT /{key}                 200 after storing the body
     GET /?prefix=p             200 + newline-separated keys (listing helper)
+    400                        invalid key (empty, or with a '..' segment),
+                               or a PUT's Content-Length malformed or negative
     404                        unknown key
     416                        unsatisfiable range (+ Content-Range: bytes */total)
+    500                        any other failure of the backend
 
 Connections are persistent (HTTP/1.1 keep-alive), and each is handled on
 its own thread, so concurrent clients each pay their own latency rather than
@@ -18,9 +21,9 @@ write, so the sockets set TCP_NODELAY: without it, a small body written after
 the headers waits on the client's delayed ACK (tens of milliseconds per
 request on a reused connection).
 
-An optional ``LatencyModel`` delays each request before it is served, which
-is how the remote-storage experiments dial in AWS-like or LAN-like round
-trips.
+An optional ``LatencyModel`` delays each request before it is served (its
+``wait``, the same sleep as ``with_latency``), which is how the
+remote-storage experiments dial in AWS-like or LAN-like round trips.
 """
 
 from __future__ import annotations
@@ -47,16 +50,17 @@ _RANGE_RE = re.compile(r"bytes=(?:(\d+)-(\d*)|-(\d+))$")
 def _parse_range(header: str, total: int) -> ByteRange:
     """The range that a ``Range`` header asks of an object of ``total`` bytes.
 
-    ``bytes=a-b`` and ``bytes=a-`` are absolute (ByteRange raises ValueError
-    when b < a); the suffix ``bytes=-n`` is the last n bytes, the whole
-    object when n >= total.  A malformed header or ``bytes=-0`` raises
-    RangeError.
+    ``bytes=a-b`` and ``bytes=a-`` are absolute; the suffix ``bytes=-n`` is
+    the last n bytes, the whole object when n >= total.  A malformed header,
+    ``bytes=a-b`` with b < a, or ``bytes=-0`` raises RangeError.
     """
     match = _RANGE_RE.match(header.strip())
     if not match:
         raise RangeError(f"unsupported range {header!r}")
     first, last, suffix = match.groups()
     if suffix is None:
+        if last and int(last) < int(first):
+            raise RangeError(f"range {header!r} ends before it starts")
         return ByteRange(int(first), int(last) if last else None)
     if int(suffix) == 0:
         raise RangeError("empty suffix range")
@@ -70,25 +74,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     # set per server class in ObjectServer
     backend: StorageBackend
-    latency: LatencyModel | None
-
-    def _delay(self) -> None:
-        if self.latency is not None:
-            delay = self.latency.sample_seconds()
-            if delay > 0:
-                threading.Event().wait(delay)
+    latency: LatencyModel
 
     def _key(self) -> str:
         return unquote(urlparse(self.path).path.lstrip("/"))
 
     def _send(self, status: int, body: bytes = b"",
               headers: dict[str, str] | None = None) -> None:
+        """One response; ``headers`` may replace the body's Content-Length."""
         self.send_response(status)
-        for name, value in (headers or {}).items():
+        for name, value in {"Content-Length": str(len(body)),
+                            **(headers or {})}.items():
             self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        if body and self.command != "HEAD":
+        if body:
             self.wfile.write(body)
 
     def _serve_listing(self) -> None:
@@ -97,84 +96,60 @@ class _Handler(BaseHTTPRequestHandler):
         body = "\n".join(self.backend.list(prefix)).encode("utf-8")
         self._send(200, body, {"Content-Type": "text/plain; charset=utf-8"})
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self._delay()
-        key = self._key()
-        if not key:
-            self._serve_listing()
-            return
+    def _serve_object(self) -> None:
+        """GET or HEAD of one object: all of it, or the range that a
+        ``Range`` header asks for.  A HEAD reads no bytes of the object."""
+        total = 0
         try:
+            key = self._key()
             total = self.backend.size(key)
+            header = self.headers.get("Range")
+            byte_range = None if header is None else _parse_range(header, total)
+            start, end = ((0, total - 1) if byte_range is None
+                          else byte_range.resolve(total))
+            body = b"" if self.command == "HEAD" else self.backend.get(key, byte_range)
         except NotFoundError:
-            self._send(404)
-            return
-        except ValueError:
-            self._send(400)
-            return
-
-        range_header = self.headers.get("Range")
-        if range_header is None:
-            try:
-                body = self.backend.get(key)
-            except NotFoundError:
-                self._send(404)
-                return
-            except Exception:
-                self._send(500)
-                return
-            self._send(200, body, {
-                "Content-Type": "application/octet-stream",
-                "Accept-Ranges": "bytes",
-            })
-            return
-
-        try:
-            byte_range = _parse_range(range_header, total)
-            body = self.backend.get(key, byte_range)
-        except (RangeError, ValueError):
-            self._send(416, headers={"Content-Range": f"bytes */{total}"})
-            return
-        except NotFoundError:
-            self._send(404)
-            return
+            return self._send(404)
+        except RangeError:
+            return self._send(416, headers={"Content-Range": f"bytes */{total}"})
+        except ValueError:  # an invalid key
+            return self._send(400)
         except Exception:
-            self._send(500)
-            return
-        start = byte_range.start
-        last = start + len(body) - 1
-        self._send(206, body, {
-            "Content-Type": "application/octet-stream",
-            "Accept-Ranges": "bytes",
-            "Content-Range": f"bytes {start}-{last}/{total}",
-        })
+            return self._send(500)
+        headers = {"Content-Type": "application/octet-stream",
+                   "Accept-Ranges": "bytes"}
+        if self.command == "HEAD":  # the length that a GET would send
+            headers["Content-Length"] = str(end - start + 1)
+        if byte_range is None:
+            return self._send(200, body, headers)
+        headers["Content-Range"] = f"bytes {start}-{end}/{total}"
+        self._send(206, body, headers)
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
+        self.latency.wait()
+        if self._key():
+            self._serve_object()
+        else:
+            self._serve_listing()
 
     def do_HEAD(self) -> None:  # noqa: N802
-        self._delay()
-        key = self._key()
-        try:
-            total = self.backend.size(key)
-        except (NotFoundError, ValueError):
-            self._send(404)
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Accept-Ranges", "bytes")
-        self.send_header("Content-Length", str(total))
-        self.end_headers()
+        self.latency.wait()
+        self._serve_object()
 
     def do_PUT(self) -> None:  # noqa: N802
-        self._delay()
-        key = self._key()
-        length = int(self.headers.get("Content-Length", 0))
-        data = self.rfile.read(length) if length else b""
+        self.latency.wait()
+        length = self.headers.get("Content-Length", "0")
+        if not length.isdecimal():
+            # malformed or negative: where the body ends is unknown, and so
+            # is where the next request on this connection starts
+            return self._send(400, headers={"Connection": "close"})
+        data = self.rfile.read(int(length))
         try:
-            self.backend.put(key, data)
-        except ValueError:
-            self._send(400)
-            return
+            self.backend.put(self._key(), data)
+        except ValueError:  # an invalid key
+            return self._send(400)
         except Exception:
-            self._send(500)
-            return
+            return self._send(500)
         self._send(200)
 
     def log_message(self, fmt: str, *args) -> None:  # silence request logging
@@ -195,8 +170,9 @@ class ObjectServer:
     def __init__(self, backend: StorageBackend, port: int = 0,
                  host: str = "127.0.0.1",
                  latency: LatencyModel | None = None) -> None:
-        handler = type("BoundHandler", (_Handler,),
-                       {"backend": backend, "latency": latency})
+        handler = type("BoundHandler", (_Handler,), {
+            "backend": backend,
+            "latency": latency or LatencyModel(mean_ms=0.0)})
         self._httpd = _Server((host, port), handler)
         self.backend = backend
         self.host = host

@@ -15,7 +15,8 @@ backend's concurrency.
 Two wrappers recreate network conditions on top of any backend:
 
 * ``with_latency`` delays every request by a sample from a ``LatencyModel``
-  (constant or lognormal round-trip time, clamped to a floor).
+  (constant or lognormal round-trip time, clamped to a floor).  The object
+  server delays its requests with the same ``LatencyModel.wait``.
 * ``CachedBackend`` adds a byte-capacity LRU over (key, range) entries.
 
 Ranges are strict: a range reaching past the end of the object is an error,
@@ -25,16 +26,18 @@ not a clamp, so every backend returns identical bytes for identical requests.
 from __future__ import annotations
 
 import http.client
+import itertools
 import math
-import random
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable, Generator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from urllib.parse import quote, urlsplit
+
+from .prng import SplitMix64, derive_seed
 
 
 class StorageError(Exception):
@@ -56,7 +59,7 @@ def validate_key(key: str) -> str:
     """Object keys are non-empty relative POSIX paths without '..' segments."""
     if not key or key.startswith("/"):
         raise ValueError(f"invalid object key {key!r}")
-    if ".." in PurePosixPath(key).parts:
+    if ".." in key.split("/"):
         raise ValueError(f"object key {key!r} contains '..'")
     return key
 
@@ -204,6 +207,7 @@ class MemoryBackend(StorageBackend):
             return sorted(k for k in self._objects if k.startswith(prefix))
 
     def size(self, key: str) -> int:
+        validate_key(key)
         with self._lock:
             if key not in self._objects:
                 raise NotFoundError(key)
@@ -285,15 +289,10 @@ class HTTPBackend(StorageBackend):
         return self._request("GET", self._path(key), headers=headers)[1]
 
     def map_requests(self, fetch, requests):
-        # every request goes to the pool when iteration starts
-        futures = [self._pool.submit(fetch, key, byte_range)
-                   for key, byte_range in requests]
-        try:
-            for f in futures:
-                yield f.result()
-        finally:  # after a failure or an early close, drop the unstarted fetches
-            for f in futures:
-                f.cancel()
+        # Executor.map submits every request at once and yields in order; a
+        # failure or an early close cancels the fetches not yet started
+        return self._pool.map(fetch, [key for key, _ in requests],
+                              [byte_range for _, byte_range in requests])
 
     def put(self, key: str, data: bytes) -> None:
         self._request("PUT", self._path(key), body=data)
@@ -322,7 +321,10 @@ class LatencyModel:
 
     ``constant`` ignores std; ``lognormal`` matches the given mean/std of the
     RTT itself (the underlying normal's mu/sigma are derived from them).
-    Samples never go below ``min_ms``.
+    Samples never go below ``min_ms``.  The n-th lognormal sample is a pure
+    function of (``seed``, n), with ``seed=None`` drawing as 0, so a model's
+    samples repeat from run to run; n comes from a counter that threads
+    share without a lock.
     """
 
     mean_ms: float
@@ -336,8 +338,7 @@ class LatencyModel:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.mean_ms < 0 or self.std_ms < 0 or self.min_ms < 0:
             raise ValueError("latency parameters must be >= 0")
-        self._rng = random.Random(self.seed)
-        self._lock = threading.Lock()
+        self._draws = itertools.count()
 
     def sample_ms(self) -> float:
         if self.distribution == "constant" or self.std_ms == 0 or self.mean_ms == 0:
@@ -345,12 +346,17 @@ class LatencyModel:
         ratio = self.std_ms / self.mean_ms
         sigma2 = math.log(1.0 + ratio * ratio)
         mu = math.log(self.mean_ms) - sigma2 / 2.0
-        with self._lock:
-            value = self._rng.lognormvariate(mu, math.sqrt(sigma2))
-        return max(value, self.min_ms)
+        # Box-Muller over two uniforms of the draw's own stream
+        rng = SplitMix64(derive_seed(self.seed or 0, next(self._draws)))
+        radius = math.sqrt(-2.0 * math.log(1.0 - rng.next_float()))
+        normal = radius * math.cos(2.0 * math.pi * rng.next_float())
+        return max(math.exp(mu + math.sqrt(sigma2) * normal), self.min_ms)
 
-    def sample_seconds(self) -> float:
-        return self.sample_ms() / 1000.0
+    def wait(self) -> None:
+        """Sleep for one sample: the delay of one request."""
+        delay_ms = self.sample_ms()
+        if delay_ms > 0:
+            time.sleep(delay_ms / 1000.0)
 
 
 class LatencyBackend(StorageBackend):
@@ -360,25 +366,20 @@ class LatencyBackend(StorageBackend):
         self.inner = inner
         self.model = model
 
-    def _wait(self) -> None:
-        delay = self.model.sample_seconds()
-        if delay > 0:
-            time.sleep(delay)
-
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
-        self._wait()
+        self.model.wait()
         return self.inner.get(key, byte_range)
 
     def put(self, key: str, data: bytes) -> None:
-        self._wait()
+        self.model.wait()
         self.inner.put(key, data)
 
     def list(self, prefix: str = "") -> list[str]:
-        self._wait()
+        self.model.wait()
         return self.inner.list(prefix)
 
     def size(self, key: str) -> int:
-        self._wait()
+        self.model.wait()
         return self.inner.size(key)
 
     def map_requests(self, fetch, requests):

@@ -107,6 +107,57 @@ def test_head(store):
     assert headers["Accept-Ranges"] == "bytes"
 
 
+@pytest.mark.parametrize("range_header", [
+    None, "bytes=0-63", "bytes=100-", "bytes=-10", "bytes=9999-", "bytes=9-3"])
+def test_head_answers_the_get_headers(store, range_header):
+    _, _, server = store
+    url = f"{server.endpoint}/train/shard2.dlbs"
+    headers = {} if range_header is None else {"Range": range_header}
+    get_status, get_headers, _ = _status(url, headers)
+    head_status, head_headers, body = _status(url, headers, method="HEAD")
+    assert body == b""
+    assert head_status == get_status
+    get_headers.pop("Date"), head_headers.pop("Date")
+    assert head_headers == get_headers
+
+
+def _raw(server, method, path, headers=()):
+    """Status and headers of one request sent exactly as given."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.putrequest(method, path, skip_accept_encoding=True)
+        for name, value in headers:
+            conn.putheader(name, value)
+        conn.endheaders()
+        resp = conn.getresponse()
+        resp.read()
+        return resp.status, dict(resp.headers)
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("method", ["GET", "HEAD", "PUT"])
+def test_invalid_key_400(store, method):
+    _, local, server = store
+    headers = [("Content-Length", "0")] if method == "PUT" else []
+    for path in ("/train/../train/shard0.dlbs", "/..", "/a/.."):
+        assert _raw(server, method, path, headers)[0] == 400
+    assert local.list("a") == []
+
+
+@pytest.mark.parametrize("length", ["-5", "abc", "", "1.5"])
+def test_put_with_bad_content_length_400(store, length):
+    # the body's end is unknown, so the server answers and closes the
+    # connection instead of failing inside the handler with no response
+    _, local, server = store
+    status, headers = _raw(server, "PUT", "/uploads/bad.bin",
+                           [("Content-Length", length)])
+    assert status == 400
+    assert headers["Connection"] == "close"
+    assert "uploads/bad.bin" not in local.list("uploads/")
+    assert _status(f"{server.endpoint}/train/shard0.dlbs")[0] == 200
+
+
 def test_put_roundtrip(store):
     _, local, server = store
     client = HTTPBackend(server.endpoint)

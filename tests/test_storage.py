@@ -1,7 +1,10 @@
 import http.client
+import sys
+import threading
 import time
 from contextlib import closing
 from collections import OrderedDict
+from pathlib import PurePosixPath
 
 import numpy as np
 import pytest
@@ -38,6 +41,21 @@ def test_key_validation():
     for bad in ("", "/abs", "a/../b", ".."):
         with pytest.raises(ValueError):
             validate_key(bad)
+
+
+def _path_parse_rule(key):
+    """The rule ``validate_key`` once applied through a path parse."""
+    return bool(key) and not key.startswith("/") and ".." not in PurePosixPath(key).parts
+
+
+@pytest.mark.parametrize("key", ["", "/a", "..", "a/../b", "a/..", "a//b",
+                                 "a/./b", "..a/b", "a/b..", "a/b.bin", "../x"])
+def test_key_validation_matches_the_path_parse(key):
+    if _path_parse_rule(key):
+        assert validate_key(key) == key
+    else:
+        with pytest.raises(ValueError):
+            validate_key(key)
 
 
 def test_byte_range_validation():
@@ -118,7 +136,71 @@ def test_local_and_memory_agree(tmp_path):
             assert mem.get(key, br) == local.get(key, br)
 
 
+@pytest.mark.parametrize("kind", ["local", "memory", "latency", "cached", "http"])
+def test_every_backend_rejects_a_dotdot_key(tmp_path, kind):
+    local = LocalBackend(tmp_path, create=True)
+    local.put("x", b"data")
+    with serve(tmp_path) as server:
+        backend = {
+            "local": lambda: local,
+            "memory": lambda: MemoryBackend.load(local),
+            "latency": lambda: with_latency(MemoryBackend(), LatencyModel(mean_ms=0.0)),
+            "cached": lambda: cached(MemoryBackend(), 100),
+            "http": lambda: HTTPBackend(server.endpoint),
+        }[kind]()
+        with closing(backend):
+            for call in (lambda: backend.get("../x"), lambda: backend.size("../x"),
+                         lambda: backend.put("../x", b"y")):
+                with pytest.raises(ValueError):
+                    call()
+    assert local.list("") == ["x"]
+
+
 # -- latency ----------------------------------------------------------------
+
+def _lognormal(seed):
+    return LatencyModel(mean_ms=59.2, std_ms=58.5, min_ms=8.8,
+                        distribution="lognormal", seed=seed)
+
+
+def test_latency_samples_repeat_per_seed():
+    model, again = _lognormal(4), _lognormal(4)
+    samples = [model.sample_ms() for _ in range(200)]
+    assert samples == [again.sample_ms() for _ in range(200)]
+    other = _lognormal(5)
+    assert samples != [other.sample_ms() for _ in range(200)]
+    assert len(set(samples)) > 150  # draws differ from one another too
+
+
+def test_latency_seed_none_draws_as_zero():
+    unseeded, zero = _lognormal(None), _lognormal(0)
+    assert [unseeded.sample_ms() for _ in range(50)] == \
+        [zero.sample_ms() for _ in range(50)]
+
+
+def test_latency_draws_across_threads_lose_and_repeat_none():
+    serial = _lognormal(9)
+    expected = sorted(serial.sample_ms() for _ in range(1000))
+    shared = _lognormal(9)
+    drawn = [[] for _ in range(4)]
+    barrier = threading.Barrier(4)
+
+    def draw(out):
+        barrier.wait()
+        out.extend(shared.sample_ms() for _ in range(250))
+    threads = [threading.Thread(target=draw, args=(out,)) for out in drawn]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(x for out in drawn for x in out) == expected
+
 
 def test_constant_latency_floor():
     backend = MemoryBackend({"obj": b"x" * 16})
