@@ -16,10 +16,12 @@ Wire protocol (path-style keys, no auth):
 
 Connections are persistent (HTTP/1.1 keep-alive), and each is handled on
 its own thread, so concurrent clients each pay their own latency rather than
-queueing behind one another.  Responses go out as a header write and a body
-write, so the sockets set TCP_NODELAY: without it, a small body written after
-the headers waits on the client's delayed ACK (tens of milliseconds per
-request on a reused connection).
+queueing behind one another.  The handler parses a request line and its
+headers itself (a line over 64 KiB or more than 100 headers answer 431, a
+malformed request line 400), closes the connection after an HTTP/1.0
+request or ``Connection: close``, and writes each response (status line,
+headers and body) in one write.  The sockets set TCP_NODELAY, so that write
+leaves at once instead of waiting on the client's ACK of an earlier one.
 
 An optional ``LatencyModel`` delays each request before it is served (its
 ``wait``, the same sleep as ``with_latency``), which is how the
@@ -36,6 +38,8 @@ from pathlib import Path
 from urllib.parse import unquote, urlparse, parse_qs
 
 from .storage import (
+    _MAX_HEADERS,
+    _MAX_LINE,
     ByteRange,
     LatencyModel,
     LocalBackend,
@@ -70,7 +74,9 @@ def _parse_range(header: str, total: int) -> ByteRange:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "loadbench-store/0.1"
-    disable_nagle_algorithm = True  # headers and body are two writes
+    # a response is one write, but Nagle would still hold a write back
+    # behind an unacknowledged earlier one (error replies are two writes)
+    disable_nagle_algorithm = True
 
     # set per server class in ObjectServer
     backend: StorageBackend
@@ -79,16 +85,50 @@ class _Handler(BaseHTTPRequestHandler):
     def _key(self) -> str:
         return unquote(urlparse(self.path).path.lstrip("/"))
 
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and read the headers into ``headers``, a
+        dict keyed in lower case; on failure, answer and return False."""
+        self.requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            self.command, self.request_version = None, self.protocol_version
+            self.send_error(400, "Bad request line")
+            return False
+        self.command, path, self.request_version = words
+        # as http.server does: a leading '//' would parse as a host
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        self.headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if len(line) > _MAX_LINE:
+                self.send_error(431, "Header line too long")
+                return False
+            name, _, value = line.decode("latin-1").partition(":")
+            self.headers[name.strip().lower()] = value.strip()
+        else:
+            self.send_error(431, "Too many headers")
+            return False
+        self.close_connection = (self.request_version == "HTTP/1.0" or
+                                 self.headers.get("connection", "").lower() == "close")
+        if (self.headers.get("expect", "").lower() == "100-continue"
+                and self.request_version == "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
     def _send(self, status: int, body: bytes = b"",
               headers: dict[str, str] | None = None) -> None:
-        """One response; ``headers`` may replace the body's Content-Length."""
-        self.send_response(status)
-        for name, value in {"Content-Length": str(len(body)),
-                            **(headers or {})}.items():
-            self.send_header(name, value)
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
+        """One response in one write; ``headers`` may replace the body's
+        Content-Length.  It says ``Connection: close`` when the connection
+        closes after it."""
+        fields = {"Server": self.version_string(), "Date": self.date_time_string(),
+                  "Content-Length": str(len(body)), **(headers or {})}
+        if self.close_connection:
+            fields["Connection"] = "close"
+        head = [f"{self.protocol_version} {status} {self.responses[status][0]}",
+                *(f"{name}: {value}" for name, value in fields.items())]
+        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
 
     def _serve_listing(self) -> None:
         query = parse_qs(urlparse(self.path).query)
@@ -103,7 +143,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             key = self._key()
             total = self.backend.size(key)
-            header = self.headers.get("Range")
+            header = self.headers.get("range")
             byte_range = None if header is None else _parse_range(header, total)
             start, end = ((0, total - 1) if byte_range is None
                           else byte_range.resolve(total))
@@ -138,11 +178,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_PUT(self) -> None:  # noqa: N802
         self.latency.wait()
-        length = self.headers.get("Content-Length", "0")
+        length = self.headers.get("content-length", "0")
         if not length.isdecimal():
             # malformed or negative: where the body ends is unknown, and so
             # is where the next request on this connection starts
-            return self._send(400, headers={"Connection": "close"})
+            self.close_connection = True
+            return self._send(400)
         data = self.rfile.read(int(length))
         try:
             self.backend.put(self._key(), data)

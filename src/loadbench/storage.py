@@ -6,11 +6,13 @@ pipeline never knows where bytes live.  ``get_many`` reads a list of
 (key, range) requests and yields their bytes in request order.  How the
 requests run is ``map_requests``'s business: by default one ``get`` at a
 time, each when its bytes are asked for.  ``HTTPBackend`` keeps one
-persistent connection per thread and runs them on a pool of 8 fetch threads
-it owns, so up to 8 requests are in flight at once; ``close()`` releases the
-connections and the pool.  The wrappers below pass ``map_requests`` through
-to the backend they wrap, so their own per-request work runs with the inner
-backend's concurrency.
+persistent connection per thread and runs them on a pool of 16 fetch threads
+it owns, so up to 16 requests are in flight at once; ``close()`` releases the
+connections and the pool.  Its requests and responses go through a small
+HTTP/1.1 codec of its own: one ``sendall`` per request, and a response must
+carry exactly ``Content-Length`` body bytes.  The wrappers below pass
+``map_requests`` through to the backend they wrap, so their own per-request
+work runs with the inner backend's concurrency.
 
 Two wrappers recreate network conditions on top of any backend:
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import http.client
 import itertools
 import math
+import socket
 import threading
 import time
 from collections import OrderedDict
@@ -35,6 +38,7 @@ from collections.abc import Callable, Generator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 from urllib.parse import quote, urlsplit
 
 from .prng import SplitMix64, derive_seed
@@ -52,7 +56,14 @@ class RangeError(StorageError):
     """The requested byte range is not satisfiable."""
 
 
-_FETCH_THREADS = 8  # requests an HTTPBackend keeps in flight (16 ran slower on 2 vCPUs)
+# Requests an HTTPBackend keeps in flight.  Loading 64x64x3 images over
+# loopback from a server that holds each request 3 ms, on 2 vCPUs: 8 gave
+# 1906-1959 samples/s, 16 gave 2519-2868 and 32 gave 2710-2909.  32's edge
+# is inside the spread, and it doubles the threads and connections at both
+# ends.
+_FETCH_THREADS = 16
+_MAX_LINE = 65536  # the longest status, request or header line (as http.client)
+_MAX_HEADERS = 100
 
 
 def validate_key(key: str) -> str:
@@ -214,16 +225,89 @@ class MemoryBackend(StorageBackend):
             return len(self._objects[key])
 
 
+class _Connection:
+    """One keep-alive HTTP/1.1 connection that speaks the object protocol.
+
+    A request goes out in one ``sendall``.  A response is a status line,
+    headers (keyed in lower case) and exactly ``Content-Length`` body bytes;
+    HEAD, 1xx, 204 and 304 have no body.  A malformed or short response
+    raises StorageError; a connection that closes before a status line
+    raises ConnectionError.  ``Connection: close`` closes the socket, and
+    the next request opens a new one.
+    """
+
+    def __init__(self, host: str, port: int | None, timeout: float) -> None:
+        self._address = (host, port, timeout)
+        self._host = host if port is None else f"{host}:{port}"
+        self.sock: socket.socket | None = None
+        self._file: BinaryIO | None = None
+
+    def request(self, method: str, path: str, headers: dict[str, str],
+                body: bytes | None = None) -> tuple[int, dict[str, str], bytes]:
+        if self.sock is None:
+            # http.client opens the socket (TCP_NODELAY, its audit event)
+            opener = http.client.HTTPConnection(*self._address)
+            opener.connect()
+            self.sock, self._file = opener.sock, opener.sock.makefile("rb")
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {self._host}",
+                 *(f"{name}: {value}" for name, value in headers.items())]
+        if body is not None:
+            lines.append(f"Content-Length: {len(body)}")
+        self.sock.sendall("\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+                          + (body or b""))
+        status, fields = self._read_head()
+        while status < 200:  # an interim response; the final one follows
+            status, fields = self._read_head()
+        data = b""
+        if method != "HEAD" and status not in (204, 304):
+            length = fields.get("content-length", "")
+            if not length.isdecimal():
+                raise StorageError(f"HTTP {status} without a Content-Length")
+            data = self._file.read(int(length))
+            if len(data) != int(length):
+                raise StorageError(f"body cut short: {len(data)} of {length} bytes")
+        if fields.get("connection", "").lower() == "close":
+            self.close()
+        return status, fields, data
+
+    def _read_head(self) -> tuple[int, dict[str, str]]:
+        line = self._file.readline(_MAX_LINE + 1)
+        if not line:
+            raise ConnectionError("connection closed before a status line")
+        words = line.split(None, 2)
+        if (len(words) < 2 or not words[0].startswith(b"HTTP/1.")
+                or len(words[1]) != 3 or not words[1].isdigit()):
+            raise StorageError(f"malformed status line {line[:80]!r}")
+        fields = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._file.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                return int(words[1]), fields
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or len(line) > _MAX_LINE:
+                raise StorageError(f"malformed header line {line[:80]!r}")
+            fields[name.lower()] = value.strip()
+        raise StorageError(f"more than {_MAX_HEADERS} header lines")
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            self._file.close()
+            sock.close()
+
+
 class HTTPBackend(StorageBackend):
     """Client for the object server's wire protocol (path-style GET/PUT/HEAD).
 
-    Ranged reads are sent as ``Range: bytes=a-b`` (``a-`` when open-ended);
-    404 maps to NotFoundError and 416 to RangeError.  Each thread keeps one
-    persistent HTTP/1.1 connection.  A GET or HEAD that fails on a reused
-    connection before a status line arrives (the server closed an idle
-    connection) is sent once more on a fresh one; nothing else is retried.
-    ``get_many`` runs its requests on a pool of ``_FETCH_THREADS`` fetch
-    threads, each with its own connection.
+    Ranged reads are sent as ``Range: bytes=a-b`` (``a-`` when open-ended)
+    and must come back as 206, with exactly the range's length when its end
+    is known; 404 maps to NotFoundError, 416 to RangeError and any other
+    failure to StorageError.  Each thread keeps one persistent HTTP/1.1
+    connection.  A GET or HEAD that fails on a reused connection before a
+    status line arrives (the server closed an idle connection) is sent once
+    more on a fresh one; nothing else is retried.  ``get_many`` runs its
+    requests on a pool of ``_FETCH_THREADS`` fetch threads, each with its
+    own connection.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
@@ -236,18 +320,17 @@ class HTTPBackend(StorageBackend):
         self._base = parts.path.rstrip("/")
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._conns: list[http.client.HTTPConnection] = []
+        self._conns: list[_Connection] = []
         self._pool = ThreadPoolExecutor(_FETCH_THREADS,
                                         thread_name_prefix="loadbench-fetch")
 
     def _path(self, key: str) -> str:
         return f"{self._base}/{quote(validate_key(key))}"
 
-    def _conn(self) -> http.client.HTTPConnection:
+    def _conn(self) -> _Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = http.client.HTTPConnection(self._host, self._port,
-                                              timeout=self.timeout)
+            conn = _Connection(self._host, self._port, self.timeout)
             self._local.conn = conn
             with self._lock:
                 self._conns.append(conn)
@@ -255,38 +338,44 @@ class HTTPBackend(StorageBackend):
 
     def _request(self, method: str, path: str, body: bytes | None = None,
                  headers: dict[str, str] | None = None
-                 ) -> tuple[http.client.HTTPResponse, bytes]:
+                 ) -> tuple[int, dict[str, str], bytes]:
         conn = self._conn()
         reused = conn.sock is not None
         try:
             try:
-                conn.request(method, path, body=body, headers=headers or {})
-                resp = conn.getresponse()
+                status, fields, data = conn.request(method, path, headers or {}, body)
             except ConnectionError:
                 # the server closed the idle connection: no status line came
                 if not (reused and method in ("GET", "HEAD")):
                     raise
                 conn.close()
-                conn.request(method, path, body=body, headers=headers or {})
-                resp = conn.getresponse()
-            data = resp.read()
-        except (OSError, http.client.HTTPException) as exc:
+                status, fields, data = conn.request(method, path, headers or {}, body)
+        except OSError as exc:
             conn.close()
             raise StorageError(f"transport failure: {exc!r}") from exc
-        if resp.status == 404:
+        except StorageError:  # a malformed response: the stream is lost
+            conn.close()
+            raise
+        if status == 404:
             raise NotFoundError(path)
-        if resp.status == 416:
+        if status == 416:
             raise RangeError(path)
-        if not 200 <= resp.status < 300:
-            raise StorageError(f"HTTP {resp.status} for {method} {path}")
-        return resp, data
+        if not 200 <= status < 300:
+            raise StorageError(f"HTTP {status} for {method} {path}")
+        return status, fields, data
 
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
-        headers = {}
-        if byte_range is not None:
-            end = "" if byte_range.end is None else byte_range.end
-            headers["Range"] = f"bytes={byte_range.start}-{end}"
-        return self._request("GET", self._path(key), headers=headers)[1]
+        if byte_range is None:
+            return self._request("GET", self._path(key))[2]
+        end = "" if byte_range.end is None else byte_range.end
+        status, _, data = self._request(
+            "GET", self._path(key),
+            headers={"Range": f"bytes={byte_range.start}-{end}"})
+        if status != 206 or (byte_range.end is not None and
+                             len(data) != byte_range.end - byte_range.start + 1):
+            raise StorageError(f"HTTP {status} with {len(data)} bytes for "
+                               f"bytes={byte_range.start}-{end} of {key}")
+        return data
 
     def map_requests(self, fetch, requests):
         # Executor.map submits every request at once and yields in order; a
@@ -298,12 +387,14 @@ class HTTPBackend(StorageBackend):
         self._request("PUT", self._path(key), body=data)
 
     def list(self, prefix: str = "") -> list[str]:
-        _, body = self._request("GET", f"{self._base}/?prefix={quote(prefix)}")
+        body = self._request("GET", f"{self._base}/?prefix={quote(prefix)}")[2]
         return [line for line in body.decode("utf-8").splitlines() if line]
 
     def size(self, key: str) -> int:
-        resp, _ = self._request("HEAD", self._path(key))
-        return int(resp.headers["Content-Length"])
+        length = self._request("HEAD", self._path(key))[1].get("content-length", "")
+        if not length.isdecimal():
+            raise StorageError(f"HEAD {key} without a Content-Length")
+        return int(length)
 
     def close(self) -> None:
         """Shut the fetch pool (queued fetches are cancelled) and close every

@@ -1,4 +1,5 @@
 import http.client
+import socket
 import threading
 import time
 import urllib.error
@@ -261,3 +262,92 @@ def test_burst_of_first_connections_is_accepted_at_once(store):
         assert not any(t.is_alive() for t in threads)
         assert bodies == [local.get(key)] * clients
         assert max(times) < 0.5, sorted(times)[-3:]
+
+
+# -- the handler's own request parse, over raw sockets --------------------------
+
+def _until_close(server, raw: bytes) -> bytes:
+    """Everything the server sends for ``raw`` until it closes the
+    connection (a connection left open times the read out)."""
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _responses(data: bytes) -> list[tuple[int, dict[str, str], bytes]]:
+    """Split a stream of responses to GET or PUT into (status, headers, body)."""
+    responses = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        fields = {name.lower(): value.strip()
+                  for name, _, value in (line.partition(":") for line in lines)}
+        length = int(fields.get("content-length", 0))
+        responses.append((int(status_line.split()[1]), fields, data[:length]))
+        data = data[length:]
+    return responses
+
+
+@pytest.mark.parametrize("request_line", [
+    b"NONSENSE", b"GET /train/shard0.dlbs", b"GET /a b HTTP/1.1",
+    b"GET /train/shard0.dlbs HTTP/2.0"])
+def test_malformed_request_line_400_and_close(store, request_line):
+    _, _, server = store
+    # the second request is never read: the connection closes after the 400
+    raw = request_line + b"\r\n\r\nGET /train/shard0.dlbs HTTP/1.1\r\n\r\n"
+    [(status, fields, _)] = _responses(_until_close(server, raw))
+    assert status == 400
+    assert fields["connection"] == "close"
+
+
+def test_http10_request_is_answered_then_closed(store):
+    _, local, server = store
+    raw = b"GET /train/shard0.dlbs HTTP/1.0\r\n\r\n" * 2
+    [(status, fields, body)] = _responses(_until_close(server, raw))
+    assert status == 200
+    assert fields["connection"] == "close"
+    assert body == local.get("train/shard0.dlbs")
+
+
+# each request also carries "Connection: close", its last header
+@pytest.mark.parametrize("headers, status", [
+    (b"X-Big: " + b"a" * (70 << 10) + b"\r\n", 431),
+    (b"".join(b"X-H%d: v\r\n" % i for i in range(100)), 431),
+    (b"".join(b"X-H%d: v\r\n" % i for i in range(99)), 200),
+    (b"X-Same: v\r\n" * 100, 431),
+], ids=["70KiB-line", "101-headers", "100-headers", "101-same-name"])
+def test_header_limits_431(store, headers, status):
+    _, _, server = store
+    raw = (b"GET /train/shard0.dlbs HTTP/1.1\r\n" + headers
+           + b"Connection: close\r\n\r\n")
+    [(answered, fields, _)] = _responses(_until_close(server, raw))
+    assert answered == status
+    assert fields["connection"] == "close"
+
+
+def test_pipelined_gets_are_answered_in_order(store):
+    _, local, server = store
+    raw = (b"GET /train/shard1.dlbs HTTP/1.1\r\nRange: bytes=5-20\r\n\r\n"
+           b"GET /train/shard4.dlbs HTTP/1.1\r\nConnection: close\r\n\r\n")
+    first, second = _responses(_until_close(server, raw))
+    assert first[0] == 206 and "connection" not in first[1]
+    assert first[2] == local.get("train/shard1.dlbs", ByteRange(5, 20))
+    assert second[0] == 200 and second[1]["connection"] == "close"
+    assert second[2] == local.get("train/shard4.dlbs")
+
+
+def test_put_with_expect_100_continue_stores_its_body(store):
+    _, local, server = store
+    with socket.create_connection((server.host, server.port), timeout=10) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(b"PUT /uploads/expect.bin HTTP/1.1\r\nContent-Length: 9\r\n"
+                     b"Expect: 100-continue\r\nConnection: close\r\n\r\n")
+        assert rfile.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert rfile.readline() == b"\r\n"
+        sock.sendall(b"continued")
+        [(status, _, _)] = _responses(rfile.read())
+    assert status == 200
+    assert local.get("uploads/expect.bin") == b"continued"

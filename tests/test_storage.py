@@ -1,13 +1,16 @@
 import http.client
+import socketserver
 import sys
 import threading
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from collections import OrderedDict
 from pathlib import PurePosixPath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loadbench.server as server_module
 import loadbench.storage as storage_module
@@ -23,6 +26,7 @@ from loadbench.storage import (
     MemoryBackend,
     NotFoundError,
     RangeError,
+    StorageError,
     cached,
     validate_key,
     with_latency,
@@ -478,3 +482,120 @@ def test_wrappers_forward_close():
     with closing(cached(with_latency(inner, LatencyModel(mean_ms=0.0)), 100)) as backend:
         assert list(backend.get_many([("A", ByteRange(1, 2))])) == [b"bc"]
     assert inner.closed == 1
+
+
+# -- the HTTP client's codec against scripted and real servers -----------------
+
+class _ScriptedHandler(socketserver.StreamRequestHandler):
+    """Answers each request it reads, on any connection, with the next raw
+    reply of the server's script; closes the connection after a reply only
+    when the script says so."""
+
+    def handle(self):
+        while True:
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                pass
+            if not line:
+                return
+            reply, close = next(self.server.script)
+            self.wfile.write(reply)
+            if close:
+                return
+
+
+@contextmanager
+def _scripted_server(*replies):
+    """Yield the endpoint of a server that sends ``replies``, a sequence of
+    (raw bytes, close after), one per request."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.daemon_threads = True
+    server.script = iter(replies)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+
+
+_HELLO = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+
+
+@pytest.mark.parametrize("reply, byte_range, close", [
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello", None, True),
+    (b"HTTP/1.1 200 OK\r\n\r\nhello", None, True),
+    (b"HELLO THERE\r\nContent-Length: 5\r\n\r\nhello", None, True),
+    (b"HTTP/1.1 206 Partial Content\r\nContent-Length: 3\r\n\r\nell",
+     ByteRange(1, 4), False),
+    (b"HTTP/1.1 206 Partial Content\r\nContent-Length: 5\r\n\r\nhello",
+     ByteRange(1, 3), False),
+    (_HELLO, ByteRange(1), False),
+], ids=["eof-mid-body", "no-content-length", "garbage-status-line",
+        "206-short", "206-long", "200-for-a-range"])
+def test_http_rejects_a_bad_response(reply, byte_range, close):
+    # the bad response raises; the next request gets its own bytes, none
+    # left over from the bad one
+    with _scripted_server((reply, close), (_HELLO, False)) as endpoint, \
+            closing(HTTPBackend(endpoint, timeout=5)) as client:
+        with pytest.raises(StorageError):
+            client.get("k", byte_range)
+        assert client.get("k") == b"hello"
+
+
+def test_http_skips_interim_responses_and_reads_no_head_body():
+    head = b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n"
+    with _scripted_server((b"HTTP/1.1 100 Continue\r\n\r\n" + _HELLO, False),
+                          (head, False), (_HELLO, False)) as endpoint, \
+            closing(HTTPBackend(endpoint, timeout=5)) as client:
+        assert client.get("k") == b"hello"
+        assert client.size("k") == 99
+        assert client.get("k") == b"hello"
+
+
+def test_http_connection_close_opens_one_new_connection(monkeypatch):
+    # the scripted server leaves the connection open after its
+    # "Connection: close" reply, so only the client can close it
+    opened = _count_connects(monkeypatch)
+    closing_reply = (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n"
+                     b"Connection: close\r\n\r\nhello")
+    with _scripted_server((closing_reply, False), (_HELLO, False),
+                          (_HELLO, False)) as endpoint, \
+            closing(HTTPBackend(endpoint, timeout=5)) as client:
+        assert client.get("k") == b"hello"
+        assert len(opened) == 1
+        assert client.get("k") == b"hello"
+        assert len(opened) == 2
+        assert client.get("k") == b"hello"
+    assert len(opened) == 2
+
+
+@st.composite
+def _ranged_requests(draw, sizes):
+    """(key, range) requests: whole objects, open-ended, one-byte and
+    closed ranges."""
+    requests = []
+    for _ in range(draw(st.integers(0, 12))):
+        key = draw(st.sampled_from(sorted(sizes)))
+        start = draw(st.integers(0, sizes[key] - 1))
+        byte_range = draw(st.sampled_from([
+            None, ByteRange(start), ByteRange(start, start),
+            ByteRange(start, draw(st.integers(start, sizes[key] - 1)))]))
+        requests.append((key, byte_range))
+    return requests
+
+
+def test_http_ranged_reads_equal_local_reads(shards):
+    root, local = shards
+    sizes = {key: local.size(key) for key in local.list("s/")}
+    with serve(root) as server, closing(HTTPBackend(server.endpoint)) as client:
+
+        @settings(deadline=None, max_examples=60)
+        @given(_ranged_requests(sizes))
+        def check(requests):
+            expected = [local.get(key, br) for key, br in requests]
+            assert list(client.get_many(requests)) == expected
+            assert [client.get(key, br) for key, br in requests] == expected
+
+        check()
