@@ -43,7 +43,6 @@ from .sampling import SamplerConfig, SampleOrder, epoch_order, shard_for_replica
 from .server import ObjectServer, serve
 from .storage import (
     ByteRange,
-    CacheConfig,
     CachedBackend,
     HTTPBackend,
     LatencyModel,

@@ -39,7 +39,6 @@ from .pipeline import DataLoader, LoaderConfig
 from .prng import fisher_yates
 from .sampling import FILTER_KINDS
 from .storage import (
-    CacheConfig,
     CachedBackend,
     HTTPBackend,
     LatencyModel,
@@ -97,7 +96,7 @@ class BackendConfig:
         if self.latency is not None:
             backend = with_latency(backend, self.latency)
         if self.cache_bytes > 0:
-            backend = CachedBackend(backend, CacheConfig(self.cache_bytes))
+            backend = CachedBackend(backend, self.cache_bytes)
         return backend
 
 

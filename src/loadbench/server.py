@@ -9,19 +9,25 @@ Wire protocol (path-style keys, no auth):
     PUT /{key}                 200 after storing the body
     GET /?prefix=p             200 + newline-separated keys (listing helper)
     400                        invalid key (empty, or with a '..' segment),
-                               or a PUT's Content-Length malformed or negative
+                               a malformed request or header line, or a
+                               PUT's Content-Length malformed or negative
     404                        unknown key
     416                        unsatisfiable range (+ Content-Range: bytes */total)
     500                        any other failure of the backend
+    501                        a method other than GET, HEAD and PUT
 
 Connections are persistent (HTTP/1.1 keep-alive), and each is handled on
 its own thread, so concurrent clients each pay their own latency rather than
 queueing behind one another.  The handler parses a request line and its
-headers itself (a line over 64 KiB or more than 100 headers answer 431, a
-malformed request line 400), closes the connection after an HTTP/1.0
-request or ``Connection: close``, and writes each response (status line,
-headers and body) in one write.  The sockets set TCP_NODELAY, so that write
-leaves at once instead of waiting on the client's ACK of an earlier one.
+headers itself, by the rules the client reads a response head with: a
+request line over 64 KiB answers 414, a header line over 64 KiB or more than
+100 headers 431, a malformed request line or a header line without a colon
+400, and a connection that ends before the head's blank line gets no reply.
+It closes the connection after an HTTP/1.0 request, ``Connection: close`` or
+any error it answers before the request is parsed.  Each response (status
+line, headers and body) is one write; an error reply has no body.  The
+sockets set TCP_NODELAY, so that write leaves at once instead of waiting on
+the client's ACK of an earlier one.
 
 An optional ``LatencyModel`` delays each request before it is served (its
 ``wait``, the same sleep as ``with_latency``), which is how the
@@ -74,13 +80,9 @@ def _parse_range(header: str, total: int) -> ByteRange:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "loadbench-store/0.1"
-    # a response is one write, but Nagle would still hold a write back
-    # behind an unacknowledged earlier one (error replies are two writes)
+    # a response is one write, but Nagle would still hold it back until the
+    # client acknowledges what was sent before it on the connection
     disable_nagle_algorithm = True
-
-    # set per server class in ObjectServer
-    backend: StorageBackend
-    latency: LatencyModel
 
     def _key(self) -> str:
         return unquote(urlparse(self.path).path.lstrip("/"))
@@ -92,7 +94,7 @@ class _Handler(BaseHTTPRequestHandler):
         words = self.requestline.split()
         if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
             self.command, self.request_version = None, self.protocol_version
-            self.send_error(400, "Bad request line")
+            self.send_error(400)
             return False
         self.command, path, self.request_version = words
         # as http.server does: a leading '//' would parse as a host
@@ -100,15 +102,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.headers = {}
         for _ in range(_MAX_HEADERS + 1):
             line = self.rfile.readline(_MAX_LINE + 1)
-            if line in (b"\r\n", b"\n", b""):
+            if line in (b"\r\n", b"\n"):
                 break
-            if len(line) > _MAX_LINE:
-                self.send_error(431, "Header line too long")
+            if not line:  # the connection ended inside the head: no reply
+                self.close_connection = True
                 return False
-            name, _, value = line.decode("latin-1").partition(":")
+            if len(line) > _MAX_LINE:
+                self.send_error(431)
+                return False
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                self.send_error(400)
+                return False
             self.headers[name.strip().lower()] = value.strip()
         else:
-            self.send_error(431, "Too many headers")
+            self.send_error(431)
             return False
         self.close_connection = (self.request_version == "HTTP/1.0" or
                                  self.headers.get("connection", "").lower() == "close")
@@ -116,6 +124,12 @@ class _Handler(BaseHTTPRequestHandler):
                 and self.request_version == "HTTP/1.1"):
             return self.handle_expect_100()
         return True
+
+    def send_error(self, code: int, *_) -> None:
+        """Every error answered before a request is parsed (http.server's own
+        414 and 501 too): one write, no body, and the connection closes."""
+        self.close_connection = True
+        self._send(code)
 
     def _send(self, status: int, body: bytes = b"",
               headers: dict[str, str] | None = None) -> None:
@@ -133,21 +147,21 @@ class _Handler(BaseHTTPRequestHandler):
     def _serve_listing(self) -> None:
         query = parse_qs(urlparse(self.path).query)
         prefix = query.get("prefix", [""])[0]
-        body = "\n".join(self.backend.list(prefix)).encode("utf-8")
+        body = "\n".join(self.server.backend.list(prefix)).encode("utf-8")
         self._send(200, body, {"Content-Type": "text/plain; charset=utf-8"})
 
     def _serve_object(self) -> None:
         """GET or HEAD of one object: all of it, or the range that a
         ``Range`` header asks for.  A HEAD reads no bytes of the object."""
-        total = 0
+        backend, total = self.server.backend, 0
         try:
             key = self._key()
-            total = self.backend.size(key)
+            total = backend.size(key)
             header = self.headers.get("range")
             byte_range = None if header is None else _parse_range(header, total)
             start, end = ((0, total - 1) if byte_range is None
                           else byte_range.resolve(total))
-            body = b"" if self.command == "HEAD" else self.backend.get(key, byte_range)
+            body = b"" if self.command == "HEAD" else backend.get(key, byte_range)
         except NotFoundError:
             return self._send(404)
         except RangeError:
@@ -166,18 +180,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(206, body, headers)
 
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self.latency.wait()
+        self.server.latency.wait()
         if self._key():
             self._serve_object()
         else:
             self._serve_listing()
 
     def do_HEAD(self) -> None:  # noqa: N802
-        self.latency.wait()
+        self.server.latency.wait()
         self._serve_object()
 
     def do_PUT(self) -> None:  # noqa: N802
-        self.latency.wait()
+        self.server.latency.wait()
         length = self.headers.get("content-length", "0")
         if not length.isdecimal():
             # malformed or negative: where the body ends is unknown, and so
@@ -186,7 +200,7 @@ class _Handler(BaseHTTPRequestHandler):
             return self._send(400)
         data = self.rfile.read(int(length))
         try:
-            self.backend.put(self._key(), data)
+            self.server.backend.put(self._key(), data)
         except ValueError:  # an invalid key
             return self._send(400)
         except Exception:
@@ -197,29 +211,25 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-class _Server(ThreadingHTTPServer):
+class ObjectServer(ThreadingHTTPServer):
+    """A running store; use as a context manager or call ``stop()`` yourself."""
+
     daemon_threads = True
     # socketserver's default backlog is 5: a burst of first connections,
     # such as a client's fetch threads waking together, overflows it, and
     # each dropped handshake is only retried a second later
     request_queue_size = socket.SOMAXCONN
 
-
-class ObjectServer:
-    """A running store; use as a context manager or call ``stop()`` yourself."""
-
     def __init__(self, backend: StorageBackend, port: int = 0,
                  host: str = "127.0.0.1",
                  latency: LatencyModel | None = None) -> None:
-        handler = type("BoundHandler", (_Handler,), {
-            "backend": backend,
-            "latency": latency or LatencyModel(mean_ms=0.0)})
-        self._httpd = _Server((host, port), handler)
+        super().__init__((host, port), _Handler)
         self.backend = backend
+        self.latency = latency or LatencyModel(mean_ms=0.0)
         self.host = host
-        self.port = self._httpd.server_address[1]
+        self.port = self.server_address[1]
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="loadbench-store", daemon=True)
+            target=self.serve_forever, name="loadbench-store", daemon=True)
         self._thread.start()
 
     @property
@@ -227,12 +237,9 @@ class ObjectServer:
         return f"http://{self.host}:{self.port}"
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self.shutdown()
+        self.server_close()
         self._thread.join(timeout=5)
-
-    def __enter__(self) -> "ObjectServer":
-        return self
 
     def __exit__(self, *exc) -> None:
         self.stop()

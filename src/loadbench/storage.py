@@ -4,15 +4,15 @@ All backends speak the same small contract (get / put / list / size, plus
 ``get_many`` and ``close``) with inclusive byte ranges, so the loading
 pipeline never knows where bytes live.  ``get_many`` reads a list of
 (key, range) requests and yields their bytes in request order.  How the
-requests run is ``map_requests``'s business: by default one ``get`` at a
-time, each when its bytes are asked for.  ``HTTPBackend`` keeps one
-persistent connection per thread and runs them on a pool of 16 fetch threads
-it owns, so up to 16 requests are in flight at once; ``close()`` releases the
-connections and the pool.  Its requests and responses go through a small
-HTTP/1.1 codec of its own: one ``sendall`` per request, and a response must
-carry exactly ``Content-Length`` body bytes.  The wrappers below pass
-``map_requests`` through to the backend they wrap, so their own per-request
-work runs with the inner backend's concurrency.
+requests run is up to the backend's ``map``: by default the builtin, one
+``get`` at a time, each when its bytes are asked for.  ``HTTPBackend`` keeps
+one persistent connection per thread and maps the requests over a pool of 16
+fetch threads it owns, so up to 16 requests are in flight at once;
+``close()`` releases the connections and the pool.  Its requests and
+responses go through a small HTTP/1.1 codec of its own: one ``sendall`` per
+request, and a response must carry exactly ``Content-Length`` body bytes.
+The wrappers below take the ``map`` of the backend they wrap, so their own
+per-request work runs with the inner backend's concurrency.
 
 Two wrappers recreate network conditions on top of any backend:
 
@@ -34,7 +34,7 @@ import socket
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,6 +112,10 @@ class StorageBackend:
     def size(self, key: str) -> int:
         return len(self.get(key))
 
+    # runs get_many's fetches: the builtin one at a time, each when its
+    # bytes are asked for; a backend with requests in flight sets its own
+    map = map
+
     def get_many(self, requests: list[tuple[str, ByteRange | None]]
                  ) -> Generator[bytes, None, None]:
         """Yield the bytes of each (key, range) request, in request order.
@@ -119,19 +123,9 @@ class StorageBackend:
         A failed request raises its own error when its turn comes.  Closing
         the generator early drops the requests that have not started.
         """
-        return self.map_requests(self.get, requests)
-
-    def map_requests(self, fetch: Callable[[str, ByteRange | None], bytes],
-                     requests: list[tuple[str, ByteRange | None]]
-                     ) -> Generator[bytes, None, None]:
-        """Yield ``fetch(key, range)`` for each request, in request order.
-
-        Here each fetch runs when its result is asked for, so one request's
-        bytes are held at a time; a backend that can keep several requests
-        in flight overrides this.
-        """
-        for key, byte_range in requests:
-            yield fetch(key, byte_range)
+        # yield from, not return: an early close reaches an Executor's map
+        yield from self.map(self.get, [key for key, _ in requests],
+                            [byte_range for _, byte_range in requests])
 
     def close(self) -> None:
         """Release connections and threads; a no-op for most backends."""
@@ -323,6 +317,9 @@ class HTTPBackend(StorageBackend):
         self._conns: list[_Connection] = []
         self._pool = ThreadPoolExecutor(_FETCH_THREADS,
                                         thread_name_prefix="loadbench-fetch")
+        # Executor.map submits every request at once and yields in order; a
+        # failure or an early close cancels the fetches not yet started
+        self.map = self._pool.map
 
     def _path(self, key: str) -> str:
         return f"{self._base}/{quote(validate_key(key))}"
@@ -376,12 +373,6 @@ class HTTPBackend(StorageBackend):
             raise StorageError(f"HTTP {status} with {len(data)} bytes for "
                                f"bytes={byte_range.start}-{end} of {key}")
         return data
-
-    def map_requests(self, fetch, requests):
-        # Executor.map submits every request at once and yields in order; a
-        # failure or an early close cancels the fetches not yet started
-        return self._pool.map(fetch, [key for key, _ in requests],
-                              [byte_range for _, byte_range in requests])
 
     def put(self, key: str, data: bytes) -> None:
         self._request("PUT", self._path(key), body=data)
@@ -456,6 +447,7 @@ class LatencyBackend(StorageBackend):
     def __init__(self, inner: StorageBackend, model: LatencyModel) -> None:
         self.inner = inner
         self.model = model
+        self.map = inner.map
 
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
         self.model.wait()
@@ -473,24 +465,12 @@ class LatencyBackend(StorageBackend):
         self.model.wait()
         return self.inner.size(key)
 
-    def map_requests(self, fetch, requests):
-        return self.inner.map_requests(fetch, requests)
-
     def close(self) -> None:
         self.inner.close()
 
 
 def with_latency(backend: StorageBackend, model: LatencyModel) -> LatencyBackend:
     return LatencyBackend(backend, model)
-
-
-@dataclass
-class CacheConfig:
-    capacity_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be > 0")
 
 
 @dataclass
@@ -511,22 +491,19 @@ class CachedBackend(StorageBackend):
     A put invalidates that key's entries.
     """
 
-    def __init__(self, inner: StorageBackend, config: CacheConfig) -> None:
+    def __init__(self, inner: StorageBackend, capacity_bytes: int) -> None:
+        if capacity_bytes <= 0:
+            raise ValueError("capacity_bytes must be > 0")
         self.inner = inner
-        self.config = config
+        self.capacity_bytes = capacity_bytes
+        self.map = inner.map
         self.stats = StorageStats()
         self._entries: OrderedDict[tuple, bytes] = OrderedDict()
         self._used = 0
         self._lock = threading.Lock()
 
-    @staticmethod
-    def _cache_key(key: str, byte_range: ByteRange | None) -> tuple:
-        if byte_range is None:
-            return (key, None)
-        return (key, (byte_range.start, byte_range.end))
-
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
-        ck = self._cache_key(key, byte_range)
+        ck = (key, byte_range)
         with self._lock:
             self.stats.requests += 1
             if ck in self._entries:
@@ -537,10 +514,10 @@ class CachedBackend(StorageBackend):
         data = self.inner.get(key, byte_range)
         with self._lock:
             self.stats.bytes_read += len(data)
-            if len(data) <= self.config.capacity_bytes and ck not in self._entries:
+            if len(data) <= self.capacity_bytes and ck not in self._entries:
                 self._entries[ck] = data
                 self._used += len(data)
-                while self._used > self.config.capacity_bytes:
+                while self._used > self.capacity_bytes:
                     _, evicted = self._entries.popitem(last=False)
                     self._used -= len(evicted)
                     self.stats.evictions += 1
@@ -559,9 +536,6 @@ class CachedBackend(StorageBackend):
     def size(self, key: str) -> int:
         return self.inner.size(key)
 
-    def map_requests(self, fetch, requests):
-        return self.inner.map_requests(fetch, requests)
-
     def close(self) -> None:
         self.inner.close()
 
@@ -572,4 +546,4 @@ class CachedBackend(StorageBackend):
 
 
 def cached(backend: StorageBackend, capacity_bytes: int) -> CachedBackend:
-    return CachedBackend(backend, CacheConfig(capacity_bytes))
+    return CachedBackend(backend, capacity_bytes)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 
 import numpy as np
 import pytest
@@ -88,9 +88,9 @@ def test_criterion_01_determinism(random_small):
     local = LocalBackend(root)
     memory = MemoryBackend.load(local)
     with criterion(1, "batches byte-identical over workers x backends (9 combos)"):
-        with serve(root) as server:
-            backends = {"local": local, "memory": memory,
-                        "http": HTTPBackend(server.endpoint)}
+        with serve(root) as server, \
+                closing(HTTPBackend(server.endpoint)) as http:
+            backends = {"local": local, "memory": memory, "http": http}
             reference = None
             for workers in (0, 1, 2):
                 for name, backend in backends.items():
@@ -315,6 +315,7 @@ def test_criterion_10_protocol_conformance(random_small):
 
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(f"{server.endpoint}/no/such/key", timeout=10)
+            err.value.close()  # the error holds the response, and so the socket
             assert err.value.code == 404
 
             key = keys[0]

@@ -4,6 +4,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import closing
 
 import pytest
 
@@ -29,6 +30,7 @@ def _status(url, headers=None, method="GET"):
         with urllib.request.urlopen(req, timeout=10) as resp:
             return resp.status, dict(resp.headers), resp.read()
     except urllib.error.HTTPError as exc:
+        exc.close()  # the error holds the response, and so the socket
         return exc.code, dict(exc.headers), b""
 
 
@@ -161,49 +163,49 @@ def test_put_with_bad_content_length_400(store, length):
 
 def test_put_roundtrip(store):
     _, local, server = store
-    client = HTTPBackend(server.endpoint)
-    client.put("uploads/new.bin", b"fresh bytes")
-    assert client.get("uploads/new.bin") == b"fresh bytes"
+    with closing(HTTPBackend(server.endpoint)) as client:
+        client.put("uploads/new.bin", b"fresh bytes")
+        assert client.get("uploads/new.bin") == b"fresh bytes"
     assert local.get("uploads/new.bin") == b"fresh bytes"
 
 
 def test_listing(store):
     _, local, server = store
-    client = HTTPBackend(server.endpoint)
-    assert client.list("train/") == local.list("train/")
+    with closing(HTTPBackend(server.endpoint)) as client:
+        assert client.list("train/") == local.list("train/")
 
 
 def test_http_backend_equivalence(store):
     # property: identical bytes for identical (key, range) across backends
     root, local, server = store
-    client = HTTPBackend(server.endpoint)
     rng = SplitMix64(77)
-    for key in local.list("train/"):
-        size = local.size(key)
-        assert client.get(key) == local.get(key)
-        assert client.size(key) == size
-        for _ in range(8):
-            start = rng.next_below(size)
-            end = start + rng.next_below(size - start)
-            br = ByteRange(start, end)
-            assert client.get(key, br) == local.get(key, br)
+    with closing(HTTPBackend(server.endpoint)) as client:
+        for key in local.list("train/"):
+            size = local.size(key)
+            assert client.get(key) == local.get(key)
+            assert client.size(key) == size
+            for _ in range(8):
+                start = rng.next_below(size)
+                end = start + rng.next_below(size - start)
+                br = ByteRange(start, end)
+                assert client.get(key, br) == local.get(key, br)
 
 
 def test_http_backend_errors(store):
     _, _, server = store
-    client = HTTPBackend(server.endpoint)
     from loadbench.storage import NotFoundError, RangeError
-    with pytest.raises(NotFoundError):
-        client.get("missing")
-    with pytest.raises(RangeError):
-        client.get("train/shard0.dlbs", ByteRange(10**9))
+    with closing(HTTPBackend(server.endpoint)) as client:
+        with pytest.raises(NotFoundError):
+            client.get("missing")
+        with pytest.raises(RangeError):
+            client.get("train/shard0.dlbs", ByteRange(10**9))
 
 
 def test_server_latency_and_concurrency(tmp_path):
     local = LocalBackend(tmp_path, create=True)
     local.put("obj", b"payload")
-    with serve(tmp_path, latency=LatencyModel(mean_ms=50.0)) as server:
-        client = HTTPBackend(server.endpoint)
+    with serve(tmp_path, latency=LatencyModel(mean_ms=50.0)) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
         t0 = time.perf_counter()
         client.get("obj")
         single = time.perf_counter() - t0
@@ -212,7 +214,8 @@ def test_server_latency_and_concurrency(tmp_path):
         # concurrent requests pay their latency in parallel, not queued
         results = []
         def fetch():
-            results.append(HTTPBackend(server.endpoint).get("obj"))
+            with closing(HTTPBackend(server.endpoint)) as own:
+                results.append(own.get("obj"))
         threads = [threading.Thread(target=fetch) for _ in range(4)]
         t0 = time.perf_counter()
         for t in threads:
@@ -227,8 +230,9 @@ def test_server_latency_and_concurrency(tmp_path):
 def test_serve_backend_or_directory(tmp_path):
     from loadbench.storage import MemoryBackend
     backend = MemoryBackend({"k": b"v"})
-    with serve(backend) as server:
-        assert HTTPBackend(server.endpoint).get("k") == b"v"
+    with serve(backend) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        assert client.get("k") == b"v"
 
 
 def test_burst_of_first_connections_is_accepted_at_once(store):
@@ -351,3 +355,32 @@ def test_put_with_expect_100_continue_stores_its_body(store):
         [(status, _, _)] = _responses(rfile.read())
     assert status == 200
     assert local.get("uploads/expect.bin") == b"continued"
+
+
+def test_unknown_method_501_without_body_and_close(store):
+    _, _, server = store
+    raw = (b"BREW /train/shard0.dlbs HTTP/1.1\r\n\r\n"
+           b"GET /train/shard0.dlbs HTTP/1.1\r\n\r\n")
+    reply = _until_close(server, raw)
+    assert reply.endswith(b"\r\n\r\n")  # a head and no body
+    [(status, fields, _)] = _responses(reply)
+    assert status == 501
+    assert fields["content-length"] == "0"
+    assert fields["connection"] == "close"
+
+
+def test_header_line_without_colon_400_and_close(store):
+    _, _, server = store
+    raw = (b"GET /train/shard0.dlbs HTTP/1.1\r\nNoColon\r\n\r\n"
+           b"GET /train/shard0.dlbs HTTP/1.1\r\nConnection: close\r\n\r\n")
+    [(status, fields, _)] = _responses(_until_close(server, raw))
+    assert status == 400
+    assert fields["connection"] == "close"
+
+
+def test_head_cut_off_by_eof_gets_no_reply(store):
+    _, _, server = store
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(b"GET /train/shard0.dlbs HTTP/1.1\r\nX: y")
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(65536) == b""

@@ -18,7 +18,6 @@ from loadbench.prng import SplitMix64, stream_bytes
 from loadbench.server import serve
 from loadbench.storage import (
     ByteRange,
-    CacheConfig,
     CachedBackend,
     HTTPBackend,
     LatencyModel,
@@ -317,10 +316,10 @@ def test_cache_invalidates_on_put():
 
 
 def test_cache_config_validation():
-    with pytest.raises(ValueError):
-        CacheConfig(0)
     inner = MemoryBackend({"A": b"abc"})
-    assert CachedBackend(inner, CacheConfig(1)).get("A") == b"abc"  # oversize bypass
+    with pytest.raises(ValueError):
+        CachedBackend(inner, 0)
+    assert CachedBackend(inner, 1).get("A") == b"abc"  # oversize bypass
 
 
 # -- get_many, persistent HTTP connections, close -------------------------------
@@ -467,6 +466,19 @@ def test_failed_get_many_cancels_queued_fetches(shards, monkeypatch):
             closing(HTTPBackend(server.endpoint)) as client:
         with pytest.raises(NotFoundError):
             list(client.get_many(requests))
+        time.sleep(0.2)  # ten more round trips, had the fetches gone on
+        assert served.sizes <= 3
+
+
+def test_closed_get_many_cancels_queued_fetches(shards, monkeypatch):
+    monkeypatch.setattr(storage_module, "_FETCH_THREADS", 1)
+    root, local = shards
+    key = local.list("s/")[0]
+    served = _CountingBackend({key: local.get(key)})
+    with serve(served, latency=LatencyModel(mean_ms=20.0)) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        with closing(client.get_many([(key, None)] * 20)) as bufs:
+            assert next(bufs) == local.get(key)
         time.sleep(0.2)  # ten more round trips, had the fetches gone on
         assert served.sizes <= 3
 
