@@ -22,8 +22,10 @@ finished batches are never delivered.
 ``shutdown()`` cancels queued builds without waiting for builds in
 progress.  The pool's threads are not daemons, so at interpreter exit
 Python waits for a build still in progress (and, for a loader never shut
-down, for the builds still queued).  That wait is bounded by the backend's
-read timeout (30 s for HTTP).
+down, for the builds still queued).  A build's storage requests run in the
+thread that builds it, over HTTP in the backend's selector loop, not on
+threads of their own; the wait is bounded by the backend's stall timeout
+(30 s for HTTP).
 """
 
 from __future__ import annotations

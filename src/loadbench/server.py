@@ -29,6 +29,10 @@ line, headers and body) is one write; an error reply has no body.  The
 sockets set TCP_NODELAY, so that write leaves at once instead of waiting on
 the client's ACK of an earlier one.
 
+A GET or HEAD makes at most one backend call: the server asks the backend
+for an object's size once and keeps it until a PUT of that key.  Objects
+are assumed to change only through the server's PUT.
+
 An optional ``LatencyModel`` delays each request before it is served (its
 ``wait``, the same sleep as ``with_latency``), which is how the
 remote-storage experiments dial in AWS-like or LAN-like round trips.
@@ -153,15 +157,16 @@ class _Handler(BaseHTTPRequestHandler):
     def _serve_object(self) -> None:
         """GET or HEAD of one object: all of it, or the range that a
         ``Range`` header asks for.  A HEAD reads no bytes of the object."""
-        backend, total = self.server.backend, 0
+        total = 0
         try:
             key = self._key()
-            total = backend.size(key)
+            total = self.server.object_size(key)
             header = self.headers.get("range")
             byte_range = None if header is None else _parse_range(header, total)
             start, end = ((0, total - 1) if byte_range is None
                           else byte_range.resolve(total))
-            body = b"" if self.command == "HEAD" else backend.get(key, byte_range)
+            body = (b"" if self.command == "HEAD"
+                    else self.server.backend.get(key, byte_range))
         except NotFoundError:
             return self._send(404)
         except RangeError:
@@ -200,7 +205,7 @@ class _Handler(BaseHTTPRequestHandler):
             return self._send(400)
         data = self.rfile.read(int(length))
         try:
-            self.server.backend.put(self._key(), data)
+            self.server.put_object(self._key(), data)
         except ValueError:  # an invalid key
             return self._send(400)
         except Exception:
@@ -216,8 +221,8 @@ class ObjectServer(ThreadingHTTPServer):
 
     daemon_threads = True
     # socketserver's default backlog is 5: a burst of first connections,
-    # such as a client's fetch threads waking together, overflows it, and
-    # each dropped handshake is only retried a second later
+    # such as many clients starting together, overflows it, and each
+    # dropped handshake is only retried a second later
     request_queue_size = socket.SOMAXCONN
 
     def __init__(self, backend: StorageBackend, port: int = 0,
@@ -228,9 +233,29 @@ class ObjectServer(ThreadingHTTPServer):
         self.latency = latency or LatencyModel(mean_ms=0.0)
         self.host = host
         self.port = self.server_address[1]
+        self._sizes: dict[str, int] = {}
+        self._sizes_lock = threading.Lock()  # orders size reads against PUTs
         self._thread = threading.Thread(
             target=self.serve_forever, name="loadbench-store", daemon=True)
         self._thread.start()
+
+    def object_size(self, key: str) -> int:
+        """The size of object ``key``, asked of the backend on first use."""
+        size = self._sizes.get(key)
+        if size is None:
+            with self._sizes_lock:
+                size = self._sizes.get(key)
+                if size is None:
+                    size = self._sizes[key] = self.backend.size(key)
+        return size
+
+    def put_object(self, key: str, data: bytes) -> None:
+        """Store ``data`` as ``key`` and forget the size kept for it."""
+        with self._sizes_lock:
+            try:
+                self.backend.put(key, data)
+            finally:  # a failed PUT may have changed the object too
+                self._sizes.pop(key, None)
 
     @property
     def endpoint(self) -> str:

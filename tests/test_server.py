@@ -235,9 +235,31 @@ def test_serve_backend_or_directory(tmp_path):
         assert client.get("k") == b"v"
 
 
+def test_ranged_gets_ask_the_backend_for_the_size_once(tmp_path):
+    from loadbench.storage import MemoryBackend
+
+    class Counting(MemoryBackend):
+        sizes = 0
+
+        def size(self, key):
+            self.sizes += 1
+            return super().size(key)
+
+    backend = Counting({"k": bytes(range(100))})
+    with serve(backend) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        for i in range(20):
+            assert client.get("k", ByteRange(i, i + 9)) == bytes(range(i, i + 10))
+        assert backend.sizes == 1
+        client.put("k", bytes(range(150)))  # a new length
+        assert client.get("k", ByteRange(140)) == bytes(range(140, 150))
+        status, headers, body = _status(f"{server.endpoint}/k", {"Range": "bytes=100-"})
+        assert (status, body) == (206, bytes(range(100, 150)))
+        assert headers["Content-Range"] == "bytes 100-149/150"
+
+
 def test_burst_of_first_connections_is_accepted_at_once(store):
-    # 16 clients open their first connection together, as a backend's fetch
-    # threads do after waking behind a latency wrapper.  A handshake the
+    # 16 clients open their first connection together.  A handshake the
     # accept queue drops is retried only after a second.
     root, local, server = store
     key = "train/shard1.dlbs"

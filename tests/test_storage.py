@@ -406,7 +406,7 @@ def test_http_connections_are_reused(shards, monkeypatch):
             assert client.get(key, br) == local.get(key, br)
         serial = time.perf_counter() - t0
         assert list(client.get_many(requests)) == [local.get(k, r) for k, r in requests]
-    assert 1 < len(opened) <= storage_module._FETCH_THREADS + 1
+    assert 1 < len(opened) <= storage_module._IN_FLIGHT + 1
     # about 0.5 ms a request; a server that leaves Nagle on stalls each
     # request on a reused connection for tens of ms (over 4 s in all)
     assert serial < 2.0
@@ -449,15 +449,20 @@ class _CountingBackend(MemoryBackend):
     def __init__(self, objects):
         super().__init__(objects)
         self.sizes = 0
+        self.gets = 0
 
     def size(self, key):
-        self.sizes += 1  # the server asks for the size once per GET
+        self.sizes += 1  # the server asks once per key, then keeps the size
         return super().size(key)
+
+    def get(self, key, byte_range=None):
+        self.gets += 1  # once per GET of an existing object
+        return super().get(key, byte_range)
 
 
 def test_failed_get_many_cancels_queued_fetches(shards, monkeypatch):
-    # one fetch thread, so the failing first request runs alone
-    monkeypatch.setattr(storage_module, "_FETCH_THREADS", 1)
+    # one request in flight, so the failing first request runs alone
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
     root, local = shards
     key = local.list("s/")[0]
     served = _CountingBackend({key: local.get(key)})
@@ -471,7 +476,7 @@ def test_failed_get_many_cancels_queued_fetches(shards, monkeypatch):
 
 
 def test_closed_get_many_cancels_queued_fetches(shards, monkeypatch):
-    monkeypatch.setattr(storage_module, "_FETCH_THREADS", 1)
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
     root, local = shards
     key = local.list("s/")[0]
     served = _CountingBackend({key: local.get(key)})
@@ -481,6 +486,101 @@ def test_closed_get_many_cancels_queued_fetches(shards, monkeypatch):
             assert next(bufs) == local.get(key)
         time.sleep(0.2)  # ten more round trips, had the fetches gone on
         assert served.sizes <= 3
+
+
+@pytest.mark.parametrize("stop", ["fail", "close"])
+def test_stopped_get_many_sends_no_more_requests(shards, monkeypatch, stop):
+    # the server keeps each object's size, so count its reads of the bytes
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
+    root, local = shards
+    key = local.list("s/")[0]
+    served = _CountingBackend({key: local.get(key)})
+    with serve(served, latency=LatencyModel(mean_ms=20.0)) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        if stop == "fail":
+            with pytest.raises(NotFoundError):
+                list(client.get_many([("s/absent.bin", None)] + [(key, None)] * 20))
+        else:
+            with closing(client.get_many([(key, None)] * 20)) as bufs:
+                assert next(bufs) == local.get(key)
+        time.sleep(0.2)  # ten more round trips, had the requests gone on
+        assert served.gets <= 2
+
+
+class _PeakBackend(MemoryBackend):
+    """Records the most reads it served at once."""
+
+    def __init__(self, objects):
+        super().__init__(objects)
+        self.active = self.peak = 0
+        self._count = threading.Lock()
+
+    def get(self, key, byte_range=None):
+        with self._count:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.02)  # far longer than it takes to send a request
+            return super().get(key, byte_range)
+        finally:
+            with self._count:
+                self.active -= 1
+
+
+def test_concurrent_get_many_share_one_pool(shards):
+    # more callers than cores, switching threads as often as possible
+    root, local = shards
+    served = _PeakBackend({key: local.get(key) for key in local.list("s/")})
+    requests = [_random_requests(local, 3 * storage_module._IN_FLIGHT, seed)
+                for seed in range(6, 10)]
+    results = [None] * len(requests)
+    with serve(served) as server:
+        before = set(threading.enumerate())
+        client = HTTPBackend(server.endpoint)
+
+        def fetch(i):
+            results[i] = list(client.get_many(requests[i]))
+        threads = [threading.Thread(target=fetch, args=(i,))
+                   for i in range(len(requests))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        client.close()
+        assert not any(t.is_alive() for t in threads)
+        # the server's handler threads end as the client closes connections
+        deadline = time.monotonic() + 5
+        while set(threading.enumerate()) - before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert set(threading.enumerate()) <= before
+    for got, wanted in zip(results, requests):
+        assert got == [local.get(key, br) for key, br in wanted]
+    assert 1 < served.peak <= storage_module._IN_FLIGHT
+
+
+def test_unread_responses_are_never_read_as_later_ones(shards):
+    # responses still on their way when a call ends must not answer the
+    # next call's requests
+    root, local = shards
+    keys = local.list("s/")
+    first = [(keys[0], ByteRange(i, i + 7)) for i in range(40)]
+    later = _random_requests(local, 40, seed=11)
+    expected = [local.get(key, br) for key, br in later]
+    with serve(root, latency=LatencyModel(mean_ms=20.0)) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        with closing(client.get_many(first)) as bufs:
+            assert next(bufs) == local.get(*first[0])
+        assert list(client.get_many(later)) == expected
+        assert client.get(*later[0]) == expected[0]
+        with pytest.raises(NotFoundError):
+            list(client.get_many([("s/absent.bin", None)] + first))
+        assert list(client.get_many(later)) == expected
+        assert client.get(*later[1]) == expected[1]
 
 
 def test_wrappers_forward_close():
@@ -500,8 +600,11 @@ def test_wrappers_forward_close():
 
 class _ScriptedHandler(socketserver.StreamRequestHandler):
     """Answers each request it reads, on any connection, with the next raw
-    reply of the server's script; closes the connection after a reply only
-    when the script says so."""
+    reply of the server's script (a list of bytes is sent a piece at a
+    time); closes the connection after a reply only when the script says
+    so."""
+
+    disable_nagle_algorithm = True
 
     def handle(self):
         while True:
@@ -510,7 +613,9 @@ class _ScriptedHandler(socketserver.StreamRequestHandler):
             if not line:
                 return
             reply, close = next(self.server.script)
-            self.wfile.write(reply)
+            for piece in reply if isinstance(reply, list) else [reply]:
+                self.wfile.write(piece)
+                time.sleep(0.001 if isinstance(reply, list) else 0)
             if close:
                 return
 
@@ -553,6 +658,27 @@ def test_http_rejects_a_bad_response(reply, byte_range, close):
             closing(HTTPBackend(endpoint, timeout=5)) as client:
         with pytest.raises(StorageError):
             client.get("k", byte_range)
+        assert client.get("k") == b"hello"
+
+
+@pytest.mark.parametrize("reply, ok", [
+    (b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 99 + b"Content-Length: 5\r\n\r\nhello",
+     True),
+    (b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 100 + b"Content-Length: 5\r\n\r\nhello",
+     False),
+    (b"HTTP/1.1 200 OK\r\nX: " + b"a" * (70 << 10) + b"\r\n" + _HELLO[17:], False),
+    ([bytes([c]) for c in b"HTTP/1.1 100 Continue\r\n\r\n" + _HELLO], True),
+], ids=["100-headers", "101-headers", "70KiB-line", "byte-by-byte"])
+def test_http_response_head_limits_and_pieces(reply, ok):
+    # the client's head limits are the server's; a response may arrive in
+    # any number of pieces
+    with _scripted_server((reply, False), (_HELLO, False)) as endpoint, \
+            closing(HTTPBackend(endpoint, timeout=5)) as client:
+        if ok:
+            assert client.get("k") == b"hello"
+        else:
+            with pytest.raises(StorageError):
+                client.get("k")
         assert client.get("k") == b"hello"
 
 
