@@ -16,40 +16,51 @@ Wire protocol (path-style keys, no auth):
     500                        any other failure of the backend
     501                        a method other than GET, HEAD and PUT
 
-Connections are persistent (HTTP/1.1 keep-alive), and each is handled on
-its own thread, so concurrent clients each pay their own latency rather than
-queueing behind one another.  The handler parses a request line and its
-headers itself, by the rules the client reads a response head with: a
-request line over 64 KiB answers 414, a header line over 64 KiB or more than
-100 headers 431, a malformed request line or a header line without a colon
-400, and a connection that ends before the head's blank line gets no reply.
-It closes the connection after an HTTP/1.0 request, ``Connection: close`` or
-any error it answers before the request is parsed.  Each response (status
-line, headers and body) is one write; an error reply has no body.  The
-sockets set TCP_NODELAY, so that write leaves at once instead of waiting on
-the client's ACK of an earlier one.
+One thread serves every connection from a selector loop.  Connections are
+persistent (HTTP/1.1 keep-alive), and each carries one request at a time,
+so pipelined requests are answered in order.  The loop parses a request
+line and its headers itself, by the rules the client reads a response head
+with: a request line over 64 KiB answers 414, a header line over 64 KiB or
+more than 100 headers 431, a malformed request line or a header line
+without a colon 400, and a connection that ends before the head's blank
+line, or before a PUT's whole body, gets no reply.  It closes the
+connection after an HTTP/1.0 request, ``Connection: close`` or any error it
+answers before the request is parsed.  A response's status line and headers
+go out with its body in one ``sendmsg`` as far as the socket takes them; an
+error reply has no body.  The sockets set TCP_NODELAY, so a reply leaves at
+once instead of waiting on the client's ACK of an earlier one.
 
 A GET or HEAD makes at most one backend call: the server asks the backend
 for an object's size once and keeps it until a PUT of that key.  Objects
 are assumed to change only through the server's PUT.
 
-An optional ``LatencyModel`` delays each request before it is served (its
-``wait``, the same sleep as ``with_latency``), which is how the
-remote-storage experiments dial in AWS-like or LAN-like round trips.
+An optional ``LatencyModel`` delays each request before it is served, which
+is how the remote-storage experiments dial in AWS-like or LAN-like round
+trips.  The loop draws each request's sample as the request arrives and
+answers it once that deadline passes, so concurrent requests pay their
+latency in parallel rather than queueing behind one another.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import re
+import selectors
 import socket
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from contextlib import suppress
+from email.utils import formatdate
+from http import HTTPStatus
 from pathlib import Path
 from urllib.parse import unquote, urlparse, parse_qs
 
 from .storage import (
     _MAX_HEADERS,
     _MAX_LINE,
+    _RECV_BYTES,
     ByteRange,
     LatencyModel,
     LocalBackend,
@@ -59,6 +70,10 @@ from .storage import (
 )
 
 _RANGE_RE = re.compile(r"bytes=(?:(\d+)-(\d*)|-(\d+))$")
+_SERVER = f"loadbench-store/0.1 Python/{sys.version.split()[0]}"
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+_METHODS = ("GET", "HEAD", "PUT")
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
 def _parse_range(header: str, total: int) -> ByteRange:
@@ -81,193 +96,363 @@ def _parse_range(header: str, total: int) -> ByteRange:
     return ByteRange(max(0, total - int(suffix)))
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "loadbench-store/0.1"
-    # a response is one write, but Nagle would still hold it back until the
-    # client acknowledges what was sent before it on the connection
-    disable_nagle_algorithm = True
+class _Reject(Exception):
+    """A request head the server refuses: answered with ``status``, and the
+    connection closes."""
 
-    def _key(self) -> str:
-        return unquote(urlparse(self.path).path.lstrip("/"))
+    def __init__(self, status: int) -> None:
+        super().__init__(status)
+        self.status = status
 
-    def parse_request(self) -> bool:
-        """Parse ``raw_requestline`` and read the headers into ``headers``, a
-        dict keyed in lower case; on failure, answer and return False."""
-        self.requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
-        words = self.requestline.split()
+
+class _Conn:
+    """One client connection and the request it carries.
+
+    ``inbuf`` holds the bytes received and not yet consumed, ``out`` the
+    reply buffers not yet sent.  The request's ``method`` is None until its
+    line is read, and ``length`` is -1 until its head ends; then it is the
+    body bytes a PUT waits for, or None for a malformed Content-Length.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.out: list[bytes | memoryview] = []
+        self.events = 0         # what the selector watches it for
+        self.since = 0.0        # when it last began to wait for bytes
+        self.closing = False    # it closes once ``out`` is sent
+        self.next_request()
+
+    def next_request(self) -> None:
+        self.pos = 0            # where the head's unread lines start in inbuf
+        self.method: str | None = None
+        self.target = self.version = ""
+        self.fields: dict[str, str] = {}
+        self.lines = 0
+        self.length: int | None = -1
+        self.body: bytes | None = None
+        self.close_connection = False  # HTTP/1.0 or ``Connection: close``
+
+    def parse(self) -> bool:
+        """Parse the complete lines of the request's head; True once the
+        head has ended and ``inbuf`` holds the whole body.  A head the server
+        refuses raises _Reject."""
+        buf, pos = self.inbuf, self.pos
+        while self.length == -1:
+            end = buf.find(b"\n", pos) + 1
+            if end - pos > _MAX_LINE or (not end and len(buf) - pos > _MAX_LINE):
+                raise _Reject(414 if self.method is None else 431)
+            if not end:
+                self.pos = pos
+                return False
+            line, pos = buf[pos:end], end
+            if self.method is None:
+                self._request_line(line)
+            elif line in (b"\r\n", b"\n"):
+                del buf[:pos]
+                self._end_head()
+            else:
+                name, colon, value = line.decode("latin-1").partition(":")
+                if not colon:
+                    raise _Reject(400)
+                self.lines += 1
+                if self.lines > _MAX_HEADERS:
+                    raise _Reject(431)
+                self.fields[name.strip().lower()] = value.strip()
+        return self.length is None or len(buf) >= self.length
+
+    def _request_line(self, line: bytearray) -> None:
+        words = line.decode("latin-1").split()
         if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
-            self.command, self.request_version = None, self.protocol_version
-            self.send_error(400)
-            return False
-        self.command, path, self.request_version = words
+            raise _Reject(400)
+        self.method, target, self.version = words
         # as http.server does: a leading '//' would parse as a host
-        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
-        self.headers = {}
-        for _ in range(_MAX_HEADERS + 1):
-            line = self.rfile.readline(_MAX_LINE + 1)
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:  # the connection ended inside the head: no reply
-                self.close_connection = True
-                return False
-            if len(line) > _MAX_LINE:
-                self.send_error(431)
-                return False
-            name, colon, value = line.decode("latin-1").partition(":")
-            if not colon:
-                self.send_error(400)
-                return False
-            self.headers[name.strip().lower()] = value.strip()
-        else:
-            self.send_error(431)
-            return False
-        self.close_connection = (self.request_version == "HTTP/1.0" or
-                                 self.headers.get("connection", "").lower() == "close")
-        if (self.headers.get("expect", "").lower() == "100-continue"
-                and self.request_version == "HTTP/1.1"):
-            return self.handle_expect_100()
-        return True
+        self.target = "/" + target.lstrip("/") if target.startswith("//") else target
 
-    def send_error(self, code: int, *_) -> None:
-        """Every error answered before a request is parsed (http.server's own
-        414 and 501 too): one write, no body, and the connection closes."""
-        self.close_connection = True
-        self._send(code)
-
-    def _send(self, status: int, body: bytes = b"",
-              headers: dict[str, str] | None = None) -> None:
-        """One response in one write; ``headers`` may replace the body's
-        Content-Length.  It says ``Connection: close`` when the connection
-        closes after it."""
-        fields = {"Server": self.version_string(), "Date": self.date_time_string(),
-                  "Content-Length": str(len(body)), **(headers or {})}
-        if self.close_connection:
-            fields["Connection"] = "close"
-        head = [f"{self.protocol_version} {status} {self.responses[status][0]}",
-                *(f"{name}: {value}" for name, value in fields.items())]
-        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
-
-    def _serve_listing(self) -> None:
-        query = parse_qs(urlparse(self.path).query)
-        prefix = query.get("prefix", [""])[0]
-        body = "\n".join(self.server.backend.list(prefix)).encode("utf-8")
-        self._send(200, body, {"Content-Type": "text/plain; charset=utf-8"})
-
-    def _serve_object(self) -> None:
-        """GET or HEAD of one object: all of it, or the range that a
-        ``Range`` header asks for.  A HEAD reads no bytes of the object."""
-        total = 0
-        try:
-            key = self._key()
-            total = self.server.object_size(key)
-            header = self.headers.get("range")
-            byte_range = None if header is None else _parse_range(header, total)
-            start, end = ((0, total - 1) if byte_range is None
-                          else byte_range.resolve(total))
-            body = (b"" if self.command == "HEAD"
-                    else self.server.backend.get(key, byte_range))
-        except NotFoundError:
-            return self._send(404)
-        except RangeError:
-            return self._send(416, headers={"Content-Range": f"bytes */{total}"})
-        except ValueError:  # an invalid key
-            return self._send(400)
-        except Exception:
-            return self._send(500)
-        headers = {"Content-Type": "application/octet-stream",
-                   "Accept-Ranges": "bytes"}
-        if self.command == "HEAD":  # the length that a GET would send
-            headers["Content-Length"] = str(end - start + 1)
-        if byte_range is None:
-            return self._send(200, body, headers)
-        headers["Content-Range"] = f"bytes {start}-{end}/{total}"
-        self._send(206, body, headers)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self.server.latency.wait()
-        if self._key():
-            self._serve_object()
-        else:
-            self._serve_listing()
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self.server.latency.wait()
-        self._serve_object()
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self.server.latency.wait()
-        length = self.headers.get("content-length", "0")
-        if not length.isdecimal():
-            # malformed or negative: where the body ends is unknown, and so
-            # is where the next request on this connection starts
-            self.close_connection = True
-            return self._send(400)
-        data = self.rfile.read(int(length))
-        try:
-            self.server.put_object(self._key(), data)
-        except ValueError:  # an invalid key
-            return self._send(400)
-        except Exception:
-            return self._send(500)
-        self._send(200)
-
-    def log_message(self, fmt: str, *args) -> None:  # silence request logging
-        pass
+    def _end_head(self) -> None:
+        fields = self.fields
+        self.close_connection = (self.version == "HTTP/1.0"
+                                 or fields.get("connection", "").lower() == "close")
+        if (fields.get("expect", "").lower() == "100-continue"
+                and self.version == "HTTP/1.1"):
+            self.out.append(_CONTINUE)
+        if self.method not in _METHODS:
+            raise _Reject(501)
+        self.length = 0
+        if self.method == "PUT":
+            length = fields.get("content-length", "0")
+            if length.isdecimal():
+                self.length = int(length)
+            else:
+                # malformed or negative: where the body ends is unknown, and
+                # so is where the next request on this connection starts
+                self.length, self.close_connection = None, True
 
 
-class ObjectServer(ThreadingHTTPServer):
-    """A running store; use as a context manager or call ``stop()`` yourself."""
+class ObjectServer:
+    """A running store; use as a context manager or call ``stop()`` yourself.
 
-    daemon_threads = True
-    # socketserver's default backlog is 5: a burst of first connections,
-    # such as many clients starting together, overflows it, and each
-    # dropped handshake is only retried a second later
-    request_queue_size = socket.SOMAXCONN
+    Its one thread, ``loadbench-store``, runs the selector loop: it accepts
+    connections, reads requests, keeps each request's latency deadline on a
+    heap and, once the deadline passes, makes the backend call itself, so a
+    slow backend call delays every connection.
+    """
+
+    # seconds a connection may wait for a request's bytes before the server
+    # closes it; None waits for ever
+    _idle_timeout: float | None = None
 
     def __init__(self, backend: StorageBackend, port: int = 0,
                  host: str = "127.0.0.1",
                  latency: LatencyModel | None = None) -> None:
-        super().__init__((host, port), _Handler)
         self.backend = backend
         self.latency = latency or LatencyModel(mean_ms=0.0)
         self.host = host
-        self.port = self.server_address[1]
         self._sizes: dict[str, int] = {}
-        self._sizes_lock = threading.Lock()  # orders size reads against PUTs
+        self._conns: set[_Conn] = set()
+        # requests waiting out their latency: (deadline, arrival, connection)
+        self._due: list[tuple[float, int, _Conn]] = []
+        self._arrivals = itertools.count()
+        self._date = (-1, "")   # a Date header, formatted once a second
+        self._stopping = False
+        # a burst of first connections, such as many clients starting
+        # together, must not overflow the accept queue: each dropped
+        # handshake is only retried a second later
+        self._listener = socket.create_server((host, port), backlog=socket.SOMAXCONN)
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        self._wake, self._waker = socket.socketpair()  # stop() ends a select
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
         self._thread = threading.Thread(
-            target=self.serve_forever, name="loadbench-store", daemon=True)
+            target=self._serve, name="loadbench-store", daemon=True)
         self._thread.start()
-
-    def object_size(self, key: str) -> int:
-        """The size of object ``key``, asked of the backend on first use."""
-        size = self._sizes.get(key)
-        if size is None:
-            with self._sizes_lock:
-                size = self._sizes.get(key)
-                if size is None:
-                    size = self._sizes[key] = self.backend.size(key)
-        return size
-
-    def put_object(self, key: str, data: bytes) -> None:
-        """Store ``data`` as ``key`` and forget the size kept for it."""
-        with self._sizes_lock:
-            try:
-                self.backend.put(key, data)
-            finally:  # a failed PUT may have changed the object too
-                self._sizes.pop(key, None)
 
     @property
     def endpoint(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    def _object_size(self, key: str) -> int:
+        """The size of object ``key``, asked of the backend on first use."""
+        size = self._sizes.get(key)
+        if size is None:
+            size = self._sizes[key] = self.backend.size(key)
+        return size
+
+    def _put_object(self, key: str, data: bytes) -> None:
+        """Store ``data`` as ``key`` and forget the size kept for it."""
+        try:
+            self.backend.put(key, data)
+        finally:  # a failed PUT may have changed the object too
+            self._sizes.pop(key, None)
+
     def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
-        self._thread.join(timeout=5)
+        """Close the listener and every connection, and end the loop thread."""
+        self._stopping = True
+        if self._thread.is_alive():
+            self._waker.send(b"\0")
+            self._thread.join()
+        self._wake.close()
+        self._waker.close()
+
+    def __enter__(self) -> "ObjectServer":
+        return self
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+    # -- the loop ----------------------------------------------------------------
+
+    def _serve(self) -> None:
+        try:
+            while not self._stopping:
+                for key, mask in self._selector.select(self._timeout()):
+                    conn = key.data
+                    if conn is None:
+                        if key.fileobj is self._listener:
+                            self._accept()
+                    elif mask & selectors.EVENT_WRITE:
+                        self._send(conn)
+                    else:
+                        self._read(conn)
+                self._answer_due()
+                if self._idle_timeout is not None:
+                    self._close_idle()
+        finally:
+            for conn in list(self._conns):
+                self._close(conn)
+            self._selector.close()
+            self._listener.close()
+
+    def _timeout(self) -> float | None:
+        """How long the next select may wait: until the next deadline."""
+        timeout = None
+        if self._due:
+            timeout = max(0.0, self._due[0][0] - time.monotonic())
+        idle = self._idle_timeout
+        if idle is not None and (timeout is None or timeout > idle):
+            timeout = idle
+        return timeout
+
+    def _watch(self, conn: _Conn, events: int) -> None:
+        """Have the selector watch ``conn`` for ``events`` (0: not at all)."""
+        if events == conn.events:
+            return
+        if not conn.events:
+            self._selector.register(conn.sock, events, conn)
+        elif not events:
+            self._selector.unregister(conn.sock)
+        else:
+            self._selector.modify(conn.sock, events, conn)
+        conn.events = events
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # none waiting, or none can be taken now
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Conn(sock)
+            self._conns.add(conn)
+            self._advance(conn)
+
+    def _close(self, conn: _Conn) -> None:
+        self._watch(conn, 0)
+        self._conns.discard(conn)
+        with suppress(OSError):
+            conn.sock.shutdown(socket.SHUT_WR)
+        conn.sock.close()
+
+    def _close_idle(self) -> None:
+        now = time.monotonic()
+        for conn in [conn for conn in self._conns if conn.events == selectors.EVENT_READ
+                     and now - conn.since >= self._idle_timeout]:
+            self._close(conn)
+
+    def _read(self, conn: _Conn) -> None:
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            return self._close(conn)
+        if not data:  # a request cut short gets no reply, and stores nothing
+            return self._close(conn)
+        conn.inbuf += data
+        self._advance(conn)
+
+    def _advance(self, conn: _Conn) -> None:
+        """Read ``conn``'s next request as far as its bytes go: refuse it,
+        wait for more, or hold it for its latency once it is complete."""
+        try:
+            complete = conn.parse()
+        except _Reject as reject:
+            conn.close_connection = True
+            return self._reply(conn, reject.status)
+        if conn.out:  # a "100 Continue": reading goes on once it is sent
+            return self._send(conn)
+        if not complete:
+            conn.since = time.monotonic()
+            return self._watch(conn, selectors.EVENT_READ)
+        self._watch(conn, 0)
+        if conn.length:
+            conn.body = bytes(conn.inbuf[:conn.length])
+            del conn.inbuf[:conn.length]
+        deadline = time.monotonic() + self.latency.sample_ms() / 1000.0
+        heapq.heappush(self._due, (deadline, next(self._arrivals), conn))
+
+    def _answer_due(self) -> None:
+        """Answer every request whose latency has passed."""
+        now = time.monotonic()
+        while self._due and self._due[0][0] <= now:
+            conn = heapq.heappop(self._due)[2]
+            self._reply(conn, *self._respond(conn))
+
+    def _respond(self, conn: _Conn) -> tuple[int, bytes, dict[str, str] | None]:
+        """Make the backend call that ``conn``'s request asks for: the
+        (status, body, headers) of its reply."""
+        total = 0
+        try:
+            url = urlparse(conn.target)
+            key = unquote(url.path.lstrip("/"))
+            if conn.method == "PUT":
+                if conn.length is None:
+                    return 400, b"", None
+                self._put_object(key, conn.body or b"")
+                return 200, b"", None
+            if conn.method == "GET" and not key:
+                prefix = parse_qs(url.query).get("prefix", [""])[0]
+                body = "\n".join(self.backend.list(prefix)).encode("utf-8")
+                return 200, body, {"Content-Type": "text/plain; charset=utf-8"}
+            # GET or HEAD of one object: all of it, or the range that a
+            # Range header asks for; a HEAD reads no bytes of the object
+            total = self._object_size(key)
+            header = conn.fields.get("range")
+            byte_range = None if header is None else _parse_range(header, total)
+            start, end = ((0, total - 1) if byte_range is None
+                          else byte_range.resolve(total))
+            body = (b"" if conn.method == "HEAD"
+                    else self.backend.get(key, byte_range))
+        except NotFoundError:
+            return 404, b"", None
+        except RangeError:
+            return 416, b"", {"Content-Range": f"bytes */{total}"}
+        except ValueError:  # an invalid key
+            return 400, b"", None
+        except Exception:
+            return 500, b"", None
+        headers = {"Content-Type": "application/octet-stream",
+                   "Accept-Ranges": "bytes"}
+        if conn.method == "HEAD":  # the length that a GET would send
+            headers["Content-Length"] = str(end - start + 1)
+        if byte_range is None:
+            return 200, body, headers
+        headers["Content-Range"] = f"bytes {start}-{end}/{total}"
+        return 206, body, headers
+
+    def _reply(self, conn: _Conn, status: int, body: bytes = b"",
+               headers: dict[str, str] | None = None) -> None:
+        """Queue a reply to ``conn``'s request and send it; ``headers`` may
+        replace the body's Content-Length.  It says ``Connection: close``
+        when the connection closes after it."""
+        second = int(time.time())
+        if second != self._date[0]:  # formatdate drops the fraction too
+            self._date = (second, formatdate(second, usegmt=True))
+        fields = {"Server": _SERVER, "Date": self._date[1],
+                  "Content-Length": str(len(body)), **(headers or {})}
+        if conn.close_connection:
+            fields["Connection"] = "close"
+        head = [f"HTTP/1.1 {status} {_PHRASES[status]}",
+                *(f"{name}: {value}" for name, value in fields.items())]
+        conn.out.append("\r\n".join(head).encode("latin-1") + b"\r\n\r\n")
+        if body:
+            conn.out.append(body)
+        conn.closing = conn.close_connection
+        conn.next_request()
+        self._send(conn)
+
+    def _send(self, conn: _Conn) -> None:
+        """Send what ``conn`` has queued, never joining the buffers; once
+        all of it is out, close the connection or read on."""
+        out = conn.out
+        try:
+            while out:
+                sent = conn.sock.sendmsg(out)
+                while out and sent >= len(out[0]):
+                    sent -= len(out.pop(0))
+                if sent:
+                    out[0] = memoryview(out[0])[sent:]
+        except BlockingIOError:
+            return self._watch(conn, selectors.EVENT_WRITE)
+        except OSError:
+            return self._close(conn)
+        if conn.closing:
+            self._close(conn)
+        else:
+            self._advance(conn)
 
 
 def serve(directory: str | Path | StorageBackend, port: int = 0,

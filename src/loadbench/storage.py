@@ -17,7 +17,7 @@ Two wrappers recreate network conditions on top of any backend:
 * ``with_latency`` delays every request by a sample from a ``LatencyModel``
   (constant or lognormal round-trip time, clamped to a floor); in
   ``get_many`` the samples become the inner backend's waits.  The object
-  server delays its requests with the same ``LatencyModel.wait``.
+  server delays its requests by samples of the same ``LatencyModel``.
 * ``CachedBackend`` adds a byte-capacity LRU over (key, range) entries; its
   ``get_many`` answers hits itself and sends the misses to the inner
   backend in one ``get_many``.
@@ -61,11 +61,16 @@ class RangeError(StorageError):
 # Requests an HTTPBackend keeps in flight, and so its most connections.
 # In-process run_loop of perfbench's http-remote workload (64x64x3 images,
 # one ranged GET each, from a server process that holds every request 3 ms;
-# 2 loader workers), 9 repetitions per depth on a 2-vCPU VM: 16 gave
-# 2409-3235 samples/s (median 2802), 32 gave 3351-4415 (3912) and 48 gave
-# 2838-4570 (3800).  48 adds nothing over 32 and spreads wider: the server
-# process, at 160-210 us of CPU a GET, is then near a whole core.
-_IN_FLIGHT = 32
+# 2 loader workers), 16 repetitions per depth on a 2-vCPU VM.  With the
+# server's selector loop, at 45-71 us of store CPU a GET, 32 gave 4368-5298
+# samples/s (medians of two sweeps 4697 and 4974), 64 gave 5431-6669
+# (5837, 6241), 96 gave 5567-7540 (6247, 6695) and 128 gave 5712-7637
+# (6416, 6947).  At 128 both workers' whole 64-sample batches are in flight
+# at once, the workload's own ceiling, so a deeper setting would only fit
+# the benchmark.  The thread-per-connection server it replaced, at 121-168
+# us a GET, gave 3622-4515 (4059) at 32 and 3777-4919 (4379) at 64, in 8
+# repetitions each.
+_IN_FLIGHT = 64
 _MAX_LINE = 65536  # the longest status, request or header line (as http.client)
 _MAX_HEADERS = 100
 _RECV_BYTES = 1 << 16

@@ -4,13 +4,14 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from contextlib import closing
+from contextlib import ExitStack, closing
 
 import pytest
 
 from loadbench.prng import SplitMix64, stream_bytes
 from loadbench.server import serve
-from loadbench.storage import ByteRange, HTTPBackend, LatencyModel, LocalBackend
+from loadbench.storage import (ByteRange, HTTPBackend, LatencyModel, LocalBackend,
+                               MemoryBackend, StorageError)
 
 
 @pytest.fixture(scope="module")
@@ -406,3 +407,88 @@ def test_head_cut_off_by_eof_gets_no_reply(store):
         sock.sendall(b"GET /train/shard0.dlbs HTTP/1.1\r\nX: y")
         sock.shutdown(socket.SHUT_WR)
         assert sock.recv(65536) == b""
+
+
+def test_put_cut_short_stores_nothing(store):
+    _, local, server = store
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(b"PUT /uploads/short.bin HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                     b"only-ten-b")
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(65536) == b""
+    assert "uploads/short.bin" not in local.list("uploads/")
+
+
+def test_stop_closes_every_connection():
+    before = set(threading.enumerate())
+    with serve(MemoryBackend({"k": b"v"})) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        assert client.get("k") == b"v"  # its connection stays open
+        server.stop()
+        assert set(threading.enumerate()) <= before
+        with pytest.raises(StorageError):
+            client.get("k")
+
+
+def test_failing_backend_answers_500_and_the_server_goes_on():
+    class Failing(MemoryBackend):
+        def list(self, prefix=""):
+            raise RuntimeError("no listing")
+
+        def size(self, key):
+            if key == "no-size":
+                raise RuntimeError("no size")
+            return super().size(key)
+
+        def get(self, key, byte_range=None):
+            if key == "no-get":
+                raise RuntimeError("no bytes")
+            return super().get(key, byte_range)
+
+    backend = Failing({"good": b"fine", "no-size": b"x", "no-get": b"y"})
+    with serve(backend) as server:
+        assert _raw(server, "GET", "/?prefix=")[0] == 500
+        assert _raw(server, "GET", "/no-size")[0] == 500
+        assert _raw(server, "HEAD", "/no-size")[0] == 500
+        assert _raw(server, "GET", "/no-get", [("Range", "bytes=0-0")])[0] == 500
+        assert _status(f"{server.endpoint}/good")[::2] == (200, b"fine")
+
+
+def test_large_object_whole_and_ranged_among_small_gets(tmp_path):
+    # 8 MB replies outgrow the socket's send buffer, so each goes out in
+    # many partial writes while small replies go out on other connections
+    local = LocalBackend(tmp_path, create=True)
+    local.put("big.bin", stream_bytes(5, 8 << 20))
+    local.put("small.bin", stream_bytes(6, 4096))
+    requests = []
+    for i in range(6):
+        big = None if i % 3 == 0 else ByteRange(i << 20, (i + 2 << 20) - 1)
+        requests += [("big.bin", big)] + [("small.bin", ByteRange(j, j + 99))
+                                           for j in range(i, 4000, 500)]
+    with serve(tmp_path) as server, closing(HTTPBackend(server.endpoint)) as client:
+        got = list(client.get_many(requests))
+    assert got == [local.get(key, br) for key, br in requests]
+
+
+def test_keep_alive_connections_add_no_thread(store):
+    _, local, server = store
+    before = set(threading.enumerate())
+    with ExitStack() as stack:
+        conns = [stack.enter_context(closing(http.client.HTTPConnection(
+            server.host, server.port, timeout=10))) for _ in range(32)]
+        for conn in conns:
+            conn.request("GET", "/train/shard2.dlbs")
+        for conn in conns:
+            assert conn.getresponse().read() == local.get("train/shard2.dlbs")
+        assert set(threading.enumerate()) == before
+
+
+def test_latency_of_64_concurrent_requests_overlaps(tmp_path):
+    LocalBackend(tmp_path).put("obj", b"payload")
+    with serve(tmp_path, latency=LatencyModel(mean_ms=50.0)) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        t0 = time.perf_counter()
+        data = list(client.get_many([("obj", None)] * 64))
+        wall = time.perf_counter() - t0
+    assert data == [b"payload"] * 64
+    assert wall < 0.25 * 64 * 0.050

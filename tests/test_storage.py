@@ -433,7 +433,7 @@ def test_get_many_overlaps_round_trips(shards, wrap):
 
 def test_http_reopens_connection_the_server_closed(shards, monkeypatch):
     root, local = shards
-    monkeypatch.setattr(server_module._Handler, "timeout", 0.05)  # idle drop
+    monkeypatch.setattr(server_module.ObjectServer, "_idle_timeout", 0.05)  # idle drop
     opened = _count_connects(monkeypatch)
     key = local.list("s/")[1]
     with serve(root) as server, closing(HTTPBackend(server.endpoint)) as client:
@@ -507,34 +507,45 @@ def test_stopped_get_many_sends_no_more_requests(shards, monkeypatch, stop):
         assert served.gets <= 2
 
 
-class _PeakBackend(MemoryBackend):
-    """Records the most reads it served at once."""
+class _HeldRequests(LatencyModel):
+    """Counts the requests a server holds: from the latency draw at a
+    request's arrival to the backend read that answers it."""
 
-    def __init__(self, objects):
-        super().__init__(objects)
-        self.active = self.peak = 0
+    def __init__(self, mean_ms):
+        super().__init__(mean_ms)
+        self.held = self.peak = 0
         self._count = threading.Lock()
 
-    def get(self, key, byte_range=None):
+    def sample_ms(self):
         with self._count:
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-        try:
-            time.sleep(0.02)  # far longer than it takes to send a request
-            return super().get(key, byte_range)
-        finally:
-            with self._count:
-                self.active -= 1
+            self.held += 1
+            self.peak = max(self.peak, self.held)
+        return super().sample_ms()
+
+    def answered(self):
+        with self._count:
+            self.held -= 1
+
+
+class _AnsweringBackend(MemoryBackend):
+    def __init__(self, objects, latency):
+        super().__init__(objects)
+        self.latency = latency
+
+    def get(self, key, byte_range=None):
+        self.latency.answered()
+        return super().get(key, byte_range)
 
 
 def test_concurrent_get_many_share_one_pool(shards):
     # more callers than cores, switching threads as often as possible
     root, local = shards
-    served = _PeakBackend({key: local.get(key) for key in local.list("s/")})
+    held = _HeldRequests(mean_ms=20.0)  # far longer than it takes to send a request
+    served = _AnsweringBackend({key: local.get(key) for key in local.list("s/")}, held)
     requests = [_random_requests(local, 3 * storage_module._IN_FLIGHT, seed)
                 for seed in range(6, 10)]
     results = [None] * len(requests)
-    with serve(served) as server:
+    with serve(served, latency=held) as server:
         before = set(threading.enumerate())
         client = HTTPBackend(server.endpoint)
 
@@ -553,14 +564,14 @@ def test_concurrent_get_many_share_one_pool(shards):
             sys.setswitchinterval(interval)
         client.close()
         assert not any(t.is_alive() for t in threads)
-        # the server's handler threads end as the client closes connections
+        # neither the calls nor the server leave a thread behind
         deadline = time.monotonic() + 5
         while set(threading.enumerate()) - before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert set(threading.enumerate()) <= before
     for got, wanted in zip(results, requests):
         assert got == [local.get(key, br) for key, br in wanted]
-    assert 1 < served.peak <= storage_module._IN_FLIGHT
+    assert 1 < held.peak <= storage_module._IN_FLIGHT
 
 
 def test_unread_responses_are_never_read_as_later_ones(shards):
