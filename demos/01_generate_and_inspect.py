@@ -20,8 +20,8 @@ backend = LocalBackend(root)
 
 print(f"dataset written under {root}\n")
 for split, manifest in manifests.items():
-    shards = {loc.shard for loc in manifest.locators}
-    print(f"{split:>5}: {len(manifest):4d} samples in {len(shards)} shard(s), "
+    print(f"{split:>5}: {len(manifest):4d} samples in "
+          f"{len(manifest.shard_keys)} shard(s), "
           f"{len(manifest.class_index)} classes populated")
 
 print("\nobjects on disk:")
@@ -41,7 +41,7 @@ print(f"class index for label {record.label} starts with: {ids_for_label}")
 # determinism: regenerating produces byte-identical shards
 second = Path(tempfile.mkdtemp(prefix="loadbench-demo-"))
 generate_random_dataset(spec, second, shard_capacity=200)
-key = train.locators[123].shard
+key = train.shard_keys[train.shard[123]]
 a = hashlib.sha256(backend.get(key)).hexdigest()
 b = hashlib.sha256(LocalBackend(second).get(key)).hexdigest()
 print(f"\nregenerated shard hash matches: {a == b}")

@@ -27,7 +27,8 @@ manifests = generate_random_dataset(spec, root)
 manifest = manifests["train"]
 backend = LocalBackend(root)
 
-loc = manifest.locators[17]
+locators = manifest.locators  # derived from the manifest's columns
+loc = locators[17]
 whole = backend.get(loc.shard)
 ranged = backend.get(loc.shard, ByteRange(loc.offset, loc.offset + loc.length - 1))
 print(f"shard {loc.shard}: {len(whole)} bytes total, "
@@ -39,7 +40,7 @@ print(f"ranged read returns {len(ranged)} bytes, "
 slow = with_latency(backend, LatencyModel(mean_ms=20.0))
 t0 = time.perf_counter()
 for sid in range(10):
-    lo = manifest.locators[sid]
+    lo = locators[sid]
     slow.get(lo.shard, ByteRange(lo.offset, lo.offset + lo.length - 1))
 print(f"10 reads at 20 ms constant latency: {time.perf_counter() - t0:.2f}s")
 
@@ -54,7 +55,7 @@ cache = cached(slow, capacity_bytes=512 * 1024)
 t0 = time.perf_counter()
 for _ in range(3):
     for sid in range(10):
-        lo = manifest.locators[sid]
+        lo = locators[sid]
         cache.get(lo.shard, ByteRange(lo.offset, lo.offset + lo.length - 1))
 elapsed = time.perf_counter() - t0
 s = cache.stats

@@ -39,6 +39,9 @@ SHARD_MAGIC = b"DLBS"
 SHARD_VERSION = 1
 SHARD_HEADER = struct.Struct("<4sHI")   # magic, version, record_count
 RECORD_HEADER = struct.Struct("<HHHBI")  # label, width, height, channels, payload_len
+# the same header as numpy structured-dtype fields, for whole-batch checks
+RECORD_FIELDS = [("label", "<u2"), ("width", "<u2"), ("height", "<u2"),
+                 ("channels", "u1"), ("payload_len", "<u4")]
 
 SPLITS = ("train", "val", "test")
 DEFAULT_SHARD_CAPACITY = 1000
@@ -114,26 +117,63 @@ class Locator:
     label: int
 
 
+_COLUMNS = ("shard", "offset", "length", "label")
+
+
 @dataclass
 class DatasetManifest:
-    """Per-split catalog: locators for ids 0..n-1 plus the class index."""
+    """Per-split catalog: the locators of ids 0..n-1 as columns, plus the class index.
+
+    Sample ``i``'s record is ``length[i]`` bytes at ``offset[i]`` of the
+    object ``shard_keys[shard[i]]``, and its label is ``label[i]``.  The
+    four columns are read-only int64 arrays of one length, so a batch's
+    extents and labels come from indexing them with its ids.
+    """
 
     split: str
     spec: DatasetSpec
-    locators: list[Locator]
+    shard_keys: tuple[str, ...]
+    shard: np.ndarray
+    offset: np.ndarray
+    length: np.ndarray
+    label: np.ndarray
     class_index: dict[int, list[int]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.shard_keys = tuple(self.shard_keys)
+        for name in _COLUMNS:
+            column = np.array(getattr(self, name), dtype=np.int64)
+            column.setflags(write=False)
+            setattr(self, name, column)
+        if any(getattr(self, name).shape != (len(self.label),) for name in _COLUMNS):
+            raise DatasetError("locator columns must be 1-D and of one length")
+        if len(self.label) and (
+                self.shard.min() < 0 or self.shard.max() >= len(self.shard_keys)
+                or self.offset.min() < 0 or self.length.min() < 1):
+            raise DatasetError("locator column outside its range")
+
     def __len__(self) -> int:
-        return len(self.locators)
+        return len(self.label)
 
     def labels(self) -> np.ndarray:
-        return np.array([loc.label for loc in self.locators], dtype=np.int64)
+        return self.label
+
+    def _rows(self):
+        """Each sample's (shard key, offset, length, label), as Python values."""
+        keys = self.shard_keys
+        for s, o, n, lb in zip(*(getattr(self, name).tolist() for name in _COLUMNS)):
+            yield keys[s], o, n, lb
+
+    @property
+    def locators(self) -> list[Locator]:
+        """The locators as objects, derived from the columns on each access."""
+        return [Locator(*row) for row in self._rows()]
 
     def to_json(self) -> str:
         payload = {
             "split": self.split,
             "spec": encode(self.spec),
-            "locators": [[l.shard, l.offset, l.length, l.label] for l in self.locators],
+            "locators": [list(row) for row in self._rows()],
             "class_index": {str(c): ids for c, ids in sorted(self.class_index.items())},
         }
         return json.dumps(payload, separators=(",", ":"), sort_keys=True)
@@ -143,13 +183,21 @@ class DatasetManifest:
         payload = json.loads(text)
         try:
             spec = decode(DatasetSpec, payload["spec"])
-            locators = [Locator(s, int(o), int(n), int(lb))
-                        for s, o, n, lb in payload["locators"]]
-            class_index = {int(c): [int(i) for i in ids]
+            rows = payload["locators"]
+            if any(len(row) != 4 for row in rows):
+                raise ValueError("a locator is not [shard, offset, length, label]")
+            keys, offset, length, label = ([row[i] for row in rows] for i in range(4))
+            # each shard key's index, in first-use order
+            index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+            if not all(isinstance(key, str) for key in index):
+                raise TypeError("a locator's shard is not a string")
+            shard = [index[key] for key in keys]
+            class_index = {int(c): list(map(int, ids))
                            for c, ids in payload["class_index"].items()}
-            return cls(split=payload["split"], spec=spec,
-                       locators=locators, class_index=class_index)
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(split=payload["split"], spec=spec, shard_keys=index,
+                       shard=shard, offset=offset, length=length, label=label,
+                       class_index=class_index)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetError(f"malformed manifest: {exc}") from exc
 
 
@@ -244,14 +292,12 @@ def generate_random_dataset(
         split_seed = derive_seed(spec.seed, split)
         labels = _split_labels(split_seed, n, spec.n_classes)
 
-        locators: list[Locator] = []
-        shard_index = 0
-        cursor = 0
-        while cursor < n:
+        nbytes = RECORD_HEADER.size + spec.sample_nbytes
+        ids = np.arange(n, dtype=np.int64)
+        shard_keys = []
+        for cursor in range(0, n, shard_capacity):
             count = min(shard_capacity, n - cursor)
             chunks = [SHARD_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, count)]
-            offset = SHARD_HEADER.size
-            key = shard_key(split, shard_index)
             for sample_id in range(cursor, cursor + count):
                 record = ImageRecord(
                     label=int(labels[sample_id]),
@@ -260,17 +306,16 @@ def generate_random_dataset(
                     channels=spec.channels,
                     pixels=_record_pixels(split_seed, sample_id, spec.sample_nbytes),
                 )
-                blob = pack_record(record)
-                chunks.append(blob)
-                locators.append(Locator(shard=key, offset=offset,
-                                        length=len(blob), label=record.label))
-                offset += len(blob)
-            backend.put(key, b"".join(chunks))
-            shard_index += 1
-            cursor += count
+                chunks.append(pack_record(record))
+            shard_keys.append(shard_key(split, len(shard_keys)))
+            backend.put(shard_keys[-1], b"".join(chunks))
 
+        # every record of a split has one size, so its locators are arithmetic
         manifest = DatasetManifest(
-            split=split, spec=spec, locators=locators,
+            split=split, spec=spec, shard_keys=shard_keys,
+            shard=ids // shard_capacity,
+            offset=SHARD_HEADER.size + ids % shard_capacity * nbytes,
+            length=np.full(n, nbytes), label=labels,
             class_index=build_class_index(labels))
         backend.put(manifest_key(split), manifest.to_json().encode("utf-8"))
         manifests[split] = manifest
@@ -281,14 +326,25 @@ def load_manifest(backend: StorageBackend, split: str) -> DatasetManifest:
     return DatasetManifest.from_json(backend.get(manifest_key(split)))
 
 
+def record_extents(manifest: DatasetManifest,
+                   ids) -> list[tuple[str, ByteRange]]:
+    """The shard key and exact byte range of each sample's record, in order."""
+    ids = np.asarray(ids, dtype=np.int64)
+    outside = (ids < 0) | (ids >= len(manifest))
+    if outside.any():
+        raise IndexError(f"sample id {ids[outside][0]} out of range "
+                         f"[0, {len(manifest)})")
+    keys = manifest.shard_keys
+    start = manifest.offset[ids]
+    return [(keys[s], ByteRange(a, b)) for s, a, b in zip(
+        manifest.shard[ids].tolist(), start.tolist(),
+        (start + manifest.length[ids] - 1).tolist())]
+
+
 def record_extent(manifest: DatasetManifest,
                   sample_id: int) -> tuple[str, ByteRange]:
     """The shard key and exact byte range of one sample's record."""
-    if not 0 <= sample_id < len(manifest.locators):
-        raise IndexError(
-            f"sample id {sample_id} out of range [0, {len(manifest.locators)})")
-    loc = manifest.locators[sample_id]
-    return loc.shard, ByteRange(loc.offset, loc.offset + loc.length - 1)
+    return record_extents(manifest, [sample_id])[0]
 
 
 def read_record(manifest: DatasetManifest, sample_id: int,
@@ -301,9 +357,39 @@ def read_record(manifest: DatasetManifest, sample_id: int,
     if buf is None:
         buf = backend.get(*record_extent(manifest, sample_id))
     record = unpack_record(buf)
-    expected = manifest.locators[sample_id].label
+    expected = int(manifest.label[sample_id])
     if record.label != expected:
         raise DatasetError(
             f"label mismatch for sample {sample_id}: "
             f"record says {record.label}, locator says {expected}")
     return record
+
+
+def decode_records(manifest: DatasetManifest, ids: np.ndarray,
+                   bufs: list[bytes]) -> np.ndarray | None:
+    """The records ``bufs`` of samples ``ids`` as one (B, H, W, C) uint8 array.
+
+    The bytes are joined once and every header is checked at once, by
+    ``read_record``'s rules: ``payload_len`` agrees with the dimensions,
+    the extent is exactly header plus payload, and the label is the
+    manifest's.  The records must also share one shape.  Returns None when
+    any record breaks a rule; ``read_record`` on each in turn then names
+    the first bad one.  The array is a view of the joined bytes.
+    """
+    size = len(bufs[0])
+    if size < RECORD_HEADER.size or any(len(buf) != size for buf in bufs):
+        return None
+    records = np.frombuffer(b"".join(bufs), dtype=np.dtype(
+        RECORD_FIELDS + [("payload", "u1", (size - RECORD_HEADER.size,))]))
+    width, height, channels, payload_len = (
+        records[name].astype(np.int64)
+        for name in ("width", "height", "channels", "payload_len"))
+    valid = ((payload_len == width * height * channels)
+             & (payload_len == size - RECORD_HEADER.size)
+             & (records["label"] == manifest.label[ids])
+             & (width == width[0]) & (height == height[0])
+             & (channels == channels[0]))
+    if not valid.all():
+        return None
+    return records["payload"].reshape(
+        len(bufs), int(height[0]), int(width[0]), int(channels[0]))

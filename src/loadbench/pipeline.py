@@ -7,12 +7,18 @@ pops the leftmost future, so batches arrive strictly in order and their
 bytes depend only on the seeds, never on worker count, prefetch depth, or
 backend latency.  No more than ``prefetch_depth`` batches of an epoch are
 queued, being built, or finished but undelivered.  With zero workers each
-batch is built in the caller when it is asked for.  A build reads its
-batch's records with one ``backend.get_many`` call (concurrent over HTTP),
-decodes each as it arrives, in id order, and then builds the whole batch
-at once with ``apply_stack_batch``: the per-sample seeds and draws, the
-uint8 gather and the float32 normalize run as array operations over the
-batch, not per sample.
+batch is built in the caller when it is asked for.
+
+A build works on the whole batch at every stage.  Its record extents come
+from indexing the manifest's locator columns with the batch's ids, and one
+``backend.get_many`` call reads them (concurrently over HTTP); a failed
+read raises ``WorkerError`` for its sample.  ``decode_records`` joins the
+records into one array, checks every header with array operations and
+gives the pixels as one (B, H, W, C) uint8 view.  When a check fails,
+``read_record`` runs on the batch's records in order, so the error names
+the first bad record with that record's own ``DatasetError``.
+``apply_stack_batch`` then casts, flips, normalizes and cuts out the whole
+batch, and the labels come from the manifest's label column.
 
 One consumer owns the loader.  Iterating it yields one epoch; iterating
 again starts the next epoch with a fresh per-epoch shuffle and abandons what
@@ -37,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DatasetManifest, read_record, record_extent
+from .dataset import (DatasetManifest, ImageRecord, decode_records,
+                      read_record, record_extents)
 from .sampling import SamplerConfig, replica_order
 from .storage import StorageBackend
 from .transforms import TransformConfig, apply_stack_batch, sample_seeds
@@ -182,27 +189,46 @@ class DataLoader:
                      ids: np.ndarray) -> Batch:
         sids = ids.tolist()
         tcfg = self.config.transform
-        records = []
+        bufs: list[bytes] = []
         # one backend call reads every record of the batch, in id order
         with closing(self.backend.get_many(
-                [record_extent(self.manifest, sid) for sid in sids])) as bufs:
+                record_extents(self.manifest, ids))) as reads:
             for sid in sids:
                 try:
-                    records.append(read_record(self.manifest, sid,
-                                               self.backend, next(bufs)))
+                    bufs.append(next(reads))
                 except Exception as exc:
+                    # a bad record read before the failed one fails first
+                    self._read_each(sids, bufs)
                     raise WorkerError(sid, exc) from exc
+        pixels = decode_records(self.manifest, ids, bufs)
+        if pixels is None:
+            # a header check failed: name the first bad record and its error
+            first = self._read_each(sids, bufs)[0]
+            height, width = first.height, first.width
+        else:
+            height, width = pixels.shape[1:3]
         # A stack that does not fit the images fails on the batch's first
         # sample, the one a per-sample build would have failed on.
-        first = records[0]
         try:
-            tcfg.resolved_cutout_side(first.height, first.width)
+            tcfg.resolved_cutout_side(height, width)
         except ValueError as exc:
             raise WorkerError(sids[0], exc) from exc
-        X = apply_stack_batch(records, tcfg,
-                              sample_seeds(tcfg.seed, epoch, ids))
-        y = np.array([r.label for r in records], dtype=np.int64)
-        return Batch(X=X, y=y, batch_index=batch_index, ids=ids)
+        if pixels is None:  # every record is sound, so their shapes differ
+            raise ValueError("heterogeneous sample shapes")
+        X = apply_stack_batch(pixels, tcfg, sample_seeds(tcfg.seed, epoch, ids))
+        return Batch(X=X, y=self.manifest.label[ids], batch_index=batch_index,
+                     ids=ids)
+
+    def _read_each(self, sids: list[int], bufs: list[bytes]) -> list[ImageRecord]:
+        """``read_record`` over the fetched records in order; the first
+        failure raises ``WorkerError`` for its sample."""
+        records = []
+        for sid, buf in zip(sids, bufs):
+            try:
+                records.append(read_record(self.manifest, sid, self.backend, buf))
+            except Exception as exc:
+                raise WorkerError(sid, exc) from exc
+        return records
 
     def next_batch(self) -> Batch | None:
         """The next batch in order, or None at end of epoch (and after shutdown)."""

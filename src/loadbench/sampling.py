@@ -100,11 +100,11 @@ def epoch_order(config: SamplerConfig, manifest: DatasetManifest, epoch: int,
         if config.scan_storage:
             if backend is None:
                 raise ValueError("scan_storage naive filter needs a backend")
-            labels = [read_record(manifest, i, backend).label for i in range(n)]
+            labels = np.array([read_record(manifest, i, backend).label
+                               for i in range(n)], dtype=np.int64)
         else:
-            labels = [loc.label for loc in manifest.locators]
-        ids = np.array([i for i, label in enumerate(labels)
-                        if label in config.classes], dtype=np.int64)
+            labels = manifest.labels()
+        ids = np.flatnonzero(np.isin(labels, list(config.classes)))
     return SampleOrder(_shuffled(ids, config.seed, epoch))
 
 

@@ -1,19 +1,20 @@
 """Classification transform stack: flip, normalize, cutout, tensor layout.
 
-Images enter as raw (H, W, C) uint8 records and leave as float32 (C, H, W)
+Images enter as raw (H, W, C) uint8 pixels and leave as float32 (C, H, W)
 arrays.  The random steps (flip decision, cutout center) are driven by a
-per-sample seed, so the augmented output is a pure function of (record,
+per-sample seed, so the augmented output is a pure function of (pixels,
 config, seed) no matter which worker computes it or which batch it is in.
 
-The stack has one implementation, ``apply_stack_batch``, which builds a
-whole batch with array operations: seeds and draws for every sample at
-once, one uint8 gather that mirrors the flipped images as it copies them,
-one cast to a float32 (B, C, H, W) output that is then scaled and
-normalized in place, and cutout by slice assignment.  ``apply_stack`` is
-its one-record case.  Every element goes through the same float32
-operations in the same order as the single-image steps below
-(``to_tensor``, ``horizontal_flip``, ``normalize``, ``cutout``), so
-the two give the same bytes.
+The stack has one implementation, ``apply_stack_batch``, which takes a
+whole batch as one (B, H, W, C) uint8 array, such as the view the loader
+decodes a batch's records into.  It draws the seeds' random numbers for
+every sample at once.  One ``np.copyto`` per sample casts the image to
+float32 in the transposed (C, H, W) layout, reading the flipped images
+mirrored; the float32 output is then scaled and normalized in place, and
+cutout is a slice assignment.  ``apply_stack`` is its one-record case.
+Every element goes through the same float32 operations in the same order
+as the single-image steps below (``to_tensor``, ``horizontal_flip``,
+``normalize``, ``cutout``), so the two give the same bytes.
 """
 
 from __future__ import annotations
@@ -118,30 +119,26 @@ def _draws(seeds: np.ndarray, k: int) -> np.ndarray:
     return mix64_array(seeds + np.uint64((k * GAMMA) & MASK64))
 
 
-def apply_stack_batch(records, config: TransformConfig,
+def apply_stack_batch(pixels: np.ndarray, config: TransformConfig,
                       seeds) -> np.ndarray:
-    """to_tensor -> flip -> normalize -> cutout over a batch of records.
+    """to_tensor -> flip -> normalize -> cutout over a batch of images.
 
-    ``seeds`` holds one seed per record.  Each sample draws from
-    ``SplitMix64(seed)`` in a fixed order: one uniform for the flip
-    decision, then the cutout center row and column (drawn only when the
-    cutout square is non-empty).  Returns a float32 (B, C, H, W) array.
+    ``pixels`` is a (B, H, W, C) uint8 array, any strides, and ``seeds``
+    holds one seed per image.  Each sample draws from ``SplitMix64(seed)``
+    in a fixed order: one uniform for the flip decision, then the cutout
+    center row and column (drawn only when the cutout square is
+    non-empty).  Returns a float32 (B, C, H, W) array.
     """
-    first = records[0]
-    height, width, channels = first.height, first.width, first.channels
-    if any((r.height, r.width, r.channels) != (height, width, channels)
-           for r in records):
-        raise ValueError("heterogeneous sample shapes")
+    count, height, width, channels = pixels.shape
     side = config.resolved_cutout_side(height, width)
     seeds = np.asarray(seeds, dtype=np.uint64)
     unit = (_draws(seeds, 1) >> np.uint64(11)) * (1.0 / (1 << 53))
     flips = (unit < config.flip_probability).tolist()
 
-    raw = np.empty((len(records), height, width, channels), dtype=np.uint8)
-    for dst, record, flip in zip(raw, records, flips):
-        img = record.to_array()
-        dst[...] = img[:, ::-1] if flip else img
-    out = raw.transpose(0, 3, 1, 2).astype(np.float32, order="C")
+    # the cast to float32 transposes each image and mirrors the flipped ones
+    out = np.empty((count, channels, height, width), dtype=np.float32)
+    for dst, img, flip in zip(out, pixels.transpose(0, 3, 1, 2), flips):
+        np.copyto(dst, img[:, :, ::-1] if flip else img)
     out /= np.float32(255.0)
     out -= np.asarray(config.mean, dtype=np.float32).reshape(-1, 1, 1)
     out /= np.asarray(config.std, dtype=np.float32).reshape(-1, 1, 1)
@@ -158,4 +155,4 @@ def apply_stack_batch(records, config: TransformConfig,
 def apply_stack(record: ImageRecord, config: TransformConfig,
                 seed: int) -> TensorImage:
     """The stack applied to one record: ``apply_stack_batch``'s B = 1 case."""
-    return apply_stack_batch([record], config, [seed])[0]
+    return apply_stack_batch(record.to_array()[None], config, [seed])[0]

@@ -227,9 +227,9 @@ def test_label_mismatch_detected():
                        channels=1, n_classes=4, seed=2)
     backend = MemoryBackend()
     manifests = generate_random_dataset(spec, backend)
-    manifest = manifests["train"]
-    loc = manifest.locators[0]
-    object.__setattr__(loc, "label", (loc.label + 1) % spec.n_classes)
+    label = manifests["train"].label.copy()
+    label[0] = (label[0] + 1) % spec.n_classes
+    manifest = dataclasses.replace(manifests["train"], label=label)
     with pytest.raises(DatasetError):
         read_record(manifest, 0, backend)
 

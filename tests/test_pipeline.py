@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import struct
 import threading
 import time
 
@@ -7,10 +8,14 @@ import numpy as np
 import pytest
 
 from loadbench.dataset import (
+    RECORD_HEADER,
+    DatasetError,
     DatasetSpec,
     ImageRecord,
     generate_random_dataset,
     pack_record,
+    read_record,
+    record_extent,
 )
 from loadbench.pipeline import (
     Batch,
@@ -406,12 +411,11 @@ def test_http_read_failure_carries_first_sample_id(tiny_dataset, workers):
     manifest = manifests["train"]
     config = _loader_config(batch_size=4, num_workers=workers)
     second = replica_order(config.sampler, manifest, 0).ids[4:8].tolist()
-    locators = list(manifest.locators)
+    offset = manifest.offset.copy()
     for victim in (second[1], second[3]):
-        loc = locators[victim]
-        past_end = LocalBackend(root).size(loc.shard) - loc.length + 1
-        locators[victim] = dataclasses.replace(loc, offset=past_end)
-    broken = dataclasses.replace(manifest, locators=locators)
+        loc = manifest.locators[victim]
+        offset[victim] = LocalBackend(root).size(loc.shard) - loc.length + 1
+    broken = dataclasses.replace(manifest, offset=offset)
     before = set(threading.enumerate())
     with serve(root) as server:
         backend = HTTPBackend(server.endpoint)
@@ -426,23 +430,115 @@ def test_http_read_failure_carries_first_sample_id(tiny_dataset, workers):
     assert isinstance(err.value.cause, RangeError)
 
 
+def _bad_payload_len(backend, manifest, victim):
+    # the record's payload_len field says one byte more than its dimensions
+    key, extent = record_extent(manifest, victim)
+    shard = bytearray(backend.get(key))
+    field = extent.start + RECORD_HEADER.size - 4
+    payload_len = struct.unpack_from("<I", shard, field)[0]
+    struct.pack_into("<I", shard, field, payload_len + 1)
+    backend.put(key, bytes(shard))
+    return manifest
+
+
+def _bad_label(backend, manifest, victim):
+    label = manifest.label.copy()
+    label[victim] = (label[victim] + 1) % manifest.spec.n_classes
+    return dataclasses.replace(manifest, label=label)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("corrupt", [_bad_label, _bad_payload_len])
+def test_bad_record_names_the_first_in_batch_order(tiny_dataset, workers,
+                                                   corrupt):
+    # two records of the second batch fail read_record's checks; the
+    # error names the one that comes first and carries read_record's error
+    root, manifests = tiny_dataset
+    config = _loader_config(batch_size=4, num_workers=workers)
+    second = replica_order(config.sampler, manifests["train"], 0).ids[4:8].tolist()
+    backend = MemoryBackend.load(LocalBackend(root))
+    manifest = manifests["train"]
+    for victim in (second[3], second[1]):
+        manifest = corrupt(backend, manifest, victim)
+    with pytest.raises(DatasetError) as direct:
+        read_record(manifest, second[1], backend)
+    before = set(threading.enumerate())
+    with DataLoader(config, manifest, backend) as loader:
+        assert len(loader.next_batch()) == 4
+        with pytest.raises(WorkerError) as err:
+            loader.next_batch()
+    _assert_new_workers_exit(before)
+    assert err.value.sample_id == second[1]
+    assert isinstance(err.value.cause, DatasetError)
+    assert str(err.value.cause) == str(direct.value)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_bad_record_and_failed_read_fail_in_batch_order(tiny_dataset, workers,
+                                                        bad_first):
+    # one record of the second batch fails its label check and a later (or
+    # earlier) one fails its read: the error is the one that comes first
+    root, manifests = tiny_dataset
+    config = _loader_config(batch_size=4, num_workers=workers)
+    second = replica_order(config.sampler, manifests["train"], 0).ids[4:8].tolist()
+    bad, failed = (second[1], second[2]) if bad_first else (second[2], second[1])
+    manifest = _bad_label(None, manifests["train"], bad)
+    shard, extent = record_extent(manifest, failed)
+    backend = _PoisonBackend(LocalBackend(root), extent, shard)
+    with DataLoader(config, manifest, backend) as loader:
+        assert len(loader.next_batch()) == 4
+        with pytest.raises(WorkerError) as err:
+            loader.next_batch()
+    assert err.value.sample_id == second[1]
+    assert isinstance(err.value.cause, DatasetError if bad_first else StorageError)
+
+
+def test_tracer_hooks_stay_bound():
+    # perfbench/spans.py traces a run by rebinding these names on the module
+    import loadbench.pipeline as pipeline
+    for name in ("read_record", "apply_stack", "sample_seed", "collate",
+                 "replica_order"):
+        assert callable(getattr(pipeline, name, None)), name
+
+
+def _odd_record_loader(root, manifest, config, width, height):
+    # the record at position 6 of the epoch is width x height x 3, put in a
+    # shard of its own; the loader reads from memory
+    victim = replica_order(config.sampler, manifest, 0).ids[6]
+    backend = MemoryBackend.load(LocalBackend(root))
+    label = int(manifest.label[victim])
+    blob = pack_record(ImageRecord(label=label, width=width, height=height,
+                                   channels=3, pixels=bytes(width * height * 3)))
+    backend.put("train/odd.bin", blob)
+    shard, offset, length = (manifest.shard.copy(), manifest.offset.copy(),
+                             manifest.length.copy())
+    shard[victim], offset[victim], length[victim] = (
+        len(manifest.shard_keys), 0, len(blob))
+    odd = dataclasses.replace(
+        manifest, shard_keys=manifest.shard_keys + ("train/odd.bin",),
+        shard=shard, offset=offset, length=length)
+    return DataLoader(config, odd, backend)
+
+
 @pytest.mark.parametrize("workers", [0, 2])
 def test_record_of_another_shape_fails_its_batch(tiny_dataset, workers):
     # one record of the second batch is 5 pixels wide instead of 8
     root, manifests = tiny_dataset
-    manifest = manifests["train"]
     config = _loader_config(batch_size=4, num_workers=workers)
-    victim = replica_order(config.sampler, manifest, 0).ids[6]
-    backend = MemoryBackend.load(LocalBackend(root))
-    label = manifest.locators[victim].label
-    blob = pack_record(ImageRecord(label=label, width=5, height=6, channels=3,
-                                   pixels=bytes(90)))
-    backend.put("train/odd.bin", blob)
-    locators = list(manifest.locators)
-    locators[victim] = dataclasses.replace(
-        locators[victim], shard="train/odd.bin", offset=0, length=len(blob))
-    odd = dataclasses.replace(manifest, locators=locators)
-    with DataLoader(config, odd, backend) as loader:
+    with _odd_record_loader(root, manifests["train"], config, 5, 6) as loader:
+        assert len(loader.next_batch()) == 4
+        with pytest.raises(ValueError, match="heterogeneous sample shapes"):
+            loader.next_batch()
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_record_of_transposed_shape_fails_its_batch(tiny_dataset, workers):
+    # one record of the second batch is 6 x 8 instead of 8 x 6: its extent
+    # has the batch's length, so only the header's dimensions tell
+    root, manifests = tiny_dataset
+    config = _loader_config(batch_size=4, num_workers=workers)
+    with _odd_record_loader(root, manifests["train"], config, 6, 8) as loader:
         assert len(loader.next_batch()) == 4
         with pytest.raises(ValueError, match="heterogeneous sample shapes"):
             loader.next_batch()

@@ -3,7 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadbench.dataset import ImageRecord
+from loadbench.dataset import (
+    SHARD_HEADER,
+    SHARD_MAGIC,
+    SHARD_VERSION,
+    DatasetManifest,
+    DatasetSpec,
+    ImageRecord,
+    build_class_index,
+    pack_record,
+)
+from loadbench.pipeline import DataLoader, LoaderConfig
+from loadbench.sampling import SamplerConfig
+from loadbench.storage import MemoryBackend
 from loadbench.prng import SplitMix64, derive_seed, stream_bytes
 from loadbench.transforms import (
     TransformConfig,
@@ -207,7 +219,8 @@ def _batches(draw):
 @given(_batches())
 def test_batch_stack_matches_per_sample_oracle(case):
     records, config, seeds = case
-    out = apply_stack_batch(records, config, np.array(seeds, dtype=np.uint64))
+    pixels = np.stack([r.to_array() for r in records])
+    out = apply_stack_batch(pixels, config, np.array(seeds, dtype=np.uint64))
     expected = np.stack([_oracle_stack(r, config, s)
                          for r, s in zip(records, seeds)])
     assert out.dtype == np.float32 and out.flags.c_contiguous
@@ -217,10 +230,60 @@ def test_batch_stack_matches_per_sample_oracle(case):
         assert apply_stack(record, config, seed).tobytes() == img.tobytes()
 
 
-def test_batch_stack_rejects_mixed_shapes():
-    records = [_record(8, 8, 3), _record(8, 8, 1)]
-    with pytest.raises(ValueError, match="heterogeneous sample shapes"):
-        apply_stack_batch(records, TransformConfig(), sample_seeds(0, 0, [0, 1]))
+@st.composite
+def _datasets(draw):
+    channels = draw(st.sampled_from([1, 3]))
+    height = draw(st.integers(1, 9))
+    width = draw(st.sampled_from([1, 3, 5, 7, 8, 13]))
+    n = draw(st.integers(1, 20))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pixel_seed = draw(st.integers(0, 2**64 - 1))
+    records = [_record(width, height, channels,
+                       stream_bytes(derive_seed(pixel_seed, i),
+                                    width * height * channels), label)
+               for i, label in enumerate(labels)]
+    transform = TransformConfig(
+        flip_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        cutout_side=draw(st.sampled_from([0, None, min(height, width)])),
+        seed=draw(st.integers(0, 2**64 - 1)))
+    loader = LoaderConfig(batch_size=draw(st.integers(1, 8)),
+                          sampler=SamplerConfig(seed=draw(st.integers(0, 99))),
+                          transform=transform)
+    return records, loader, draw(st.integers(0, 1000))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_datasets())
+def test_loader_batches_match_per_sample_oracle(case):
+    # the loader's decode and stack against the oracle on each packed record
+    records, config, epoch = case
+    blobs = [pack_record(r) for r in records]
+    key = "train/shard-00000.dlbs"
+    backend = MemoryBackend()
+    backend.put(key, SHARD_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, len(blobs))
+                + b"".join(blobs))
+    first = records[0]
+    labels = [r.label for r in records]
+    manifest = DatasetManifest(
+        split="train",
+        spec=DatasetSpec(n_train=len(records), n_val=0, n_test=0,
+                         width=first.width, height=first.height,
+                         channels=first.channels, n_classes=4, seed=0),
+        shard_keys=(key,), shard=np.zeros(len(blobs)),
+        offset=SHARD_HEADER.size + np.cumsum([0] + [len(b) for b in blobs[:-1]]),
+        length=[len(b) for b in blobs], label=labels,
+        class_index=build_class_index(labels))
+    loader = DataLoader(config, manifest, backend)
+    loader.start_epoch(epoch)
+    seen = []
+    while (batch := loader.next_batch()) is not None:
+        for img, label, sid in zip(batch.X, batch.y.tolist(), batch.ids.tolist()):
+            seed = sample_seed(config.transform.seed, epoch, sid)
+            expected = _oracle_stack(records[sid], config.transform, seed)
+            assert img.tobytes() == expected.tobytes()
+            assert label == records[sid].label
+            seen.append(sid)
+    assert sorted(seen) == list(range(len(records)))
 
 
 @settings(deadline=None, max_examples=200)
