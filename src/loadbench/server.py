@@ -18,16 +18,17 @@ Wire protocol (path-style keys, no auth):
 
 One thread serves every connection from a selector loop.  Connections are
 persistent (HTTP/1.1 keep-alive), and each carries one request at a time,
-so pipelined requests are answered in order.  The loop parses a request
-line and its headers itself, by the rules the client reads a response head
-with: a request line over 64 KiB answers 414, a header line over 64 KiB or
-more than 100 headers 431, a malformed request line or a header line
-without a colon 400, and a connection that ends before the head's blank
-line, or before a PUT's whole body, gets no reply.  It closes the
-connection after an HTTP/1.0 request, ``Connection: close`` or any error it
-answers before the request is parsed.  A response's status line and headers
-go out with its body in one ``sendmsg`` as far as the socket takes them; an
-error reply has no body.  The sockets set TCP_NODELAY, so a reply leaves at
+so pipelined requests are answered in order.  The loop reads a request's
+head with the client's own head reader (``storage._HeadReader``), which
+looks at each received byte once and splits the head in one pass once its
+blank line has arrived: a request line over 64 KiB answers 414, a header
+line over 64 KiB or more than 100 headers 431, a malformed request line or
+a header line without a colon 400, and a connection that ends before the
+head's blank line, or before a PUT's whole body, gets no reply.  It closes
+the connection after an HTTP/1.0 request, ``Connection: close`` or any
+error it answers before the request is parsed.  A response's status line
+and headers go out with its body in one ``sendmsg`` as far as the socket
+takes them; an error reply has no body.  The sockets set TCP_NODELAY, so a reply leaves at
 once instead of waiting on the client's ACK of an earlier one.
 
 A GET or HEAD makes at most one backend call: the server asks the backend
@@ -38,7 +39,13 @@ An optional ``LatencyModel`` delays each request before it is served, which
 is how the remote-storage experiments dial in AWS-like or LAN-like round
 trips.  The loop draws each request's sample as the request arrives and
 answers it once that deadline passes, so concurrent requests pay their
-latency in parallel rather than queueing behind one another.
+latency in parallel rather than queueing behind one another.  A held
+request's connection stays registered for reads, so a request costs no
+change to the selector.  Bytes that arrive during the hold are buffered,
+not parsed, until the reply is out.  The client's end of stream (a
+half-close) stops the reading; the reply still goes out, and then the
+connection closes.  A reset closes the connection at once, and its request
+is never answered nor read from the backend.
 """
 
 from __future__ import annotations
@@ -55,12 +62,12 @@ from contextlib import suppress
 from email.utils import formatdate
 from http import HTTPStatus
 from pathlib import Path
-from urllib.parse import unquote, urlparse, parse_qs
+from urllib.parse import parse_qs, unquote
 
 from .storage import (
-    _MAX_HEADERS,
-    _MAX_LINE,
     _RECV_BYTES,
+    _BadHead,
+    _HeadReader,
     ByteRange,
     LatencyModel,
     LocalBackend,
@@ -74,6 +81,7 @@ _SERVER = f"loadbench-store/0.1 Python/{sys.version.split()[0]}"
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 _METHODS = ("GET", "HEAD", "PUT")
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_OBJECT = "Content-Type: application/octet-stream\r\nAccept-Ranges: bytes\r\n"
 
 
 def _parse_range(header: str, total: int) -> ByteRange:
@@ -96,22 +104,14 @@ def _parse_range(header: str, total: int) -> ByteRange:
     return ByteRange(max(0, total - int(suffix)))
 
 
-class _Reject(Exception):
-    """A request head the server refuses: answered with ``status``, and the
-    connection closes."""
-
-    def __init__(self, status: int) -> None:
-        super().__init__(status)
-        self.status = status
-
-
 class _Conn:
     """One client connection and the request it carries.
 
     ``inbuf`` holds the bytes received and not yet consumed, ``out`` the
     reply buffers not yet sent.  The request's ``method`` is None until its
-    line is read, and ``length`` is -1 until its head ends; then it is the
-    body bytes a PUT waits for, or None for a malformed Content-Length.
+    head is read, and ``length`` is -1 until then; then it is the body bytes
+    a PUT waits for, or None for a malformed Content-Length.  A request is
+    ``held`` from when it is complete until its reply is queued.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -121,50 +121,37 @@ class _Conn:
         self.events = 0         # what the selector watches it for
         self.since = 0.0        # when it last began to wait for bytes
         self.closing = False    # it closes once ``out`` is sent
+        self.eof = False        # the client has sent all it will send
+        self.reader = _HeadReader()  # reads each request's head from inbuf
         self.next_request()
 
     def next_request(self) -> None:
-        self.pos = 0            # where the head's unread lines start in inbuf
         self.method: str | None = None
         self.target = self.version = ""
         self.fields: dict[str, str] = {}
-        self.lines = 0
         self.length: int | None = -1
         self.body: bytes | None = None
+        self.held = False
         self.close_connection = False  # HTTP/1.0 or ``Connection: close``
 
     def parse(self) -> bool:
-        """Parse the complete lines of the request's head; True once the
-        head has ended and ``inbuf`` holds the whole body.  A head the server
-        refuses raises _Reject."""
-        buf, pos = self.inbuf, self.pos
-        while self.length == -1:
-            end = buf.find(b"\n", pos) + 1
-            if end - pos > _MAX_LINE or (not end and len(buf) - pos > _MAX_LINE):
-                raise _Reject(414 if self.method is None else 431)
-            if not end:
-                self.pos = pos
+        """Read the request's head once it is complete; True once it is
+        and ``inbuf`` holds the whole body.  A head the server refuses raises
+        _BadHead with the status that answers it."""
+        if self.length == -1:
+            head = self.reader.read(self.inbuf)
+            if head is None:
                 return False
-            line, pos = buf[pos:end], end
-            if self.method is None:
-                self._request_line(line)
-            elif line in (b"\r\n", b"\n"):
-                del buf[:pos]
-                self._end_head()
-            else:
-                name, colon, value = line.decode("latin-1").partition(":")
-                if not colon:
-                    raise _Reject(400)
-                self.lines += 1
-                if self.lines > _MAX_HEADERS:
-                    raise _Reject(431)
-                self.fields[name.strip().lower()] = value.strip()
-        return self.length is None or len(buf) >= self.length
+            line, self.fields, end = head
+            del self.inbuf[:end]
+            self._request_line(line)
+            self._end_head()
+        return self.length is None or len(self.inbuf) >= self.length
 
-    def _request_line(self, line: bytearray) -> None:
-        words = line.decode("latin-1").split()
+    def _request_line(self, line: str) -> None:
+        words = line.split()
         if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
-            raise _Reject(400)
+            raise _BadHead(400, f"malformed request line {line[:80]!r}")
         self.method, target, self.version = words
         # as http.server does: a leading '//' would parse as a host
         self.target = "/" + target.lstrip("/") if target.startswith("//") else target
@@ -177,7 +164,7 @@ class _Conn:
                 and self.version == "HTTP/1.1"):
             self.out.append(_CONTINUE)
         if self.method not in _METHODS:
-            raise _Reject(501)
+            raise _BadHead(501, f"method {self.method!r} not implemented")
         self.length = 0
         if self.method == "PUT":
             length = fields.get("content-length", "0")
@@ -329,7 +316,7 @@ class ObjectServer:
     def _close_idle(self) -> None:
         now = time.monotonic()
         for conn in [conn for conn in self._conns if conn.events == selectors.EVENT_READ
-                     and now - conn.since >= self._idle_timeout]:
+                     and not conn.held and now - conn.since >= self._idle_timeout]:
             self._close(conn)
 
     def _read(self, conn: _Conn) -> None:
@@ -337,8 +324,14 @@ class ObjectServer:
             data = conn.sock.recv(_RECV_BYTES)
         except BlockingIOError:
             return
-        except OSError:
+        except OSError:  # a reset: a held request goes unanswered
             return self._close(conn)
+        if conn.held:  # parsed once the reply is out, as is the end of stream
+            conn.inbuf += data
+            conn.eof = not data
+            if conn.eof or len(conn.inbuf) >= _RECV_BYTES:
+                self._watch(conn, 0)  # no more reading until the reply is out
+            return
         if not data:  # a request cut short gets no reply, and stores nothing
             return self._close(conn)
         conn.inbuf += data
@@ -346,47 +339,54 @@ class ObjectServer:
 
     def _advance(self, conn: _Conn) -> None:
         """Read ``conn``'s next request as far as its bytes go: refuse it,
-        wait for more, or hold it for its latency once it is complete."""
+        wait for more, or hold it for its latency once it is complete.  The
+        connection stays watched for reads while its request is held."""
         try:
             complete = conn.parse()
-        except _Reject as reject:
+        except _BadHead as bad:  # answered, and the connection closes
             conn.close_connection = True
-            return self._reply(conn, reject.status)
+            return self._reply(conn, bad.status)
         if conn.out:  # a "100 Continue": reading goes on once it is sent
             return self._send(conn)
         if not complete:
+            if conn.eof:  # a request cut short gets no reply, and stores nothing
+                return self._close(conn)
             conn.since = time.monotonic()
             return self._watch(conn, selectors.EVENT_READ)
-        self._watch(conn, 0)
+        self._watch(conn, 0 if conn.eof else selectors.EVENT_READ)
         if conn.length:
             conn.body = bytes(conn.inbuf[:conn.length])
             del conn.inbuf[:conn.length]
+        conn.held = True
         deadline = time.monotonic() + self.latency.sample_ms() / 1000.0
         heapq.heappush(self._due, (deadline, next(self._arrivals), conn))
 
     def _answer_due(self) -> None:
-        """Answer every request whose latency has passed."""
+        """Answer every request whose latency has passed, unless a reset
+        closed its connection meanwhile."""
         now = time.monotonic()
         while self._due and self._due[0][0] <= now:
             conn = heapq.heappop(self._due)[2]
-            self._reply(conn, *self._respond(conn))
+            if conn in self._conns:
+                self._reply(conn, *self._respond(conn))
 
-    def _respond(self, conn: _Conn) -> tuple[int, bytes, dict[str, str] | None]:
+    def _respond(self, conn: _Conn) -> tuple[int, bytes, str, int | None]:
         """Make the backend call that ``conn``'s request asks for: the
-        (status, body, headers) of its reply."""
+        status, body and extra header lines of its reply, and a HEAD's
+        Content-Length."""
         total = 0
         try:
-            url = urlparse(conn.target)
-            key = unquote(url.path.lstrip("/"))
+            path, _, query = conn.target.partition("?")
+            key = unquote(path.lstrip("/"))
             if conn.method == "PUT":
                 if conn.length is None:
-                    return 400, b"", None
+                    return 400, b"", "", None
                 self._put_object(key, conn.body or b"")
-                return 200, b"", None
+                return 200, b"", "", None
             if conn.method == "GET" and not key:
-                prefix = parse_qs(url.query).get("prefix", [""])[0]
+                prefix = parse_qs(query).get("prefix", [""])[0]
                 body = "\n".join(self.backend.list(prefix)).encode("utf-8")
-                return 200, body, {"Content-Type": "text/plain; charset=utf-8"}
+                return 200, body, "Content-Type: text/plain; charset=utf-8\r\n", None
             # GET or HEAD of one object: all of it, or the range that a
             # Range header asks for; a HEAD reads no bytes of the object
             total = self._object_size(key)
@@ -397,37 +397,34 @@ class ObjectServer:
             body = (b"" if conn.method == "HEAD"
                     else self.backend.get(key, byte_range))
         except NotFoundError:
-            return 404, b"", None
+            return 404, b"", "", None
         except RangeError:
-            return 416, b"", {"Content-Range": f"bytes */{total}"}
+            return 416, b"", f"Content-Range: bytes */{total}\r\n", None
         except ValueError:  # an invalid key
-            return 400, b"", None
+            return 400, b"", "", None
         except Exception:
-            return 500, b"", None
-        headers = {"Content-Type": "application/octet-stream",
-                   "Accept-Ranges": "bytes"}
-        if conn.method == "HEAD":  # the length that a GET would send
-            headers["Content-Length"] = str(end - start + 1)
+            return 500, b"", "", None
+        # a HEAD says the length that a GET would send
+        length = end - start + 1 if conn.method == "HEAD" else None
         if byte_range is None:
-            return 200, body, headers
-        headers["Content-Range"] = f"bytes {start}-{end}/{total}"
-        return 206, body, headers
+            return 200, body, _OBJECT, length
+        return 206, body, f"{_OBJECT}Content-Range: bytes {start}-{end}/{total}\r\n", length
 
-    def _reply(self, conn: _Conn, status: int, body: bytes = b"",
-               headers: dict[str, str] | None = None) -> None:
-        """Queue a reply to ``conn``'s request and send it; ``headers`` may
-        replace the body's Content-Length.  It says ``Connection: close``
-        when the connection closes after it."""
+    def _reply(self, conn: _Conn, status: int, body: bytes = b"", fields: str = "",
+               length: int | None = None) -> None:
+        """Queue a reply to ``conn``'s request and send it.  ``fields`` are
+        header lines, each ending in CRLF, and ``length`` replaces the
+        body's Content-Length.  The reply says ``Connection: close`` when
+        the connection closes after it."""
         second = int(time.time())
         if second != self._date[0]:  # formatdate drops the fraction too
             self._date = (second, formatdate(second, usegmt=True))
-        fields = {"Server": _SERVER, "Date": self._date[1],
-                  "Content-Length": str(len(body)), **(headers or {})}
-        if conn.close_connection:
-            fields["Connection"] = "close"
-        head = [f"HTTP/1.1 {status} {_PHRASES[status]}",
-                *(f"{name}: {value}" for name, value in fields.items())]
-        conn.out.append("\r\n".join(head).encode("latin-1") + b"\r\n\r\n")
+        close = "Connection: close\r\n" if conn.close_connection else ""
+        conn.out.append(
+            f"HTTP/1.1 {status} {_PHRASES[status]}\r\nServer: {_SERVER}\r\n"
+            f"Date: {self._date[1]}\r\n"
+            f"Content-Length: {len(body) if length is None else length}\r\n"
+            f"{fields}{close}\r\n".encode("latin-1"))
         if body:
             conn.out.append(body)
         conn.closing = conn.close_connection

@@ -7,7 +7,7 @@ pipeline never knows where bytes live.  ``get_many`` reads a list of
 may carry a wait, a delay it holds before it is sent.  By default it runs
 one ``get`` at a time, each when its bytes are asked for, after sleeping its
 wait.  ``HTTPBackend`` runs every request through one small HTTP/1.1 codec
-and a selector loop in the calling thread, on a pool of keep-alive
+and a poll loop in the calling thread, on a pool of keep-alive
 connections shared by its callers: ``get_many`` keeps up to ``_IN_FLIGHT``
 requests in flight and times their waits in the loop, so delayed requests
 overlap too.  ``close()`` releases the connections.
@@ -32,7 +32,8 @@ import heapq
 import http.client
 import itertools
 import math
-import selectors
+import re
+import select
 import socket
 import threading
 import time
@@ -61,19 +62,20 @@ class RangeError(StorageError):
 # Requests an HTTPBackend keeps in flight, and so its most connections.
 # In-process run_loop of perfbench's http-remote workload (64x64x3 images,
 # one ranged GET each, from a server process that holds every request 3 ms;
-# 2 loader workers), 16 repetitions per depth on a 2-vCPU VM.  With the
-# server's selector loop, at 45-71 us of store CPU a GET, 32 gave 4368-5298
-# samples/s (medians of two sweeps 4697 and 4974), 64 gave 5431-6669
-# (5837, 6241), 96 gave 5567-7540 (6247, 6695) and 128 gave 5712-7637
-# (6416, 6947).  At 128 both workers' whole 64-sample batches are in flight
-# at once, the workload's own ceiling, so a deeper setting would only fit
-# the benchmark.  The thread-per-connection server it replaced, at 121-168
-# us a GET, gave 3622-4515 (4059) at 32 and 3777-4919 (4379) at 64, in 8
-# repetitions each.
+# 2 loader workers), 16 repetitions per depth on a 2-vCPU VM, at 41-46 us of
+# client CPU and 47-51 us of store CPU a GET: 32 gave 4678-5213 samples/s
+# (median 4894), 64 gave 5460-6998 (6342), 96 gave 6421-7756 (7040) and
+# 128 gave 6756-7834 (7600).  At 128 both workers' whole 64-sample batches
+# are in flight at once, the workload's own ceiling, so a deeper setting
+# would only fit the benchmark.  Before the one-pass head read, the poll
+# loop and the server's steady read registration (62-69 and 62-72 us a
+# GET), the same sweep, run in turn with it, gave medians of 4352, 5452,
+# 5878 and 6041.
 _IN_FLIGHT = 64
 _MAX_LINE = 65536  # the longest status, request or header line (as http.client)
 _MAX_HEADERS = 100
 _RECV_BYTES = 1 << 16
+_HEAD_END = re.compile(rb"\n\r?\n")  # a head's blank line, after CRLF or bare LF
 
 
 def validate_key(key: str) -> str:
@@ -229,12 +231,73 @@ class MemoryBackend(StorageBackend):
             return len(self._objects[key])
 
 
+class _BadHead(Exception):
+    """An HTTP head that breaks the codec's rules; ``status`` is what a
+    server answers it with."""
+
+    def __init__(self, status: int, reason: str) -> None:
+        super().__init__(reason)
+        self.status = status
+
+
+class _HeadReader:
+    """Reads the HTTP head that a growing buffer starts with.
+
+    Both ends of the object protocol read heads by these rules.  Lines end
+    in CRLF or a bare LF, and field names are kept in lower case.  A line
+    of more than _MAX_LINE bytes with its line ending, more than
+    _MAX_HEADERS header lines, or a header line without a colon raises
+    _BadHead.  Each ``read`` looks only at the bytes added since the last
+    one: it resumes the search for the blank line and checks the lines
+    completed since, so a head is scanned once however it arrives, and none
+    grows without bound.  A complete head is then split in one pass.
+    """
+
+    def __init__(self) -> None:
+        self._scanned = 0  # the buffer's length at the last read
+        self._checked = 0  # where the first line not yet checked starts
+        self._lines = 0    # the lines checked
+
+    def read(self, buf: bytes | bytearray) -> tuple[str, dict[str, str], int] | None:
+        """The first line, the header fields and the length of the head that
+        ``buf`` starts with, once its blank line has arrived, and the reader
+        starts over; None until then."""
+        blank = _HEAD_END.search(buf, max(self._scanned - 2, 0))
+        done = blank.start() + 1 if blank else buf.rfind(b"\n", self._scanned) + 1
+        if done > self._checked:  # lines completed since the last read
+            lines = buf[self._checked:done - 1].split(b"\n")
+            if not self._lines and len(lines[0]) >= _MAX_LINE:
+                raise _BadHead(414, f"a first line over {_MAX_LINE} bytes")
+            self._lines += len(lines)
+            if self._lines > _MAX_HEADERS + 1:
+                raise _BadHead(431, f"more than {_MAX_HEADERS} header lines")
+            if max(map(len, lines)) >= _MAX_LINE:
+                raise _BadHead(431, f"a header line over {_MAX_LINE} bytes")
+            self._checked = done
+        if blank is None:
+            if len(buf) - self._checked >= _MAX_LINE:
+                raise _BadHead(431 if self._lines else 414,
+                               f"a line over {_MAX_LINE} bytes")
+            self._scanned = len(buf)
+            return None
+        self._scanned = self._checked = self._lines = 0
+        first, *lines = buf[:blank.start()].decode("latin-1").split("\n")
+        try:
+            fields = {name.strip().lower(): value.strip()
+                      for name, value in (line.split(":", 1) for line in lines)}
+        except ValueError:  # a line without a colon
+            bad = next(line for line in lines if ":" not in line)
+            raise _BadHead(400, f"malformed header line {bad[:80]!r}") from None
+        return first, fields, blank.end()
+
+
 class _Connection:
     """One keep-alive HTTP/1.1 connection of an ``HTTPBackend``'s pool.
 
     It carries one request at a time.  ``start`` sends a request in one
-    ``sendall``, and ``feed`` parses the response as its bytes arrive: a
-    status line, headers (keyed in lower case) and exactly
+    ``send`` (a body the socket's buffer cannot take waits for room, up to
+    the timeout), and ``feed`` reads the response as its bytes arrive: the
+    head, read by a ``_HeadReader``, then exactly
     ``Content-Length`` body bytes.  Interim (1xx) responses are skipped, and
     HEAD, 204 and 304 have no body.  A malformed or short response raises
     StorageError; a connection that closes before any byte of the response
@@ -254,21 +317,33 @@ class _Connection:
         # http.client opens the socket (TCP_NODELAY, its audit event)
         opener = http.client.HTTPConnection(*self._address)
         opener.connect()
-        self.sock = opener.sock  # it keeps the timeout, for sendall
+        self.sock = opener.sock
+        # Non-blocking, so that a send or a read is one system call: with a
+        # timeout, Python polls the socket before each.  The loop reads only
+        # a socket the poll found readable.
+        self.sock.setblocking(False)
+        self._reader = _HeadReader()
 
-    def start(self, method: str, wire: bytes) -> None:
-        self._method = method
+    def start(self, wire: bytes, bodiless: bool) -> None:
+        """Send a request; ``bodiless`` (a HEAD) means no response body."""
+        self._bodiless = bodiless
         self.received = False
-        self._head, self._pos, self._status, self._lines = b"", 0, 0, 0
-        self._fields: dict[str, str] = {}
-        self._body: list[bytes] = []
+        self._head = b""    # the response head's bytes so far
         self._missing = -1  # body bytes still to come, once the head is read
-        self.sock.sendall(wire)
+        self._body: list[bytes] = []
+        sent = self.sock.send(wire)  # an idle connection's send buffer is empty
+        if sent < len(wire):  # a body larger than the buffer: wait for room
+            self.sock.settimeout(self._address[2])
+            self.sock.sendall(memoryview(wire)[sent:])
+            self.sock.setblocking(False)
 
     def feed(self) -> tuple[int, dict[str, str], bytes] | None:
         """Read what has arrived (call it when the socket is readable); the
         response once it is complete."""
-        data = self.sock.recv(_RECV_BYTES)
+        try:
+            data = self.sock.recv(_RECV_BYTES)
+        except BlockingIOError:  # nothing after all
+            return None
         if not data:
             if not self.received:
                 raise ConnectionError("connection closed before a status line")
@@ -278,8 +353,11 @@ class _Connection:
             raise StorageError(f"body cut short: {got} of {got + self._missing} bytes")
         self.received = True
         if self._missing < 0:
-            data = self._read_head(self._head + data)
-            if self._missing < 0:
+            if self._head:  # the head came in pieces
+                self._head += data
+                data = self._head
+            data = self._read_head(data)
+            if data is None:
                 return None
         self._body.append(data)
         self._missing -= len(data)
@@ -293,41 +371,33 @@ class _Connection:
             self.close()
         return self._status, self._fields, body
 
-    def _read_head(self, buf: bytes) -> bytes:
-        """Parse the head lines in ``buf``; once the head is complete, set
-        the body length and return the bytes after the head."""
-        pos = self._pos
-        while (end := buf.find(b"\n", pos) + 1) and end - pos <= _MAX_LINE:
-            line, pos = buf[pos:end], end
-            if not self._status:
-                words = line.split(None, 2)
-                if (len(words) < 2 or not words[0].startswith(b"HTTP/1.")
-                        or len(words[1]) != 3 or not words[1].isdigit()):
-                    raise StorageError(f"malformed status line {line[:80]!r}")
-                self._status, self._fields, self._lines = int(words[1]), {}, 0
-            elif line not in (b"\r\n", b"\n"):
-                name, colon, value = line.decode("latin-1").partition(":")
-                if not colon:
-                    raise StorageError(f"malformed header line {line[:80]!r}")
-                self._lines += 1
-                if self._lines > _MAX_HEADERS:
-                    raise StorageError(f"more than {_MAX_HEADERS} header lines")
-                self._fields[name.lower()] = value.strip()
-            elif self._status < 200:  # an interim response; the final one follows
-                self._status = 0
-            else:
-                self._missing = 0
-                if self._method != "HEAD" and self._status not in (204, 304):
-                    length = self._fields.get("content-length", "")
-                    if not length.isdecimal():
-                        raise StorageError(
-                            f"HTTP {self._status} without a Content-Length")
-                    self._missing = int(length)
-                return buf[pos:]
-        if len(buf) - pos > _MAX_LINE:
-            raise StorageError(f"a response line over {_MAX_LINE} bytes")
-        self._head, self._pos = buf, pos
-        return b""
+    def _read_head(self, buf: bytes | bytearray) -> bytes | None:
+        """Once ``buf`` holds the final response's whole head, set the
+        status, fields and body length and return the bytes after the head;
+        until then keep ``buf`` and return None."""
+        while True:
+            try:
+                head = self._reader.read(buf)
+            except _BadHead as exc:
+                raise StorageError(str(exc)) from None
+            if head is None:
+                self._head = buf if isinstance(buf, bytearray) else bytearray(buf)
+                return None
+            line, fields, end = head
+            words = line.split(None, 2)
+            if (len(words) < 2 or not words[0].startswith("HTTP/1.")
+                    or len(words[1]) != 3 or not words[1].isdecimal()):
+                raise StorageError(f"malformed status line {line[:80]!r}")
+            status, buf = int(words[1]), buf[end:]
+            if status >= 200:  # a 1xx is interim: the final response follows it
+                break
+        self._status, self._fields, self._missing = status, fields, 0
+        if not self._bodiless and status not in (204, 304):
+            length = fields.get("content-length", "")
+            if not length.isdecimal():
+                raise StorageError(f"HTTP {status} without a Content-Length")
+            self._missing = int(length)
+        return bytes(buf)  # copies only a head that came in pieces
 
     def close(self) -> None:
         sock, self.sock = self.sock, None
@@ -336,8 +406,10 @@ class _Connection:
 
 
 class _Pass:
-    """One call's requests on an ``HTTPBackend``'s connection pool, run by
-    a selector loop in the calling thread.
+    """One call's requests, all of one method, on an ``HTTPBackend``'s
+    connection pool, run by a ``select.poll`` loop in the calling thread.
+    Watching a connection is an entry in the poll object's own table, not a
+    system call as with epoll, so it never lets the interpreter lock go.
 
     Each connection the pass holds carries one request at a time, in
     request order; a request with a wait holds its connection that long
@@ -349,16 +421,19 @@ class _Pass:
     to the pool.
     """
 
-    def __init__(self, backend: "HTTPBackend", requests: list[tuple[str, bytes]],
+    def __init__(self, backend: "HTTPBackend", method: str, wires: list[bytes],
                  waits: list[float] | None) -> None:
         self._backend = backend
-        self._requests = requests
+        self._method = method
+        self._bodiless = method == "HEAD"  # its responses have no body
+        self._wires = wires  # each request's bytes
         self._waits = waits
         self._next = 0  # the next request to get a connection
         self._results: dict[int, tuple | StorageError] = {}
         self._free: list[_Connection] = []  # held, carrying no request
         self._timers: list[tuple[float, int, _Connection]] = []  # sends due
-        self._selector = selectors.DefaultSelector()  # connections reading
+        self._poller = select.poll()  # watches the connections reading
+        self._reading: dict[int, _Connection] = {}  # by socket fd
         self._progress = 0.0  # when a response last moved, or a request went out
 
     def result(self, index: int) -> tuple[int, dict[str, str], bytes]:
@@ -374,52 +449,57 @@ class _Pass:
         return result
 
     def _fill(self, wait: bool) -> None:
-        """Give the next requests the connections the pass holds or the pool
-        has free; block for one only while none is in flight."""
-        while self._next < len(self._requests):
-            if self._free:
-                conn = self._free.pop()
-            else:
-                idle = not self._timers and not self._selector.get_map()
-                conn = self._backend._acquire(wait and idle)
-                if conn is None:
-                    break
-            index, self._next = self._next, self._next + 1
+        """Give the next requests the connections the pass holds free and
+        those the pool can spare, and give the free ones back once every
+        request has one: one hold of the pool's lock at most.  Block for a
+        connection only while the pass holds none."""
+        free, unsent = self._free, len(self._wires) - self._next
+        if unsent > len(free):
+            idle = not free and not self._timers and not self._reading
+            free += self._backend._take(unsent - len(free), wait and idle)
+        while free and self._next < len(self._wires):
+            conn, index = free.pop(), self._next
+            self._next += 1
             wait_s = self._waits[index] if self._waits else 0.0
             if wait_s > 0:
                 heapq.heappush(self._timers, (time.monotonic() + wait_s, index, conn))
             else:
                 self._send(conn, index)
-        while self._free:
-            self._backend._release(self._free.pop())
+        if free:
+            self._backend._give(free)
+            free.clear()
 
     def _send(self, conn: _Connection, index: int) -> None:
-        method, wire = self._requests[index]
         conn.index = index
         try:
             if conn.sock is None:
                 conn.open()
-            conn.start(method, wire)
+            conn.start(self._wires[index], self._bodiless)
         except OSError as exc:
             return self._lost(conn, exc)
         self._progress = time.monotonic()
-        self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+        fd = conn.sock.fileno()
+        self._reading[fd] = conn
+        self._poller.register(fd, select.POLLIN)
+
+    def _unwatch(self, fd: int) -> _Connection:
+        self._poller.unregister(fd)
+        return self._reading.pop(fd)
 
     def _poll(self) -> None:
         timeout = self._backend.timeout
         if self._timers:
             timeout = min(timeout, self._timers[0][0] - time.monotonic())
-        events = self._selector.select(max(timeout, 0.0))
-        for key, _ in events:
-            conn = key.data
+        events = self._poller.poll(max(timeout, 0.0) * 1000.0)
+        for fd, _ in events:
+            conn = self._reading[fd]
             try:
                 response = conn.feed()
             except (OSError, StorageError) as exc:
-                self._selector.unregister(key.fileobj)
-                self._lost(conn, exc)
+                self._lost(self._unwatch(fd), exc)
                 continue
             if response is not None:
-                self._selector.unregister(key.fileobj)
+                self._unwatch(fd)
                 conn.reused = True
                 self._results[conn.index] = response
                 self._free.append(conn)
@@ -432,15 +512,14 @@ class _Pass:
         if now - self._progress >= self._backend.timeout:
             stalled = StorageError(
                 f"transport failure: no response for {self._backend.timeout} s")
-            for key in list(self._selector.get_map().values()):
-                self._selector.unregister(key.fileobj)
-                self._fail(key.data, stalled)
+            for fd in list(self._reading):
+                self._fail(self._unwatch(fd), stalled)
 
     def _lost(self, conn: _Connection, exc: Exception) -> None:
         """``conn`` failed while carrying a request."""
         conn.close()
         if (isinstance(exc, ConnectionError) and conn.reused and not conn.received
-                and self._requests[conn.index][0] in ("GET", "HEAD")):
+                and self._method in ("GET", "HEAD")):
             return self._send(conn, conn.index)  # not reused once it reopens
         self._fail(conn, exc if isinstance(exc, StorageError)
                    else StorageError(f"transport failure: {exc!r}"))
@@ -451,15 +530,15 @@ class _Pass:
         self._free.append(conn)  # it reconnects for the pass's next request
 
     def close(self) -> None:
-        for key in list(self._selector.get_map().values()):
-            self._selector.unregister(key.fileobj)
-            key.data.close()  # its response is due: no later request may read it
-            self._free.append(key.data)
+        for fd in list(self._reading):
+            conn = self._unwatch(fd)
+            conn.close()  # its response is due: no later request may read it
+            self._free.append(conn)
         self._free.extend(conn for _, _, conn in self._timers)
         self._timers.clear()
-        self._selector.close()
-        while self._free:
-            self._backend._release(self._free.pop())
+        if self._free:
+            self._backend._give(self._free)
+            self._free.clear()
 
 
 class HTTPBackend(StorageBackend):
@@ -472,18 +551,20 @@ class HTTPBackend(StorageBackend):
 
     The backend starts no threads.  Every call runs its requests on one
     shared pool of at most ``_IN_FLIGHT`` keep-alive connections, through a
-    selector loop in the calling thread: ``get_many`` keeps as many requests
+    ``select.poll`` loop in the calling thread (so it needs a platform that
+    has one): ``get_many`` keeps as many requests
     in flight as it holds connections and yields the bytes in request
     order, and ``get``, ``put``, ``size`` and ``list`` are passes of one
     request.  A call blocks for a connection only while it has none in
     flight, so concurrent callers share the pool first come, first served.
-    A request goes out in one ``sendall``, and a response must carry exactly ``Content-Length`` body bytes; ``Connection: close``
-    closes the connection after its response.  A GET or HEAD that fails on
-    a reused connection before a status line arrives (the server closed an
-    idle connection) is sent once more on a fresh one; nothing else is
-    retried.  A call that receives nothing for ``timeout`` seconds fails
-    with StorageError.  An invalid key raises ValueError before any request
-    of its call is sent.
+    A request goes out in one ``send`` as a rule, and a response must carry
+    exactly ``Content-Length`` body bytes; ``Connection: close`` closes the
+    connection after its response.  A GET or HEAD that fails on a reused
+    connection before a status line arrives (the server closed an idle
+    connection) is sent once more on a fresh one; nothing else is retried.
+    A call that receives nothing for ``timeout`` seconds fails with
+    StorageError.  An invalid key raises ValueError before any request of
+    its call is sent.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
@@ -504,9 +585,9 @@ class HTTPBackend(StorageBackend):
     def _path(self, key: str) -> str:
         return f"{self._base}/{quote(validate_key(key))}"
 
-    def _acquire(self, wait: bool) -> _Connection | None:
-        """An idle connection or a new one, if the pool has room; else None,
-        or with ``wait``, the first one freed."""
+    def _take(self, wanted: int, wait: bool) -> list[_Connection]:
+        """Up to ``wanted`` connections, idle ones first, then new ones while
+        the pool has room; with ``wait``, block until there is one."""
         with self._room:
             if wait and not self._room.wait_for(
                     lambda: self._idle or self._opened < _IN_FLIGHT or self._closed,
@@ -514,40 +595,22 @@ class HTTPBackend(StorageBackend):
                 raise StorageError(f"no connection free for {self.timeout} s")
             if self._closed:
                 raise StorageError(f"{self.endpoint}: backend is closed")
-            if self._idle:
-                return self._idle.pop()
-            if self._opened < _IN_FLIGHT:
-                self._opened += 1
-                return _Connection(self._address)
-            return None
+            taken = self._idle[-wanted:]
+            del self._idle[-wanted:]
+            new = max(0, min(wanted - len(taken), _IN_FLIGHT - self._opened))
+            self._opened += new
+        return taken + [_Connection(self._address) for _ in range(new)]
 
-    def _release(self, conn: _Connection) -> None:
+    def _give(self, conns: list[_Connection]) -> None:
+        """Return connections to the pool; a closed one frees its place."""
         with self._room:
-            if conn.sock is not None and not self._closed:
-                self._idle.append(conn)
-            else:
-                conn.close()
-                self._opened -= 1
-            self._room.notify()
-
-    def _encode(self, method: str, path: str, headers: tuple[str, ...] = (),
-                body: bytes | None = None) -> tuple[str, bytes]:
-        lines = [f"{method} {path} HTTP/1.1", self._host_line, *headers]
-        if body is not None:
-            lines.append(f"Content-Length: {len(body)}")
-        return method, "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + (body or b"")
-
-    def _exchange(self, requests: list[tuple[str, bytes]],
-                  waits: list[float] | None = None
-                  ) -> Generator[tuple[int, dict[str, str], bytes], None, None]:
-        """Yield the (status, headers, body) of each (method, request bytes)
-        in order; a transport or protocol failure raises at its turn."""
-        run = _Pass(self, requests, waits)
-        try:
-            for index in range(len(requests)):
-                yield run.result(index)
-        finally:
-            run.close()
+            for conn in conns:
+                if conn.sock is not None and not self._closed:
+                    self._idle.append(conn)
+                else:
+                    conn.close()
+                    self._opened -= 1
+            self._room.notify(len(conns))
 
     @staticmethod
     def _check(method: str, path: str, status: int) -> None:
@@ -560,28 +623,41 @@ class HTTPBackend(StorageBackend):
 
     def _request(self, method: str, path: str, body: bytes | None = None
                  ) -> tuple[dict[str, str], bytes]:
-        with closing(self._exchange([self._encode(method, path, body=body)])) as responses:
-            status, fields, data = next(responses)
+        length = "" if body is None else f"Content-Length: {len(body)}\r\n"
+        wire = f"{method} {path} HTTP/1.1\r\n{self._host_line}\r\n{length}\r\n"
+        run = _Pass(self, method, [wire.encode("latin-1") + (body or b"")], None)
+        try:
+            status, fields, data = run.result(0)
+        finally:
+            run.close()
         self._check(method, path, status)
         return fields, data
 
     def get_many(self, requests: list[tuple[str, ByteRange | None]],
                  waits: list[float] | None = None) -> Generator[bytes, None, None]:
-        paths = [self._path(key) for key, _ in requests]
-        ranges = [None if br is None else
-                  f"bytes={br.start}-{'' if br.end is None else br.end}"
-                  for _, br in requests]
-        wires = [self._encode("GET", path, () if spec is None else (f"Range: {spec}",))
-                 for path, spec in zip(paths, ranges)]
-        with closing(self._exchange(wires, waits)) as responses:
-            for (key, br), path, spec, (status, _, data) in zip(
-                    requests, paths, ranges, responses):
-                self._check("GET", path, status)
+        paths: dict[str, str] = {}  # each key validated and quoted once
+        wires = []
+        for key, br in requests:
+            path = paths.get(key)
+            if path is None:
+                path = paths[key] = self._path(key)
+            wires.append((f"GET {path} HTTP/1.1\r\n{self._host_line}\r\n\r\n" if br is None
+                          else f"GET {path} HTTP/1.1\r\n{self._host_line}\r\nRange: bytes="
+                          f"{br.start}-{'' if br.end is None else br.end}\r\n\r\n"
+                          ).encode("latin-1"))
+        run = _Pass(self, "GET", wires, waits)
+        try:
+            for index, (key, br) in enumerate(requests):
+                status, _, data = run.result(index)
+                self._check("GET", paths[key], status)
                 if br is not None and (status != 206 or (
                         br.end is not None and len(data) != br.end - br.start + 1)):
-                    raise StorageError(f"HTTP {status} with {len(data)} bytes for "
-                                       f"{spec} of {key}")
+                    raise StorageError(
+                        f"HTTP {status} with {len(data)} bytes for "
+                        f"bytes={br.start}-{'' if br.end is None else br.end} of {key}")
                 yield data
+        finally:
+            run.close()
 
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
         with closing(self.get_many([(key, byte_range)])) as data:

@@ -1,5 +1,6 @@
 import http.client
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -419,6 +420,62 @@ def test_put_cut_short_stores_nothing(store):
     assert "uploads/short.bin" not in local.list("uploads/")
 
 
+def test_bare_lf_request_is_answered(store):
+    _, local, server = store
+    raw = b"GET /train/shard3.dlbs HTTP/1.1\nRange: bytes=2-9\nConnection: close\n\n"
+    [(status, _, body)] = _responses(_until_close(server, raw))
+    assert status == 206
+    assert body == local.get("train/shard3.dlbs", ByteRange(2, 9))
+
+
+def test_request_line_over_64KiB_414_and_close(store):
+    _, _, server = store
+    raw = b"GET /" + b"a" * (70 << 10) + b" HTTP/1.1\r\n\r\n"
+    [(status, fields, _)] = _responses(_until_close(server, raw))
+    assert status == 414
+    assert fields["connection"] == "close"
+
+
+class _CountingGets(MemoryBackend):
+    gets = 0
+
+    def get(self, key, byte_range=None):
+        self.gets += 1
+        return super().get(key, byte_range)
+
+
+def test_half_closed_client_gets_its_reply_after_the_hold():
+    # the client's end of stream arrives while its request is held
+    with serve(MemoryBackend({"k": b"payload"}),
+               latency=LatencyModel(mean_ms=100.0)) as server, \
+            socket.create_connection((server.host, server.port), timeout=10) as sock:
+        t0 = time.perf_counter()
+        sock.sendall(b"GET /k HTTP/1.1\r\n\r\n")
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+        wall = time.perf_counter() - t0
+    [(status, _, body)] = _responses(b"".join(chunks))
+    assert (status, body) == (200, b"payload")
+    assert wall >= 0.1  # answered once its latency passed, then closed
+
+
+def test_client_reset_during_the_hold_costs_no_backend_read():
+    # an abortive close (RST) reaches the loop while the request is held;
+    # an orderly one cannot be told from a half-close there, so it is answered
+    backend = _CountingGets({"k": b"payload"})
+    with serve(backend, latency=LatencyModel(mean_ms=100.0)) as server:
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(b"GET /k HTTP/1.1\r\n\r\n")
+            time.sleep(0.03)  # the server holds the request
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        time.sleep(0.15)  # past the request's deadline
+        assert backend.gets == 0
+        assert _status(f"{server.endpoint}/k")[::2] == (200, b"payload")
+        assert backend.gets == 1
+
+
 def test_stop_closes_every_connection():
     before = set(threading.enumerate())
     with serve(MemoryBackend({"k": b"v"})) as server, \
@@ -468,6 +525,17 @@ def test_large_object_whole_and_ranged_among_small_gets(tmp_path):
     with serve(tmp_path) as server, closing(HTTPBackend(server.endpoint)) as client:
         got = list(client.get_many(requests))
     assert got == [local.get(key, br) for key, br in requests]
+
+
+def test_client_puts_a_body_larger_than_its_send_buffer(tmp_path):
+    # an 8 MB PUT outgrows the client socket's send buffer, so its first
+    # send takes only part of it and the rest waits for room
+    data = stream_bytes(7, 8 << 20)
+    with serve(tmp_path) as server, closing(HTTPBackend(server.endpoint)) as client:
+        client.put("big.bin", data)
+        assert client.get("big.bin", ByteRange(1 << 20, (2 << 20) - 1)) == \
+            data[1 << 20:2 << 20]
+    assert LocalBackend(tmp_path).get("big.bin") == data
 
 
 def test_keep_alive_connections_add_no_thread(store):

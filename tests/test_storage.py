@@ -660,8 +660,9 @@ _HELLO = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
     (b"HTTP/1.1 206 Partial Content\r\nContent-Length: 5\r\n\r\nhello",
      ByteRange(1, 3), False),
     (_HELLO, ByteRange(1), False),
+    (b"HTTP/1.1 200 OK\r\nNoColon\r\nContent-Length: 5\r\n\r\nhello", None, False),
 ], ids=["eof-mid-body", "no-content-length", "garbage-status-line",
-        "206-short", "206-long", "200-for-a-range"])
+        "206-short", "206-long", "200-for-a-range", "header-without-colon"])
 def test_http_rejects_a_bad_response(reply, byte_range, close):
     # the bad response raises; the next request gets its own bytes, none
     # left over from the bad one
@@ -672,17 +673,29 @@ def test_http_rejects_a_bad_response(reply, byte_range, close):
         assert client.get("k") == b"hello"
 
 
-@pytest.mark.parametrize("reply, ok", [
+_BARE_LF = b"HTTP/1.1 100 Continue\n\nHTTP/1.1 200 OK\nContent-Length: 5\n\nhello"
+
+
+# ok: the reply is read as "hello"; connections: how many the two requests
+# open, 2 when the first reply closes its connection
+@pytest.mark.parametrize("reply, ok, connections", [
     (b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 99 + b"Content-Length: 5\r\n\r\nhello",
-     True),
+     True, 1),
     (b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 100 + b"Content-Length: 5\r\n\r\nhello",
-     False),
-    (b"HTTP/1.1 200 OK\r\nX: " + b"a" * (70 << 10) + b"\r\n" + _HELLO[17:], False),
-    ([bytes([c]) for c in b"HTTP/1.1 100 Continue\r\n\r\n" + _HELLO], True),
-], ids=["100-headers", "101-headers", "70KiB-line", "byte-by-byte"])
-def test_http_response_head_limits_and_pieces(reply, ok):
-    # the client's head limits are the server's; a response may arrive in
+     False, 2),
+    (b"HTTP/1.1 200 OK\r\nX: " + b"a" * (70 << 10) + b"\r\n" + _HELLO[17:], False, 2),
+    ([bytes([c]) for c in b"HTTP/1.1 100 Continue\r\n\r\n" + _HELLO], True, 1),
+    (_BARE_LF, True, 1),
+    ([bytes([c]) for c in _BARE_LF], True, 1),
+    (b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhello", True, 1),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nCONNECTION: close\r\n\r\nhello",
+     True, 2),
+], ids=["100-headers", "101-headers", "70KiB-line", "byte-by-byte", "bare-lf",
+        "bare-lf-byte-by-byte", "lower-case-name", "upper-case-close"])
+def test_http_response_head_limits_and_pieces(monkeypatch, reply, ok, connections):
+    # the client's head rules are the server's; a response may arrive in
     # any number of pieces
+    opened = _count_connects(monkeypatch)
     with _scripted_server((reply, False), (_HELLO, False)) as endpoint, \
             closing(HTTPBackend(endpoint, timeout=5)) as client:
         if ok:
@@ -691,6 +704,50 @@ def test_http_response_head_limits_and_pieces(reply, ok):
             with pytest.raises(StorageError):
                 client.get("k")
         assert client.get("k") == b"hello"
+    assert len(opened) == connections
+
+
+def test_head_reader_looks_at_each_byte_once(monkeypatch):
+    # 99 header lines of 60,000 bytes arrive in 64 KiB pieces, as a socket
+    # delivers them; each read resumes the blank-line search where the last
+    # one stopped instead of starting again at the head's first byte
+    pattern, searched = storage_module._HEAD_END, []
+
+    class Counting:
+        def search(self, buf, pos):
+            searched.append(len(buf) - pos)
+            return pattern.search(buf, pos)
+
+    monkeypatch.setattr(storage_module, "_HEAD_END", Counting())
+    head = (b"GET / HTTP/1.1\r\n"
+            + b"".join(b"X%d: %s\r\n" % (i, b"a" * 60000) for i in range(99)) + b"\r\n")
+    reader, buf, got = storage_module._HeadReader(), bytearray(), None
+    for start in range(0, len(head) + 4, 1 << 16):
+        buf += (head + b"body")[start:start + (1 << 16)]
+        if (got := reader.read(buf)) is not None:
+            break
+    first, fields, end = got
+    assert first.split() == ["GET", "/", "HTTP/1.1"] and end == len(head)
+    assert len(fields) == 99 and fields["x98"] == "a" * 60000
+    assert sum(searched) <= len(buf) + 2 * len(searched)
+
+
+@pytest.mark.parametrize("head, status", [
+    (b"GET /" + b"a" * (70 << 10), 414),
+    (b"GET / HTTP/1.1\r\nX: " + b"a" * (70 << 10), 431),
+    (b"GET / HTTP/1.1\r\n" + b"X: y\r\n" * 101, 431),
+], ids=["70KiB-first-line", "70KiB-header-line", "101-headers"])
+def test_head_reader_refuses_a_head_before_it_ends(head, status):
+    # fed 1 KiB at a time, a head that breaks a limit is refused within a
+    # piece of the limit, without waiting for a blank line
+    reader = storage_module._HeadReader()
+    buf = bytearray()
+    with pytest.raises(storage_module._BadHead) as refused:
+        for start in range(0, len(head), 1024):
+            buf += head[start:start + 1024]
+            assert reader.read(buf) is None
+    assert refused.value.status == status
+    assert len(buf) <= (64 << 10) + 1024 + 16
 
 
 def test_http_skips_interim_responses_and_reads_no_head_body():
