@@ -50,6 +50,7 @@ from .storage import (
     MemoryBackend,
     NotFoundError,
     RangeError,
+    ReadError,
     StorageBackend,
     StorageError,
     StorageStats,

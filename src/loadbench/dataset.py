@@ -327,24 +327,24 @@ def load_manifest(backend: StorageBackend, split: str) -> DatasetManifest:
 
 
 def record_extents(manifest: DatasetManifest,
-                   ids) -> list[tuple[str, ByteRange]]:
-    """The shard key and exact byte range of each sample's record, in order."""
+                   ids) -> list[tuple[str, int, int]]:
+    """The shard key, offset and length of each sample's record, in order:
+    the requests of a ``StorageBackend.read_into`` of the records."""
     ids = np.asarray(ids, dtype=np.int64)
     outside = (ids < 0) | (ids >= len(manifest))
     if outside.any():
         raise IndexError(f"sample id {ids[outside][0]} out of range "
                          f"[0, {len(manifest)})")
-    keys = manifest.shard_keys
-    start = manifest.offset[ids]
-    return [(keys[s], ByteRange(a, b)) for s, a, b in zip(
-        manifest.shard[ids].tolist(), start.tolist(),
-        (start + manifest.length[ids] - 1).tolist())]
+    keys = map(manifest.shard_keys.__getitem__, manifest.shard[ids].tolist())
+    return list(zip(keys, manifest.offset[ids].tolist(),
+                    manifest.length[ids].tolist()))
 
 
 def record_extent(manifest: DatasetManifest,
                   sample_id: int) -> tuple[str, ByteRange]:
     """The shard key and exact byte range of one sample's record."""
-    return record_extents(manifest, [sample_id])[0]
+    key, offset, length = record_extents(manifest, [sample_id])[0]
+    return key, ByteRange(offset, offset + length - 1)
 
 
 def read_record(manifest: DatasetManifest, sample_id: int,
@@ -366,20 +366,22 @@ def read_record(manifest: DatasetManifest, sample_id: int,
 
 
 def decode_records(manifest: DatasetManifest, ids: np.ndarray,
-                   bufs: list[bytes]) -> np.ndarray | None:
-    """The records ``bufs`` of samples ``ids`` as one (B, H, W, C) uint8 array.
+                   buf: np.ndarray) -> np.ndarray | None:
+    """The records of samples ``ids`` as one (B, H, W, C) uint8 array.
 
-    The bytes are joined once and every header is checked at once, by
-    ``read_record``'s rules: ``payload_len`` agrees with the dimensions,
-    the extent is exactly header plus payload, and the label is the
-    manifest's.  The records must also share one shape.  Returns None when
-    any record breaks a rule; ``read_record`` on each in turn then names
-    the first bad one.  The array is a view of the joined bytes.
+    ``buf`` holds the records back to back, as ``read_into`` leaves them.
+    Every header is checked at once, by ``read_record``'s rules:
+    ``payload_len`` agrees with the dimensions, the extent is exactly header
+    plus payload, and the label is the manifest's.  The records must also
+    share one length and one shape.  Returns None when any record breaks a
+    rule; ``read_record`` on each in turn then names the first bad one.
+    The array is a view of ``buf``.
     """
-    size = len(bufs[0])
-    if size < RECORD_HEADER.size or any(len(buf) != size for buf in bufs):
+    lengths = manifest.length[ids]
+    size = int(lengths[0])
+    if size < RECORD_HEADER.size or (lengths != size).any():
         return None
-    records = np.frombuffer(b"".join(bufs), dtype=np.dtype(
+    records = np.frombuffer(buf, dtype=np.dtype(
         RECORD_FIELDS + [("payload", "u1", (size - RECORD_HEADER.size,))]))
     width, height, channels, payload_len = (
         records[name].astype(np.int64)
@@ -392,4 +394,4 @@ def decode_records(manifest: DatasetManifest, ids: np.ndarray,
     if not valid.all():
         return None
     return records["payload"].reshape(
-        len(bufs), int(height[0]), int(width[0]), int(channels[0]))
+        len(ids), int(height[0]), int(width[0]), int(channels[0]))

@@ -9,16 +9,22 @@ backend latency.  No more than ``prefetch_depth`` batches of an epoch are
 queued, being built, or finished but undelivered.  With zero workers each
 batch is built in the caller when it is asked for.
 
-A build works on the whole batch at every stage.  Its record extents come
-from indexing the manifest's locator columns with the batch's ids, and one
-``backend.get_many`` call reads them (concurrently over HTTP); a failed
-read raises ``WorkerError`` for its sample.  ``decode_records`` joins the
-records into one array, checks every header with array operations and
-gives the pixels as one (B, H, W, C) uint8 view.  When a check fails,
+``start_epoch`` also draws the epoch's augmentation: ``sample_seeds`` and
+``draw_stack`` run once over the whole order, and each planned batch
+carries its ids and its rows of the draws.  That is O(N) array work per
+epoch, the order of the shuffle it already runs.
+
+A build works on the whole batch at every stage.  Its record extents
+(shard key, offset, length) come from indexing the manifest's locator
+columns with the batch's ids, and one ``backend.read_into`` call reads them
+into one buffer sized from the length column (concurrently over HTTP); a
+failed read raises ``WorkerError`` for its sample.  ``decode_records``
+views the buffer as one array, checks every header with array operations
+and gives the pixels as one (B, H, W, C) uint8 view.  When a check fails,
 ``read_record`` runs on the batch's records in order, so the error names
 the first bad record with that record's own ``DatasetError``.
-``apply_stack_batch`` then casts, flips, normalizes and cuts out the whole
-batch, and the labels come from the manifest's label column.
+``apply_draws`` then casts, flips, normalizes and cuts out the whole batch
+with its draws, and the labels come from the manifest's label column.
 
 One consumer owns the loader.  Iterating it yields one epoch; iterating
 again starts the next epoch with a fresh per-epoch shuffle and abandons what
@@ -37,7 +43,6 @@ threads of their own; the wait is bounded by the backend's stall timeout
 from __future__ import annotations
 
 from collections import deque
-from contextlib import closing
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -46,8 +51,8 @@ import numpy as np
 from .dataset import (DatasetManifest, ImageRecord, decode_records,
                       read_record, record_extents)
 from .sampling import SamplerConfig, replica_order
-from .storage import StorageBackend
-from .transforms import TransformConfig, apply_stack_batch, sample_seeds
+from .storage import ReadError, StorageBackend
+from .transforms import TransformConfig, apply_draws, draw_stack, sample_seeds
 # perfbench/spans.py traces a run by rebinding names on this module: these
 # two, ``read_record``, ``collate`` and ``replica_order``.  The batch build
 # calls neither of these two; they stay bound so that the tracer installs.
@@ -123,7 +128,8 @@ class DataLoader:
                                          thread_name_prefix="loadbench-worker")
                       if config.num_workers else None)
         self._epoch = -1
-        self._plan: list[np.ndarray] | None = None  # the epoch's batches
+        # the epoch's batches: each one's ids and its rows of the epoch's draws
+        self._plan: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._delivered = 0
         self._pending: deque[Future[Batch]] = deque()  # next batches, in order
         self._closed = False
@@ -143,13 +149,12 @@ class DataLoader:
         self._epoch = self._epoch + 1 if epoch is None else epoch
         order = replica_order(self.config.sampler, self.manifest, self._epoch,
                               backend=self.backend)
+        ids, tcfg = order.ids, self.config.transform
+        draws = draw_stack(tcfg, sample_seeds(tcfg.seed, self._epoch, ids))
         batch_size = self.config.batch_size
-        ids = order.ids
-        n_full = len(ids) // batch_size
-        cuts = [ids[i * batch_size:(i + 1) * batch_size] for i in range(n_full)]
-        if not self.config.drop_last and len(ids) % batch_size:
-            cuts.append(ids[n_full * batch_size:])
-        self._plan = cuts
+        stop = len(ids) - (len(ids) % batch_size if self.config.drop_last else 0)
+        self._plan = [(ids[i:i + batch_size], draws[i:i + batch_size])
+                      for i in range(0, stop, batch_size)]
         self._delivered = 0
         self._prefetch()
 
@@ -162,7 +167,7 @@ class DataLoader:
             if b >= len(plan):
                 return
             self._pending.append(
-                self._pool.submit(self._build_batch, self._epoch, b, plan[b]))
+                self._pool.submit(self._build_batch, b, *plan[b]))
 
     def _abandon_epoch(self) -> None:
         for future in self._pending:
@@ -185,47 +190,46 @@ class DataLoader:
 
     # -- batch production --------------------------------------------------
 
-    def _build_batch(self, epoch: int, batch_index: int,
-                     ids: np.ndarray) -> Batch:
-        sids = ids.tolist()
-        tcfg = self.config.transform
-        bufs: list[bytes] = []
-        # one backend call reads every record of the batch, in id order
-        with closing(self.backend.get_many(
-                record_extents(self.manifest, ids))) as reads:
-            for sid in sids:
-                try:
-                    bufs.append(next(reads))
-                except Exception as exc:
-                    # a bad record read before the failed one fails first
-                    self._read_each(sids, bufs)
-                    raise WorkerError(sid, exc) from exc
-        pixels = decode_records(self.manifest, ids, bufs)
+    def _build_batch(self, batch_index: int, ids: np.ndarray,
+                     draws: np.ndarray) -> Batch:
+        manifest = self.manifest
+        extents = record_extents(manifest, ids)
+        # one backend call reads every record of the batch into one buffer
+        buf = np.empty(int(manifest.length[ids].sum()), dtype=np.uint8)
+        try:
+            self.backend.read_into(extents, buf)
+        except ReadError as exc:
+            # a bad record read before the failed one fails first
+            self._read_each(ids[:exc.index], buf)
+            raise WorkerError(int(ids[exc.index]), exc.cause) from exc.cause
+        pixels = decode_records(manifest, ids, buf)
         if pixels is None:
             # a header check failed: name the first bad record and its error
-            first = self._read_each(sids, bufs)[0]
+            first = self._read_each(ids, buf)[0]
             height, width = first.height, first.width
         else:
             height, width = pixels.shape[1:3]
         # A stack that does not fit the images fails on the batch's first
         # sample, the one a per-sample build would have failed on.
+        tcfg = self.config.transform
         try:
             tcfg.resolved_cutout_side(height, width)
         except ValueError as exc:
-            raise WorkerError(sids[0], exc) from exc
+            raise WorkerError(int(ids[0]), exc) from exc
         if pixels is None:  # every record is sound, so their shapes differ
             raise ValueError("heterogeneous sample shapes")
-        X = apply_stack_batch(pixels, tcfg, sample_seeds(tcfg.seed, epoch, ids))
-        return Batch(X=X, y=self.manifest.label[ids], batch_index=batch_index,
-                     ids=ids)
+        return Batch(X=apply_draws(pixels, tcfg, draws), y=manifest.label[ids],
+                     batch_index=batch_index, ids=ids)
 
-    def _read_each(self, sids: list[int], bufs: list[bytes]) -> list[ImageRecord]:
-        """``read_record`` over the fetched records in order; the first
+    def _read_each(self, ids: np.ndarray, buf: np.ndarray) -> list[ImageRecord]:
+        """``read_record`` over the records in ``buf``, in order; the first
         failure raises ``WorkerError`` for its sample."""
+        ends = np.cumsum(self.manifest.length[ids]).tolist()
         records = []
-        for sid, buf in zip(sids, bufs):
+        for sid, start, end in zip(ids.tolist(), [0] + ends, ends):
             try:
-                records.append(read_record(self.manifest, sid, self.backend, buf))
+                records.append(read_record(self.manifest, sid, self.backend,
+                                           buf[start:end].tobytes()))
             except Exception as exc:
                 raise WorkerError(sid, exc) from exc
         return records
@@ -242,7 +246,7 @@ class DataLoader:
             return None
         try:
             if self._pool is None:
-                batch = self._build_batch(self._epoch, b, self._plan[b])
+                batch = self._build_batch(b, *self._plan[b])
             else:
                 batch = self._pending.popleft().result()
         except BaseException:

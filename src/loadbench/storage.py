@@ -1,16 +1,23 @@
 """Byte stores: local directory, in-memory, and S3-compatible HTTP backends.
 
 All backends speak the same small contract (get / put / list / size, plus
-``get_many`` and ``close``) with inclusive byte ranges, so the loading
-pipeline never knows where bytes live.  ``get_many`` reads a list of
-(key, range) requests and yields their bytes in request order; each request
-may carry a wait, a delay it holds before it is sent.  By default it runs
-one ``get`` at a time, each when its bytes are asked for, after sleeping its
-wait.  ``HTTPBackend`` runs every request through one small HTTP/1.1 codec
-and a poll loop in the calling thread, on a pool of keep-alive
-connections shared by its callers: ``get_many`` keeps up to ``_IN_FLIGHT``
-requests in flight and times their waits in the loop, so delayed requests
-overlap too.  ``close()`` releases the connections.
+``get_many``, ``read_into`` and ``close``) with inclusive byte ranges, so
+the loading pipeline never knows where bytes live.  ``get_many`` reads a
+list of (key, range) requests and yields their bytes in request order; each
+request may carry a wait, a delay it holds before it is sent.  By default
+it runs one ``get`` at a time, each when its bytes are asked for, after
+sleeping its wait.  ``HTTPBackend`` runs every request through one small
+HTTP/1.1 codec and a poll loop in the calling thread, on a pool of
+keep-alive connections shared by its callers: ``get_many`` keeps up to
+``_IN_FLIGHT`` requests in flight and times their waits in the loop, so
+delayed requests overlap too.  ``close()`` releases the connections.
+
+``read_into`` reads a batch of (key, offset, length) requests, back to back
+in request order, into one buffer the caller allocated; a failed request
+raises ``ReadError`` with its index once the requests before it are in the
+buffer.  By default it runs over ``get_many``, so each backend's waits and
+concurrency carry over.  ``MemoryBackend`` copies the extents itself under
+one hold of its lock, checking each distinct key once.
 
 Two wrappers recreate network conditions on top of any backend:
 
@@ -57,6 +64,15 @@ class NotFoundError(StorageError):
 
 class RangeError(StorageError):
     """The requested byte range is not satisfiable."""
+
+
+class ReadError(StorageError):
+    """Request ``index`` of a ``read_into`` call failed with ``cause``."""
+
+    def __init__(self, index: int, cause: Exception) -> None:
+        super().__init__(f"request {index} failed: {cause!r}")
+        self.index = index
+        self.cause = cause
 
 
 # Requests an HTTPBackend keeps in flight, and so its most connections.
@@ -139,6 +155,26 @@ class StorageBackend:
                 time.sleep(waits[i])
             yield self.get(key, byte_range)
 
+    def read_into(self, requests: list[tuple[str, int, int]], out) -> None:
+        """Read each (key, offset, length) request into ``out``, back to back
+        in request order.
+
+        ``out`` is a writable buffer of the requests' total length, and
+        offsets and lengths are at least 0 and 1.  When request ``i`` fails,
+        ``ReadError(i, error)`` is raised once the requests before it are in
+        ``out``.  Here the requests run through one ``get_many``.
+        """
+        view = memoryview(out).cast("B")
+        pos = 0
+        with closing(self.get_many([(key, ByteRange(start, start + length - 1))
+                                    for key, start, length in requests])) as reads:
+            for i, (_, _, length) in enumerate(requests):
+                try:
+                    view[pos:pos + length] = next(reads)
+                except Exception as exc:
+                    raise ReadError(i, exc) from exc
+                pos += length
+
     def close(self) -> None:
         """Release connections; a no-op for most backends."""
 
@@ -213,6 +249,30 @@ class MemoryBackend(StorageBackend):
             return data
         start, end = byte_range.resolve(len(data))
         return data[start:end + 1]
+
+    def read_into(self, requests: list[tuple[str, int, int]], out) -> None:
+        """One hold of the lock, one key check per distinct object and one
+        copy per request, made in request order."""
+        view = memoryview(out).cast("B")
+        objects: dict[str, memoryview] = {}
+        pos = 0
+        with self._lock:
+            for i, (key, start, length) in enumerate(requests):
+                try:
+                    data = objects.get(key)
+                    if data is None:
+                        validate_key(key)
+                        if key not in self._objects:
+                            raise NotFoundError(key)
+                        data = objects[key] = memoryview(self._objects[key])
+                    end = start + length
+                    if start < 0 or length < 1 or end > len(data):
+                        # the error ``get`` raises for the same request
+                        ByteRange(start, end - 1).resolve(len(data))
+                    view[pos:pos + length] = data[start:end]
+                except Exception as exc:
+                    raise ReadError(i, exc) from exc
+                pos += length
 
     def put(self, key: str, data: bytes) -> None:
         validate_key(key)
@@ -637,17 +697,22 @@ class HTTPBackend(StorageBackend):
                  waits: list[float] | None = None) -> Generator[bytes, None, None]:
         paths: dict[str, str] = {}  # each key validated and quoted once
         wires = []
+        invalid = None  # an invalid key's error, raised at its request's turn
         for key, br in requests:
             path = paths.get(key)
             if path is None:
-                path = paths[key] = self._path(key)
+                try:
+                    path = paths[key] = self._path(key)
+                except ValueError as exc:
+                    invalid = exc
+                    break
             wires.append((f"GET {path} HTTP/1.1\r\n{self._host_line}\r\n\r\n" if br is None
                           else f"GET {path} HTTP/1.1\r\n{self._host_line}\r\nRange: bytes="
                           f"{br.start}-{'' if br.end is None else br.end}\r\n\r\n"
                           ).encode("latin-1"))
         run = _Pass(self, "GET", wires, waits)
         try:
-            for index, (key, br) in enumerate(requests):
+            for index, (key, br) in enumerate(requests[:len(wires)]):
                 status, _, data = run.result(index)
                 self._check("GET", paths[key], status)
                 if br is not None and (status != 206 or (
@@ -656,6 +721,8 @@ class HTTPBackend(StorageBackend):
                         f"HTTP {status} with {len(data)} bytes for "
                         f"bytes={br.start}-{'' if br.end is None else br.end} of {key}")
                 yield data
+            if invalid is not None:
+                raise invalid
         finally:
             run.close()
 

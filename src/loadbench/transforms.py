@@ -7,14 +7,17 @@ config, seed) no matter which worker computes it or which batch it is in.
 
 The stack has one implementation, ``apply_stack_batch``, which takes a
 whole batch as one (B, H, W, C) uint8 array, such as the view the loader
-decodes a batch's records into.  It draws the seeds' random numbers for
-every sample at once.  One ``np.copyto`` per sample casts the image to
-float32 in the transposed (C, H, W) layout, reading the flipped images
-mirrored; the float32 output is then scaled and normalized in place, and
-cutout is a slice assignment.  ``apply_stack`` is its one-record case.
-Every element goes through the same float32 operations in the same order
-as the single-image steps below (``to_tensor``, ``horizontal_flip``,
-``normalize``, ``cutout``), so the two give the same bytes.
+decodes a batch's records into.  It is ``draw_stack`` then ``apply_draws``:
+the first draws the seeds' random numbers for every sample at once, and a
+sample's draws depend only on its seed, so the loader draws them once for a
+whole epoch and hands each batch its rows.  In ``apply_draws`` one
+``np.copyto`` per sample casts the image to float32 in the transposed
+(C, H, W) layout, reading the flipped images mirrored; the float32 output
+is then scaled and normalized in place, and cutout is a slice assignment.
+``apply_stack`` is the one-record case.  Every element goes through the
+same float32 operations in the same order as the single-image steps below
+(``to_tensor``, ``horizontal_flip``, ``normalize``, ``cutout``), so the two
+give the same bytes.
 """
 
 from __future__ import annotations
@@ -119,37 +122,57 @@ def _draws(seeds: np.ndarray, k: int) -> np.ndarray:
     return mix64_array(seeds + np.uint64((k * GAMMA) & MASK64))
 
 
-def apply_stack_batch(pixels: np.ndarray, config: TransformConfig,
-                      seeds) -> np.ndarray:
+def draw_stack(config: TransformConfig, seeds) -> np.ndarray:
+    """The stack's random draws for each seed, as a (B, 3) uint64 array.
+
+    Each sample draws from ``SplitMix64(seed)`` in a fixed order: one
+    uniform for the flip decision, then the cutout center row and column.
+    Row b holds sample b's flip decision (1 to flip) and its row and column
+    draws, which ``apply_draws`` reduces modulo the image's height and
+    width.  A sample's row depends only on its seed, so slices of one
+    call's draws serve any batch of its samples.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    unit = (_draws(seeds, 1) >> np.uint64(11)) * (1.0 / (1 << 53))
+    return np.stack([unit < config.flip_probability, _draws(seeds, 2),
+                     _draws(seeds, 3)], axis=1).astype(np.uint64, copy=False)
+
+
+def apply_draws(pixels: np.ndarray, config: TransformConfig,
+                draws: np.ndarray) -> np.ndarray:
     """to_tensor -> flip -> normalize -> cutout over a batch of images.
 
-    ``pixels`` is a (B, H, W, C) uint8 array, any strides, and ``seeds``
-    holds one seed per image.  Each sample draws from ``SplitMix64(seed)``
-    in a fixed order: one uniform for the flip decision, then the cutout
-    center row and column (drawn only when the cutout square is
-    non-empty).  Returns a float32 (B, C, H, W) array.
+    ``pixels`` is a (B, H, W, C) uint8 array, any strides, and ``draws``
+    holds ``draw_stack``'s row for each image; the cutout draws are used
+    only when the cutout square is non-empty.  Returns a float32
+    (B, C, H, W) array.
     """
     count, height, width, channels = pixels.shape
     side = config.resolved_cutout_side(height, width)
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    unit = (_draws(seeds, 1) >> np.uint64(11)) * (1.0 / (1 << 53))
-    flips = (unit < config.flip_probability).tolist()
 
     # the cast to float32 transposes each image and mirrors the flipped ones
     out = np.empty((count, channels, height, width), dtype=np.float32)
-    for dst, img, flip in zip(out, pixels.transpose(0, 3, 1, 2), flips):
+    for dst, img, flip in zip(out, pixels.transpose(0, 3, 1, 2),
+                              draws[:, 0].tolist()):
         np.copyto(dst, img[:, :, ::-1] if flip else img)
     out /= np.float32(255.0)
     out -= np.asarray(config.mean, dtype=np.float32).reshape(-1, 1, 1)
     out /= np.asarray(config.std, dtype=np.float32).reshape(-1, 1, 1)
 
     if side > 0:
-        rows = (_draws(seeds, 2) % np.uint64(height)).tolist()
-        cols = (_draws(seeds, 3) % np.uint64(width)).tolist()
+        rows = (draws[:, 1] % np.uint64(height)).tolist()
+        cols = (draws[:, 2] % np.uint64(width)).tolist()
         for img, cy, cx in zip(out, rows, cols):
             y0, x0 = cy - side // 2, cx - side // 2
             img[:, max(y0, 0):y0 + side, max(x0, 0):x0 + side] = 0.0
     return out
+
+
+def apply_stack_batch(pixels: np.ndarray, config: TransformConfig,
+                      seeds) -> np.ndarray:
+    """The stack over a (B, H, W, C) uint8 batch, one seed per image:
+    ``apply_draws`` of the seeds' ``draw_stack``."""
+    return apply_draws(pixels, config, draw_stack(config, seeds))
 
 
 def apply_stack(record: ImageRecord, config: TransformConfig,

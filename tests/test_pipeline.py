@@ -502,23 +502,45 @@ def test_tracer_hooks_stay_bound():
         assert callable(getattr(pipeline, name, None)), name
 
 
-def _odd_record_loader(root, manifest, config, width, height):
+def _odd_record_loader(root, manifest, config, width, height, mislabel=()):
     # the record at position 6 of the epoch is width x height x 3, put in a
-    # shard of its own; the loader reads from memory
-    victim = replica_order(config.sampler, manifest, 0).ids[6]
+    # shard of its own, and the manifest gives the records at the positions
+    # in ``mislabel`` another label; the loader reads from memory
+    order = replica_order(config.sampler, manifest, 0).ids
+    victim = order[6]
     backend = MemoryBackend.load(LocalBackend(root))
     label = int(manifest.label[victim])
     blob = pack_record(ImageRecord(label=label, width=width, height=height,
                                    channels=3, pixels=bytes(width * height * 3)))
     backend.put("train/odd.bin", blob)
-    shard, offset, length = (manifest.shard.copy(), manifest.offset.copy(),
-                             manifest.length.copy())
+    shard, offset, length, labels = (manifest.shard.copy(), manifest.offset.copy(),
+                                     manifest.length.copy(), manifest.label.copy())
     shard[victim], offset[victim], length[victim] = (
         len(manifest.shard_keys), 0, len(blob))
+    for pos in mislabel:
+        labels[order[pos]] = (labels[order[pos]] + 1) % manifest.spec.n_classes
     odd = dataclasses.replace(
         manifest, shard_keys=manifest.shard_keys + ("train/odd.bin",),
-        shard=shard, offset=offset, length=length)
+        shard=shard, offset=offset, length=length, label=labels)
     return DataLoader(config, odd, backend)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("bad", [6, 7])
+def test_bad_record_beside_an_odd_size_one_is_named(tiny_dataset, workers, bad):
+    # the second batch's records have two lengths and share one buffer; the
+    # mislabelled one (the odd record, or the record after it) is named
+    root, manifests = tiny_dataset
+    config = _loader_config(batch_size=4, num_workers=workers)
+    order = replica_order(config.sampler, manifests["train"], 0).ids.tolist()
+    with _odd_record_loader(root, manifests["train"], config, 5, 6,
+                            mislabel=[bad]) as loader:
+        assert len(loader.next_batch()) == 4
+        with pytest.raises(WorkerError) as err:
+            loader.next_batch()
+    assert err.value.sample_id == order[bad]
+    assert isinstance(err.value.cause, DatasetError)
+    assert f"label mismatch for sample {order[bad]}" in str(err.value.cause)
 
 
 @pytest.mark.parametrize("workers", [0, 2])

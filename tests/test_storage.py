@@ -25,6 +25,7 @@ from loadbench.storage import (
     MemoryBackend,
     NotFoundError,
     RangeError,
+    ReadError,
     StorageError,
     cached,
     validate_key,
@@ -377,6 +378,60 @@ def test_get_many_matches_get_in_order(shards, kind):
             assert list(backend.get_many(requests)) == expected
             assert list(backend.get_many(requests[:1])) == expected[:1]
             assert list(backend.get_many([])) == []
+            extents = _extents(local, requests)
+            out = np.empty(sum(length for *_, length in extents), dtype=np.uint8)
+            backend.read_into(extents, out)
+            assert out.tobytes() == b"".join(expected)
+            backend.read_into([], out[:0])
+
+
+def _extents(local, requests):
+    """``requests`` as ``read_into``'s (key, offset, length) requests."""
+    return [(key, 0, local.size(key)) if br is None
+            else (key, br.start, br.end - br.start + 1) for key, br in requests]
+
+
+_BACKENDS = {
+    "local": lambda root, local, server: LocalBackend(root),
+    "memory": lambda root, local, server: MemoryBackend.load(local),
+    "latency": lambda root, local, server: with_latency(
+        MemoryBackend.load(local), LatencyModel(mean_ms=0.1)),
+    "cached": lambda root, local, server: cached(local, 2000),
+    "http": lambda root, local, server: HTTPBackend(server.endpoint),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+@pytest.mark.parametrize("bad, error", [
+    (("s/absent.bin", 0, 4), NotFoundError),
+    (("s/shard0.bin", 297, 4), RangeError),  # the object is 300 bytes long
+    (("s/../shard0.bin", 0, 4), ValueError),
+], ids=["missing", "past-end", "invalid-key"])
+def test_read_into_fails_at_its_own_request(shards, kind, bad, error):
+    root, local = shards
+    requests = _random_requests(local, 6, seed=2)
+    extents = _extents(local, requests)
+    before = sum(length for *_, length in extents[:4])
+    with serve(root) as server, \
+            closing(_BACKENDS[kind](root, local, server)) as backend:
+        out = np.zeros(before + 4 + sum(n for *_, n in extents[4:]), dtype=np.uint8)
+        with pytest.raises(ReadError) as err:
+            backend.read_into(extents[:4] + [bad] + extents[4:], out)
+    assert err.value.index == 4
+    assert isinstance(err.value.cause, error)
+    assert out[:before].tobytes() == b"".join(local.get(*r) for r in requests[:4])
+
+
+def test_read_into_holds_every_wait():
+    # a latency-wrapped memory backend reads through the base read_into,
+    # so each request still waits its sample, one after another
+    backend = with_latency(MemoryBackend({"A": b"abcdef"}),
+                           LatencyModel(mean_ms=10.0))
+    out = bytearray(12)
+    t0 = time.perf_counter()
+    backend.read_into([("A", i % 6, 1) for i in range(12)], out)
+    assert time.perf_counter() - t0 >= 12 * 0.010
+    assert out == b"abcdefabcdef"
 
 
 def test_default_get_many_reads_one_request_at_a_time():

@@ -19,9 +19,11 @@ from loadbench.storage import MemoryBackend
 from loadbench.prng import SplitMix64, derive_seed, stream_bytes
 from loadbench.transforms import (
     TransformConfig,
+    apply_draws,
     apply_stack,
     apply_stack_batch,
     cutout,
+    draw_stack,
     horizontal_flip,
     normalize,
     sample_seed,
@@ -284,6 +286,36 @@ def test_loader_batches_match_per_sample_oracle(case):
             assert label == records[sid].label
             seen.append(sid)
     assert sorted(seen) == list(range(len(records)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_epoch_draws_serve_any_batch(data):
+    # the loader draws once over an epoch's order and gives each batch its
+    # rows; any subset or permutation of them gives the bytes of a batch
+    # drawn from its own seeds
+    order = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=1,
+                                        max_size=40, unique=True)))
+    picks = np.array(data.draw(st.lists(st.integers(0, len(order) - 1),
+                                        min_size=1, max_size=len(order),
+                                        unique=True)))
+    height, width, channels = (data.draw(st.integers(1, 9)),
+                               data.draw(st.integers(1, 9)),
+                               data.draw(st.sampled_from([1, 3])))
+    config = TransformConfig(
+        flip_probability=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        cutout_side=data.draw(st.sampled_from([0, None, min(height, width)])),
+        seed=data.draw(st.integers(0, 2**64 - 1)))
+    epoch = data.draw(st.integers(0, 1000))
+    pixels = np.frombuffer(
+        stream_bytes(data.draw(st.integers(0, 2**64 - 1)),
+                     len(picks) * height * width * channels),
+        dtype=np.uint8).reshape(len(picks), height, width, channels)
+    draws = draw_stack(config, sample_seeds(config.seed, epoch, order))
+    out = apply_draws(pixels, config, draws[picks])
+    expected = apply_stack_batch(pixels, config,
+                                 sample_seeds(config.seed, epoch, order[picks]))
+    assert out.tobytes() == expected.tobytes()
 
 
 @settings(deadline=None, max_examples=200)
