@@ -39,12 +39,13 @@ import heapq
 import http.client
 import itertools
 import math
+import os
 import re
 import select
 import socket
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Generator
 from contextlib import closing
 from dataclasses import dataclass
@@ -78,15 +79,19 @@ class ReadError(StorageError):
 # Requests an HTTPBackend keeps in flight, and so its most connections.
 # In-process run_loop of perfbench's http-remote workload (64x64x3 images,
 # one ranged GET each, from a server process that holds every request 3 ms;
-# 2 loader workers), 16 repetitions per depth on a 2-vCPU VM, at 41-46 us of
-# client CPU and 47-51 us of store CPU a GET: 32 gave 4678-5213 samples/s
-# (median 4894), 64 gave 5460-6998 (6342), 96 gave 6421-7756 (7040) and
-# 128 gave 6756-7834 (7600).  At 128 both workers' whole 64-sample batches
-# are in flight at once, the workload's own ceiling, so a deeper setting
-# would only fit the benchmark.  Before the one-pass head read, the poll
-# loop and the server's steady read registration (62-69 and 62-72 us a
-# GET), the same sweep, run in turn with it, gave medians of 4352, 5452,
-# 5878 and 6041.
+# 2 loader workers) on a 2-vCPU VM, two sets of 8 repetitions per depth, in
+# turn with the same sweep without the handover to waiting calls: 32 gave
+# 4549-6174 samples/s (set medians 5608 and 5729; without, 5880 and 5637),
+# 64 gave 6251-9063 (8416 and 8407; without, 8291 and 7570) and 128 gave
+# 8979-11995 (9944 and 9903; without, 10480 and 9518).  At 128 no call
+# ever waits, as both workers' whole 64-sample batches are in flight at
+# once: that is the workload's own ceiling, so a deeper setting would only
+# fit the benchmark.  At 32 a worker's batch keeps every connection it
+# holds busy until its last requests, and the other worker waits with
+# nothing in flight, which the pool woke at once before the handover too.
+# At 64 the handover sends the waiting worker's requests on the first
+# worker's connections as its responses come in, while its own requests
+# are in flight.
 _IN_FLIGHT = 64
 _MAX_LINE = 65536  # the longest status, request or header line (as http.client)
 _MAX_HEADERS = 100
@@ -474,11 +479,16 @@ class _Pass:
     Each connection the pass holds carries one request at a time, in
     request order; a request with a wait holds its connection that long
     before it is sent.  ``result(i)`` runs the loop until request i is
-    answered.  A request that fails on a reused connection before any byte
-    of its response (the server closed the idle connection) is sent once
-    more on a fresh one.  ``close`` closes the connections whose responses
-    are still due, so no later request can read one, and returns the rest
-    to the pool.
+    answered.  A pass that needs more connections than the pool can spare
+    waits in the pool's queue for the rest, with or without requests in
+    flight: a call that gives connections back hands them to it there and
+    writes a byte to its wake pipe, which the loop polls beside the
+    sockets, so the pass sends on them at once.  A request that fails on a
+    reused connection before any byte of its response (the server closed
+    the idle connection) is sent once more on a fresh one.  ``close``
+    closes the connections whose responses are still due, so no later
+    request can read one, leaves the queue, returns the connections to the
+    pool, those handed to it included, and then closes the wake pipe.
     """
 
     def __init__(self, backend: "HTTPBackend", method: str, wires: list[bytes],
@@ -495,11 +505,18 @@ class _Pass:
         self._poller = select.poll()  # watches the connections reading
         self._reading: dict[int, _Connection] = {}  # by socket fd
         self._progress = 0.0  # when a response last moved, or a request went out
+        # Under the pool's lock: the connections the pass waits for in the
+        # pool's queue (0 when it is not queued), those handed to it there,
+        # and whether a byte is on its wake pipe.
+        self._lacking = 0
+        self._handed: list[_Connection] = []
+        self._woken = False
+        self._waker: tuple[int, int] | None = None  # the wake pipe's fds, once queued
 
     def result(self, index: int) -> tuple[int, dict[str, str], bytes]:
         self._progress = time.monotonic()  # a stall is time the caller waits
         while True:
-            self._fill(wait=index not in self._results)
+            self._fill()
             if index in self._results:
                 break
             self._poll()
@@ -508,15 +525,16 @@ class _Pass:
             raise result
         return result
 
-    def _fill(self, wait: bool) -> None:
-        """Give the next requests the connections the pass holds free and
-        those the pool can spare, and give the free ones back once every
-        request has one: one hold of the pool's lock at most.  Block for a
-        connection only while the pass holds none."""
+    def _fill(self) -> None:
+        """Give the next requests the connections the pass holds free, those
+        handed to it and those the pool can spare, and give the free ones
+        back once every request has one."""
         free, unsent = self._free, len(self._wires) - self._next
-        if unsent > len(free):
-            idle = not free and not self._timers and not self._reading
-            free += self._backend._take(unsent - len(free), wait and idle)
+        # _lacking and _woken are read without the lock: only this pass sets
+        # _lacking, _give sets _woken before the byte that ends the poll, and
+        # a stale value costs one more hold of the lock
+        if unsent > len(free) or self._lacking or self._woken:
+            free += self._backend._take(self, unsent - len(free))
         while free and self._next < len(self._wires):
             conn, index = free.pop(), self._next
             self._next += 1
@@ -526,8 +544,15 @@ class _Pass:
             else:
                 self._send(conn, index)
         if free:
-            self._backend._give(free)
-            free.clear()
+            self._backend._give(self)
+
+    def _wake(self) -> None:
+        """Make the loop's poll return: one byte on the pipe until ``_take``
+        reads it.  Called under the pool's lock, while the pass is queued,
+        so the pipe is open."""
+        if not self._woken:
+            self._woken = True
+            os.write(self._waker[1], b"\0")
 
     def _send(self, conn: _Connection, index: int) -> None:
         conn.index = index
@@ -552,7 +577,9 @@ class _Pass:
             timeout = min(timeout, self._timers[0][0] - time.monotonic())
         events = self._poller.poll(max(timeout, 0.0) * 1000.0)
         for fd, _ in events:
-            conn = self._reading[fd]
+            conn = self._reading.get(fd)
+            if conn is None:  # the wake pipe: _fill takes what was handed over
+                continue
             try:
                 response = conn.feed()
             except (OSError, StorageError) as exc:
@@ -570,6 +597,8 @@ class _Pass:
             _, index, conn = heapq.heappop(self._timers)
             self._send(conn, index)
         if now - self._progress >= self._backend.timeout:
+            if not self._reading and not self._timers:
+                raise StorageError(f"no connection free for {self._backend.timeout} s")
             stalled = StorageError(
                 f"transport failure: no response for {self._backend.timeout} s")
             for fd in list(self._reading):
@@ -596,9 +625,12 @@ class _Pass:
             self._free.append(conn)
         self._free.extend(conn for _, _, conn in self._timers)
         self._timers.clear()
-        if self._free:
-            self._backend._give(self._free)
-            self._free.clear()
+        if self._free or self._waker is not None:
+            self._backend._give(self)  # out of the queue: no more writes
+        if self._waker is not None:
+            for fd in self._waker:
+                os.close(fd)
+            self._waker = None
 
 
 class HTTPBackend(StorageBackend):
@@ -615,16 +647,20 @@ class HTTPBackend(StorageBackend):
     has one): ``get_many`` keeps as many requests
     in flight as it holds connections and yields the bytes in request
     order, and ``get``, ``put``, ``size`` and ``list`` are passes of one
-    request.  A call blocks for a connection only while it has none in
-    flight, so concurrent callers share the pool first come, first served.
+    request.  A call that needs more connections than the pool can spare
+    waits in a queue, in arrival order: a call that gives connections back
+    hands them to the oldest waiting call first, up to what it lacks, and
+    wakes its loop, which sends on them at once even while its own
+    requests are in flight.  Only connections no call waits for go idle.
     A request goes out in one ``send`` as a rule, and a response must carry
     exactly ``Content-Length`` body bytes; ``Connection: close`` closes the
     connection after its response.  A GET or HEAD that fails on a reused
     connection before a status line arrives (the server closed an idle
     connection) is sent once more on a fresh one; nothing else is retried.
     A call that receives nothing for ``timeout`` seconds fails with
-    StorageError.  An invalid key raises ValueError before any request of
-    its call is sent.
+    StorageError, as does a call that waits that long for a connection
+    with nothing in flight.  An invalid key raises ValueError at its
+    request's turn.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
@@ -637,40 +673,73 @@ class HTTPBackend(StorageBackend):
         self._address = (parts.hostname, parts.port, timeout)
         host = parts.hostname if parts.port is None else f"{parts.hostname}:{parts.port}"
         self._host_line = f"Host: {host}"
-        self._room = threading.Condition()  # guards the pool below
-        self._idle: list[_Connection] = []
+        self._lock = threading.Lock()  # guards the pool below
+        self._idle: list[_Connection] = []  # empty while a pass is queued
         self._opened = 0  # connections open or being opened, idle or held
+        self._queue: deque[_Pass] = deque()  # passes lacking connections, oldest first
         self._closed = False
 
     def _path(self, key: str) -> str:
         return f"{self._base}/{quote(validate_key(key))}"
 
-    def _take(self, wanted: int, wait: bool) -> list[_Connection]:
-        """Up to ``wanted`` connections, idle ones first, then new ones while
-        the pool has room; with ``wait``, block until there is one."""
-        with self._room:
-            if wait and not self._room.wait_for(
-                    lambda: self._idle or self._opened < _IN_FLIGHT or self._closed,
-                    self.timeout):
-                raise StorageError(f"no connection free for {self.timeout} s")
+    def _take(self, run: _Pass, wanted: int) -> list[_Connection]:
+        """The connections handed to ``run``, then idle ones and new ones
+        while the pool has room, up to ``wanted`` in all; ``run`` waits in
+        the queue for the rest, and leaves it once it lacks none."""
+        with self._lock:
             if self._closed:
                 raise StorageError(f"{self.endpoint}: backend is closed")
-            taken = self._idle[-wanted:]
-            del self._idle[-wanted:]
+            if run._woken:  # the byte is on the pipe, so the read cannot block
+                os.read(run._waker[0], 1)
+                run._woken = False
+            taken, run._handed = run._handed, []
+            short = wanted - len(taken)
+            if short > 0:
+                taken += self._idle[-short:]
+                del self._idle[-short:]
             new = max(0, min(wanted - len(taken), _IN_FLIGHT - self._opened))
             self._opened += new
+            lacking = max(0, wanted - len(taken) - new)
+            if lacking and not run._lacking:
+                if run._waker is None:
+                    run._waker = os.pipe()
+                    run._poller.register(run._waker[0], select.POLLIN)
+                self._queue.append(run)
+            elif run._lacking and not lacking:
+                self._queue.remove(run)
+            run._lacking = lacking
         return taken + [_Connection(self._address) for _ in range(new)]
 
-    def _give(self, conns: list[_Connection]) -> None:
-        """Return connections to the pool; a closed one frees its place."""
-        with self._room:
-            for conn in conns:
+    def _give(self, run: _Pass) -> None:
+        """Take ``run`` out of the queue and return its free connections and
+        those handed to it; a closed one frees its place.  They go to the
+        queued passes first, oldest first, each up to what it lacks and
+        then woken, live connections before new ones; the rest go idle."""
+        with self._lock:
+            if run._lacking:
+                self._queue.remove(run)
+                run._lacking = 0
+            live = []
+            for conn in itertools.chain(run._free, run._handed):
                 if conn.sock is not None and not self._closed:
-                    self._idle.append(conn)
+                    live.append(conn)
                 else:
                     conn.close()
                     self._opened -= 1
-            self._room.notify(len(conns))
+            run._free.clear()
+            run._handed = []
+            while self._queue and (live or self._opened < _IN_FLIGHT):
+                waiting = self._queue[0]
+                handed = live[max(0, len(live) - waiting._lacking):]
+                del live[len(live) - len(handed):]
+                new = max(0, min(waiting._lacking - len(handed), _IN_FLIGHT - self._opened))
+                self._opened += new
+                waiting._handed += handed + [_Connection(self._address) for _ in range(new)]
+                waiting._lacking -= len(handed) + new
+                if not waiting._lacking:
+                    self._queue.popleft()
+                waiting._wake()
+            self._idle += live
 
     @staticmethod
     def _check(method: str, path: str, status: int) -> None:
@@ -745,12 +814,15 @@ class HTTPBackend(StorageBackend):
 
     def close(self) -> None:
         """Close the idle connections, and each held one when its call ends;
-        later requests raise StorageError."""
-        with self._room:
+        wake the waiting calls.  Later requests raise StorageError."""
+        with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []
             self._opened -= len(idle)
-            self._room.notify_all()
+            for run in self._queue:
+                run._lacking = 0
+                run._wake()  # its _take raises: the backend is closed
+            self._queue.clear()
         for conn in idle:
             conn.close()
 

@@ -1,4 +1,5 @@
 import http.client
+import os
 import socketserver
 import sys
 import threading
@@ -627,6 +628,154 @@ def test_concurrent_get_many_share_one_pool(shards):
     for got, wanted in zip(results, requests):
         assert got == [local.get(key, br) for key, br in wanted]
     assert 1 < held.peak <= storage_module._IN_FLIGHT
+
+
+class _Arrivals(LatencyModel):
+    """Records when each request reaches the server, and holds the first
+    ones ``first_ms`` in turn, the rest ``mean_ms``."""
+
+    def __init__(self, mean_ms, first_ms=()):
+        super().__init__(mean_ms)
+        self.times = []
+        self._first = list(first_ms)
+
+    def sample_ms(self):
+        self.times.append(time.monotonic())
+        return self._first.pop(0) if self._first else super().sample_ms()
+
+
+class _LoggingBackend(MemoryBackend):
+    def __init__(self, objects):
+        super().__init__(objects)
+        self.log = []  # the keys read, in the order the server answers
+
+    def get(self, key, byte_range=None):
+        self.log.append(key)
+        return super().get(key, byte_range)
+
+
+def test_queued_requests_go_out_on_connections_given_back(shards, monkeypatch):
+    # Call A holds two of the four connections; call B takes the other two
+    # and waits for four more.  When A's responses come in, A's connections
+    # carry B's next requests at once, not when B's own responses come in.
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 4)
+    root, local = shards
+    key = local.list("s/")[0]
+    hold = 0.3
+    arrivals = _Arrivals(mean_ms=hold * 1000)
+    ranges = [ByteRange(0, i) for i in range(6)]
+    with serve(root, latency=arrivals) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        first = threading.Thread(target=lambda: list(client.get_many([(key, None)] * 2)))
+        first.start()
+        deadline = time.monotonic() + 5
+        while len(arrivals.times) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(hold * 2 / 3)  # A's two requests are held
+        got = list(client.get_many([(key, br) for br in ranges]))
+        first.join(10)
+    assert not first.is_alive()
+    assert got == [local.get(key, br) for br in ranges]
+    assert len(arrivals.times) == 8
+    # B's own first responses return a hold after its first request arrived
+    # (without the handover its third and fourth requests would go out only
+    # then); A's return about a third of a hold after it
+    b0 = arrivals.times[2]
+    assert max(arrivals.times[4:6]) < b0 + hold * 2 / 3
+
+
+def test_given_back_connections_go_to_the_oldest_waiting_call(shards, monkeypatch):
+    # A holds both connections.  B waits for two, then C for one: A's two
+    # connections go to B as they come back, and C gets one only when B's
+    # first response does.
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 2)
+    root, local = shards
+    a, b, c = local.list("s/")[:3]
+    served = _LoggingBackend({key: local.get(key) for key in (a, b, c)})
+    holds = _Arrivals(mean_ms=200.0, first_ms=[150.0, 250.0])  # A's two requests
+    with serve(served, latency=holds) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        calls = [threading.Thread(target=lambda k=k, n=n: list(client.get_many([(k, None)] * n)))
+                 for k, n in ((a, 2), (b, 2), (c, 1))]
+        for call in calls:
+            call.start()
+            time.sleep(0.05)
+        for call in calls:
+            call.join(10)
+    assert not any(call.is_alive() for call in calls)
+    assert served.log == [a, a, b, b, c]
+
+
+@pytest.mark.parametrize("stop", ["close", "timeout"])
+def test_call_waiting_for_a_connection_fails_promptly(shards, monkeypatch, stop):
+    # the only connection carries a request of a call that is not reading
+    # its response, so a second call waits with nothing in flight
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
+    root, local = shards
+    key = local.list("s/")[0]
+    failed = []
+
+    def wait():
+        t0 = time.monotonic()
+        try:
+            client.get(key)
+        except StorageError as exc:
+            failed.append((exc, time.monotonic() - t0))
+    with serve(root) as server, closing(HTTPBackend(
+            server.endpoint, timeout=0.2 if stop == "timeout" else 30.0)) as client:
+        with closing(client.get_many([(key, None)] * 2)) as held:
+            assert next(held) == local.get(key)
+            waiter = threading.Thread(target=wait)
+            waiter.start()
+            if stop == "close":
+                time.sleep(0.1)
+                client.close()
+            waiter.join(10)
+    assert not waiter.is_alive()
+    (error, waited), = failed
+    if stop == "close":
+        assert "backend is closed" in str(error) and waited < 1.0
+    else:
+        assert "no connection free for 0.2 s" in str(error) and 0.2 <= waited < 1.0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_no_fd_outlives_close(shards, monkeypatch):
+    # a wake pipe raises no ResourceWarning if it leaks, so count the
+    # process's fds; two connections for calls of four requests, so every
+    # call waits in the queue
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 2)
+    root, local = shards
+    requests = _random_requests(local, 4, seed=12)
+    expected = [local.get(key, br) for key, br in requests]
+    failures = []
+
+    def calls():
+        try:
+            for i in range(100):
+                if i % 3 == 0:
+                    assert list(client.get_many(requests)) == expected
+                elif i % 3 == 1:  # closed early
+                    with closing(client.get_many(requests)) as bufs:
+                        assert next(bufs) == expected[0]
+                else:
+                    with pytest.raises(NotFoundError):
+                        list(client.get_many(requests[:2] + [("s/absent.bin", None)]
+                                             + requests[2:]))
+        except BaseException as exc:
+            failures.append(exc)
+    before = len(os.listdir("/proc/self/fd"))
+    with serve(root, latency=LatencyModel(mean_ms=1.0)) as server:
+        client = HTTPBackend(server.endpoint)
+        threads = [threading.Thread(target=calls) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        client.close()
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_unread_responses_are_never_read_as_later_ones(shards):
