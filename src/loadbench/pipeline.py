@@ -17,8 +17,9 @@ epoch, the order of the shuffle it already runs.
 A build works on the whole batch at every stage.  Its record extents
 (shard key, offset, length) come from indexing the manifest's locator
 columns with the batch's ids, and one ``backend.read_into`` call reads them
-into one buffer sized from the length column (concurrently over HTTP); a
-failed read raises ``WorkerError`` for its sample.  ``decode_records``
+into one buffer sized from the length column (over HTTP, with one
+multi-range GET per shard); a failed read raises ``WorkerError`` for its
+sample.  ``decode_records``
 views the buffer as one array, checks every header with array operations
 and gives the pixels as one (B, H, W, C) uint8 view.  When a check fails,
 ``read_record`` runs on the batch's records in order, so the error names

@@ -5,6 +5,8 @@ Wire protocol (path-style keys, no auth):
     GET /{key}                 200 + full body
     GET /{key} + Range header  206 + requested bytes + Content-Range
                                (bytes=a-b, bytes=a- or the suffix bytes=-n)
+    GET /{key} + Range list    206 multipart/byteranges, one part per range
+                               in the list's order (bytes=a-b,c-d,...)
     HEAD /{key}                the GET's status and headers, no body
     PUT /{key}                 200 after storing the body
     GET /?prefix=p             200 + newline-separated keys (listing helper)
@@ -12,7 +14,9 @@ Wire protocol (path-style keys, no auth):
                                a malformed request or header line, or a
                                PUT's Content-Length malformed or negative
     404                        unknown key
-    416                        unsatisfiable range (+ Content-Range: bytes */total)
+    416                        a malformed or unsatisfiable range, or any
+                               such range of a list (+ Content-Range:
+                               bytes */total)
     500                        any other failure of the backend
     501                        a method other than GET, HEAD and PUT
 
@@ -27,13 +31,18 @@ a header line without a colon 400, and a connection that ends before the
 head's blank line, or before a PUT's whole body, gets no reply.  It closes
 the connection after an HTTP/1.0 request, ``Connection: close`` or any
 error it answers before the request is parsed.  A response's status line
-and headers go out with its body in one ``sendmsg`` as far as the socket
-takes them; an error reply has no body.  The sockets set TCP_NODELAY, so a reply leaves at
-once instead of waiting on the client's ACK of an earlier one.
+and headers go out with its body, never joined, in one ``sendmsg`` of at
+most IOV_MAX buffers as far as the socket takes them; an error reply has no
+body.  The sockets set TCP_NODELAY, so a reply leaves at once instead of
+waiting on the client's ACK of an earlier one.
 
 A GET or HEAD makes at most one backend call: the server asks the backend
 for an object's size once and keeps it until a PUT of that key.  Objects
-are assumed to change only through the server's PUT.
+are assumed to change only through the server's PUT.  A GET of the whole
+object is one ``get``, and a GET with ranges one ``read_into`` of all of
+them, however many the ``Range`` header lists; a multipart reply's part
+heads and slices of that one buffer go out as they are.  A HEAD says the
+Content-Length the GET would send.
 
 An optional ``LatencyModel`` delays each request before it is served, which
 is how the remote-storage experiments dial in AWS-like or LAN-like round
@@ -52,7 +61,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import re
+import secrets
 import selectors
 import socket
 import sys
@@ -68,40 +79,55 @@ from .storage import (
     _RECV_BYTES,
     _BadHead,
     _HeadReader,
-    ByteRange,
     LatencyModel,
     LocalBackend,
     NotFoundError,
     RangeError,
+    ReadError,
     StorageBackend,
 )
 
-_RANGE_RE = re.compile(r"bytes=(?:(\d+)-(\d*)|-(\d+))$")
+_RANGE_RE = re.compile(r"(\d+)-(\d*)|-(\d+)")  # one range of a Range header
 _SERVER = f"loadbench-store/0.1 Python/{sys.version.split()[0]}"
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 _METHODS = ("GET", "HEAD", "PUT")
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
-_OBJECT = "Content-Type: application/octet-stream\r\nAccept-Ranges: bytes\r\n"
+_PART = "Content-Type: application/octet-stream\r\n"
+_OBJECT = f"{_PART}Accept-Ranges: bytes\r\n"
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # the most buffers one sendmsg takes
 
 
-def _parse_range(header: str, total: int) -> ByteRange:
-    """The range that a ``Range`` header asks of an object of ``total`` bytes.
+def _parse_range(header: str, total: int) -> list[tuple[int, int]]:
+    """The (start, end) pairs, inclusive, that a ``Range`` header asks of an
+    object of ``total`` bytes, in the header's order.
 
-    ``bytes=a-b`` and ``bytes=a-`` are absolute; the suffix ``bytes=-n`` is
-    the last n bytes, the whole object when n >= total.  A malformed header,
-    ``bytes=a-b`` with b < a, or ``bytes=-0`` raises RangeError.
+    The header is ``bytes=`` and a comma-separated list of ranges.
+    ``a-b`` and ``a-`` are absolute; the suffix ``-n`` is the last n bytes,
+    the whole object when n >= total.  A malformed header or an empty list
+    element, ``a-b`` with b < a, ``-0``, or any range that does not lie
+    within the object raises RangeError.
     """
-    match = _RANGE_RE.match(header.strip())
-    if not match:
+    unit, _, specs = header.strip().partition("=")
+    if unit != "bytes":
         raise RangeError(f"unsupported range {header!r}")
-    first, last, suffix = match.groups()
-    if suffix is None:
-        if last and int(last) < int(first):
-            raise RangeError(f"range {header!r} ends before it starts")
-        return ByteRange(int(first), int(last) if last else None)
-    if int(suffix) == 0:
-        raise RangeError("empty suffix range")
-    return ByteRange(max(0, total - int(suffix)))
+    ranges = []
+    for spec in specs.split(","):
+        match = _RANGE_RE.fullmatch(spec.strip())
+        if not match:
+            raise RangeError(f"unsupported range {header!r}")
+        first, last, suffix = match.groups()
+        if suffix is None:
+            start, end = int(first), int(last) if last else total - 1
+            if last and end < start:
+                raise RangeError(f"range {spec!r} ends before it starts")
+        elif int(suffix) == 0:
+            raise RangeError("empty suffix range")
+        else:
+            start, end = max(0, total - int(suffix)), total - 1
+        if start >= total or end >= total:
+            raise RangeError(f"range {spec!r} beyond object of {total} bytes")
+        ranges.append((start, end))
+    return ranges
 
 
 class _Conn:
@@ -201,6 +227,7 @@ class ObjectServer:
         self._due: list[tuple[float, int, _Conn]] = []
         self._arrivals = itertools.count()
         self._date = (-1, "")   # a Date header, formatted once a second
+        self._boundary = secrets.token_hex(16)  # between multipart/byteranges parts
         self._stopping = False
         # a burst of first connections, such as many clients starting
         # together, must not overflow the accept queue: each dropped
@@ -370,63 +397,82 @@ class ObjectServer:
             if conn in self._conns:
                 self._reply(conn, *self._respond(conn))
 
-    def _respond(self, conn: _Conn) -> tuple[int, bytes, str, int | None]:
+    def _respond(self, conn: _Conn) -> tuple[int, list, str, int]:
         """Make the backend call that ``conn``'s request asks for: the
-        status, body and extra header lines of its reply, and a HEAD's
-        Content-Length."""
+        status, body buffers, extra header lines and Content-Length of its
+        reply (a HEAD's says what the GET would send)."""
         total = 0
         try:
             path, _, query = conn.target.partition("?")
             key = unquote(path.lstrip("/"))
             if conn.method == "PUT":
                 if conn.length is None:
-                    return 400, b"", "", None
+                    return 400, [], "", 0
                 self._put_object(key, conn.body or b"")
-                return 200, b"", "", None
+                return 200, [], "", 0
             if conn.method == "GET" and not key:
                 prefix = parse_qs(query).get("prefix", [""])[0]
                 body = "\n".join(self.backend.list(prefix)).encode("utf-8")
-                return 200, body, "Content-Type: text/plain; charset=utf-8\r\n", None
-            # GET or HEAD of one object: all of it, or the range that a
+                return 200, [body], "Content-Type: text/plain; charset=utf-8\r\n", len(body)
+            # GET or HEAD of one object: all of it, or the ranges that a
             # Range header asks for; a HEAD reads no bytes of the object
             total = self._object_size(key)
             header = conn.fields.get("range")
-            byte_range = None if header is None else _parse_range(header, total)
-            start, end = ((0, total - 1) if byte_range is None
-                          else byte_range.resolve(total))
-            body = (b"" if conn.method == "HEAD"
-                    else self.backend.get(key, byte_range))
-        except NotFoundError:
-            return 404, b"", "", None
-        except RangeError:
-            return 416, b"", f"Content-Range: bytes */{total}\r\n", None
-        except ValueError:  # an invalid key
-            return 400, b"", "", None
-        except Exception:
-            return 500, b"", "", None
-        # a HEAD says the length that a GET would send
-        length = end - start + 1 if conn.method == "HEAD" else None
-        if byte_range is None:
-            return 200, body, _OBJECT, length
-        return 206, body, f"{_OBJECT}Content-Range: bytes {start}-{end}/{total}\r\n", length
+            if header is None:
+                if conn.method == "HEAD":
+                    return 200, [], _OBJECT, total
+                body = self.backend.get(key)
+                return 200, [body], _OBJECT, len(body)
+            ranges = _parse_range(header, total)
+            data = None
+            if conn.method == "GET":
+                data = memoryview(bytearray(sum(end - start + 1 for start, end in ranges)))
+                self.backend.read_into([(key, start, end - start + 1)
+                                        for start, end in ranges], data)
+        except Exception as exc:  # read_into's ReadError carries the cause
+            cause = exc.cause if isinstance(exc, ReadError) else exc
+            if isinstance(cause, NotFoundError):
+                return 404, [], "", 0
+            if isinstance(cause, RangeError):
+                return 416, [], f"Content-Range: bytes */{total}\r\n", 0
+            if isinstance(cause, ValueError):  # an invalid key
+                return 400, [], "", 0
+            return 500, [], "", 0
+        if len(ranges) == 1:
+            (start, end), = ranges
+            return (206, [] if data is None else [data],
+                    f"{_OBJECT}Content-Range: bytes {start}-{end}/{total}\r\n",
+                    end - start + 1)
+        # several ranges: one part each, in the header's order
+        body, pos, delimiter = [], 0, f"--{self._boundary}\r\n"
+        for start, end in ranges:
+            body.append(f"{delimiter}{_PART}Content-Range: bytes {start}-{end}/{total}"
+                        "\r\n\r\n".encode("latin-1"))
+            if data is not None:
+                body.append(data[pos:pos + end - start + 1])
+            pos += end - start + 1
+            delimiter = f"\r\n--{self._boundary}\r\n"
+        body.append(f"\r\n--{self._boundary}--\r\n".encode("latin-1"))
+        length = sum(map(len, body)) + (pos if data is None else 0)
+        return (206, [] if data is None else body,
+                f"Content-Type: multipart/byteranges; boundary={self._boundary}\r\n"
+                "Accept-Ranges: bytes\r\n", length)
 
-    def _reply(self, conn: _Conn, status: int, body: bytes = b"", fields: str = "",
-               length: int | None = None) -> None:
-        """Queue a reply to ``conn``'s request and send it.  ``fields`` are
-        header lines, each ending in CRLF, and ``length`` replaces the
-        body's Content-Length.  The reply says ``Connection: close`` when
-        the connection closes after it."""
+    def _reply(self, conn: _Conn, status: int, body: list = (), fields: str = "",
+               length: int = 0) -> None:
+        """Queue a reply to ``conn``'s request and send it.  ``body`` is its
+        buffers, queued without a join, ``fields`` header lines, each ending
+        in CRLF, and ``length`` its Content-Length.  The reply says
+        ``Connection: close`` when the connection closes after it."""
         second = int(time.time())
         if second != self._date[0]:  # formatdate drops the fraction too
             self._date = (second, formatdate(second, usegmt=True))
         close = "Connection: close\r\n" if conn.close_connection else ""
         conn.out.append(
             f"HTTP/1.1 {status} {_PHRASES[status]}\r\nServer: {_SERVER}\r\n"
-            f"Date: {self._date[1]}\r\n"
-            f"Content-Length: {len(body) if length is None else length}\r\n"
+            f"Date: {self._date[1]}\r\nContent-Length: {length}\r\n"
             f"{fields}{close}\r\n".encode("latin-1"))
-        if body:
-            conn.out.append(body)
+        conn.out += body
         conn.closing = conn.close_connection
         conn.next_request()
         self._send(conn)
@@ -437,9 +483,12 @@ class ObjectServer:
         out = conn.out
         try:
             while out:
-                sent = conn.sock.sendmsg(out)
-                while out and sent >= len(out[0]):
-                    sent -= len(out.pop(0))
+                sent = conn.sock.sendmsg(out[:_IOV_MAX])
+                done = 0
+                while done < len(out) and sent >= len(out[done]):
+                    sent -= len(out[done])
+                    done += 1
+                del out[:done]
                 if sent:
                     out[0] = memoryview(out[0])[sent:]
         except BlockingIOError:

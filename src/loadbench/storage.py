@@ -17,7 +17,11 @@ in request order, into one buffer the caller allocated; a failed request
 raises ``ReadError`` with its index once the requests before it are in the
 buffer.  By default it runs over ``get_many``, so each backend's waits and
 concurrency carry over.  ``MemoryBackend`` copies the extents itself under
-one hold of its lock, checking each distinct key once.
+one hold of its lock, checking each distinct key once.  ``HTTPBackend``
+merges each key's extents into runs and asks for all of a key's runs in one
+multi-range GET, which the object server answers as ``multipart/byteranges``:
+a batch costs one GET per shard it reads.  Amazon S3 serves no multi-range
+GET, so there its ``read_into`` fails with StorageError.
 
 Two wrappers recreate network conditions on top of any backend:
 
@@ -77,21 +81,15 @@ class ReadError(StorageError):
 
 
 # Requests an HTTPBackend keeps in flight, and so its most connections.
-# In-process run_loop of perfbench's http-remote workload (64x64x3 images,
-# one ranged GET each, from a server process that holds every request 3 ms;
-# 2 loader workers) on a 2-vCPU VM, two sets of 8 repetitions per depth, in
-# turn with the same sweep without the handover to waiting calls: 32 gave
-# 4549-6174 samples/s (set medians 5608 and 5729; without, 5880 and 5637),
-# 64 gave 6251-9063 (8416 and 8407; without, 8291 and 7570) and 128 gave
-# 8979-11995 (9944 and 9903; without, 10480 and 9518).  At 128 no call
-# ever waits, as both workers' whole 64-sample batches are in flight at
-# once: that is the workload's own ceiling, so a deeper setting would only
-# fit the benchmark.  At 32 a worker's batch keeps every connection it
-# holds busy until its last requests, and the other worker waits with
-# nothing in flight, which the pool woke at once before the handover too.
-# At 64 the handover sends the waiting worker's requests on the first
-# worker's connections as its responses come in, while its own requests
-# are in flight.
+# ``read_into`` sends one GET per key, so a batch holds one connection per
+# shard it reads.  The calls that fill the pool are ``get_many``, one GET per
+# (key, range), and so the ``read_into`` of the wrapped backends
+# (``with_latency``, ``cached``), which runs over it.  The depth was chosen
+# when the loader sent one ranged GET per sample: perfbench's http-remote
+# workload (2 loader workers, 64-sample batches, a 3 ms hold at the server)
+# in-process on a 2-vCPU VM read set medians of about 5700 samples/s at 32,
+# 8400 at 64 and 9900 at 128, where both workers' whole batches were in
+# flight at once; a deeper setting would only fit the benchmark.
 _IN_FLIGHT = 64
 _MAX_LINE = 65536  # the longest status, request or header line (as http.client)
 _MAX_HEADERS = 100
@@ -323,11 +321,15 @@ class _HeadReader:
         self._checked = 0  # where the first line not yet checked starts
         self._lines = 0    # the lines checked
 
-    def read(self, buf: bytes | bytearray) -> tuple[str, dict[str, str], int] | None:
-        """The first line, the header fields and the length of the head that
-        ``buf`` starts with, once its blank line has arrived, and the reader
-        starts over; None until then."""
-        blank = _HEAD_END.search(buf, max(self._scanned - 2, 0))
+    def read(self, buf: bytes | bytearray,
+             start: int = 0) -> tuple[str, dict[str, str], int] | None:
+        """The first line, the header fields and the end of the head that
+        starts at ``start`` in ``buf``, once its blank line has arrived, and
+        the reader starts over; None until then.  A head's reads all give
+        the same ``start``: a multipart body's part heads are read in place."""
+        if self._checked < start:  # a head's first read
+            self._scanned = self._checked = start
+        blank = _HEAD_END.search(buf, max(self._scanned - 2, start))
         done = blank.start() + 1 if blank else buf.rfind(b"\n", self._scanned) + 1
         if done > self._checked:  # lines completed since the last read
             lines = buf[self._checked:done - 1].split(b"\n")
@@ -346,7 +348,7 @@ class _HeadReader:
             self._scanned = len(buf)
             return None
         self._scanned = self._checked = self._lines = 0
-        first, *lines = buf[:blank.start()].decode("latin-1").split("\n")
+        first, *lines = buf[start:blank.start()].decode("latin-1").split("\n")
         try:
             fields = {name.strip().lower(): value.strip()
                       for name, value in (line.split(":", 1) for line in lines)}
@@ -633,13 +635,76 @@ class _Pass:
             self._waker = None
 
 
+def _parts(status: int, fields: dict[str, str], data: bytes,
+           runs: list[list]) -> list[memoryview]:
+    """The bytes of each [key, start, end (exclusive), ...] run in the answer
+    to one GET of them: a 206 of exactly the run's length for one run, and
+    for more a 206 ``multipart/byteranges`` body whose parts are the runs
+    in request order, each after a head read by ``_HeadReader`` with the
+    run's own Content-Range, and then the closing delimiter.  Any other
+    answer raises StorageError."""
+    if status != 206:
+        raise StorageError(f"HTTP {status} for a ranged GET")
+    if len(runs) == 1:
+        start, end = runs[0][1:3]
+        if len(data) != end - start:
+            raise StorageError(
+                f"HTTP 206 with {len(data)} bytes for bytes={start}-{end - 1}")
+        return [memoryview(data)]
+    kind, _, boundary = fields.get("content-type", "").partition(";")
+    name, _, boundary = boundary.strip().partition("=")
+    if (kind.strip().lower() != "multipart/byteranges" or name.lower() != "boundary"
+            or not boundary.strip('"')):
+        raise StorageError(f"a multi-range GET answered as {fields.get('content-type')!r}")
+    delimiter = "--" + boundary.strip('"')
+    reader, body, parts, pos = _HeadReader(), memoryview(data), [], 0
+    for k, (_, start, end, _) in enumerate(runs):
+        if k and data[pos:pos + 2] != b"\r\n":
+            raise StorageError(f"multipart part {k - 1} is not its range's length")
+        pos += 2 if k else 0
+        try:
+            head = reader.read(data, pos)
+        except _BadHead as exc:
+            raise StorageError(f"multipart part {k}: {exc}") from None
+        crange, _, size = ("" if head is None
+                           else head[1].get("content-range", "")).partition("/")
+        if (head is None or head[0].rstrip() != delimiter
+                or crange != f"bytes {start}-{end - 1}" or not size.isdecimal()):
+            raise StorageError(f"multipart part {k} is not bytes={start}-{end - 1}")
+        pos = head[2] + end - start
+        parts.append(body[head[2]:pos])
+    if data[pos:] not in (f"\r\n{delimiter}--\r\n".encode("latin-1"),
+                          f"\r\n{delimiter}--".encode("latin-1")):
+        raise StorageError("multipart body without its closing delimiter "
+                           "after the last part's bytes")
+    return parts
+
+
+def _past_end(requests: list[tuple[str, int, int]], fields: dict[str, str],
+              members: list[int]) -> int:
+    """The first of ``members`` that reaches past the size a 416's
+    ``Content-Range: bytes */size`` gives; StorageError if it gives none or
+    none reaches past it."""
+    size = fields.get("content-range", "").removeprefix("bytes */")
+    past = [i for i in members if requests[i][1] + requests[i][2] > int(size)
+            ] if size.isdecimal() else []
+    if not past:
+        raise StorageError(f"HTTP 416 with Content-Range "
+                           f"{fields.get('content-range')!r} for ranges within it")
+    return min(past)
+
+
 class HTTPBackend(StorageBackend):
     """Client for the object server's wire protocol (path-style GET/PUT/HEAD).
 
     Ranged reads are sent as ``Range: bytes=a-b`` (``a-`` when open-ended)
     and must come back as 206, with exactly the range's length when its end
     is known; 404 maps to NotFoundError, 416 to RangeError and any other
-    failure to StorageError.
+    failure to StorageError.  ``read_into`` sends one GET per key, whose
+    ``Range`` header lists the key's merged runs (``bytes=a-b,c-d``): more
+    than one run must come back as a 206 ``multipart/byteranges`` body with
+    exactly those parts, in that order, or the GET fails with StorageError,
+    so a server that serves no multi-range GET (Amazon S3) fails loudly.
 
     The backend starts no threads.  Every call runs its requests on one
     shared pool of at most ``_IN_FLIGHT`` keep-alive connections, through a
@@ -794,6 +859,80 @@ class HTTPBackend(StorageBackend):
                 raise invalid
         finally:
             run.close()
+
+    def read_into(self, requests: list[tuple[str, int, int]], out) -> None:
+        """One GET per key, however the batch is ordered: a key's extents,
+        sorted by offset, merge into runs where they overlap or touch, and
+        its runs go out in one ``Range`` header, split over more GETs only
+        where the header line would reach _MAX_LINE.  The GETs run through
+        one pass, and each extent is copied from its run to its place.
+
+        A failed GET fails its first request, or for a 416 the first of its
+        requests that reaches past the size the 416 gives.  The request
+        ``i`` that raises is the earliest failed one; when a failed GET also
+        held requests before ``i``, those are read again with one ranged GET
+        each, so that they are in ``out``.
+        """
+        view = memoryview(out).cast("B")
+        at = list(itertools.accumulate((n for *_, n in requests), initial=0))
+        runs = []  # [key, start, end (exclusive), its requests], by key and start
+        for i in sorted(range(len(requests)), key=requests.__getitem__):
+            key, start, length = requests[i]
+            last = runs[-1] if runs else None
+            if last and last[0] == key and start <= last[2]:
+                last[2] = max(last[2], start + length)
+                last[3].append(i)
+            else:
+                runs.append([key, start, start + length, [i]])
+        gets = []  # [key, runs, Range header line], one per GET
+        for key_run in runs:
+            spec = f"{key_run[1]}-{key_run[2] - 1}"
+            last = gets[-1] if gets else None
+            if last and last[0] == key_run[0] and len(last[2]) + len(spec) + 3 < _MAX_LINE:
+                last[1].append(key_run)
+                last[2] += "," + spec
+            else:
+                gets.append([key_run[0], [key_run], "Range: bytes=" + spec])
+        paths: dict[str, str] = {}  # each key validated and quoted once
+        wires, sent = [], []
+        failed = []  # (the request that fails, the error, every request) per GET
+        for key, get_runs, line in gets:
+            members = [i for run in get_runs for i in run[3]]
+            path = paths.get(key)
+            if path is None:
+                try:
+                    path = paths[key] = self._path(key)
+                except ValueError as exc:
+                    failed.append((min(members), exc, members))
+                    continue
+            wires.append(f"GET {path} HTTP/1.1\r\n{self._host_line}\r\n{line}\r\n\r\n"
+                         .encode("latin-1"))
+            sent.append((path, get_runs, members))
+        run = _Pass(self, "GET", wires, None)
+        try:
+            for n, (path, get_runs, members) in enumerate(sent):
+                try:
+                    status, fields, data = run.result(n)
+                    if status == 416:
+                        index = _past_end(requests, fields, members)
+                        failed.append((index, RangeError(path), members))
+                        continue
+                    self._check("GET", path, status)
+                    parts = _parts(status, fields, data, get_runs)
+                except StorageError as exc:
+                    failed.append((min(members), exc, members))
+                    continue
+                for (_, start, _, extents), part in zip(get_runs, parts):
+                    for i in extents:
+                        _, offset, length = requests[i]
+                        view[at[i]:at[i] + length] = part[offset - start:offset - start + length]
+        finally:
+            run.close()
+        if failed:
+            index, cause, _ = min(failed, key=lambda failure: failure[0])
+            if any(i < index for *_, members in failed for i in members):
+                StorageBackend.read_into(self, requests[:index], view[:at[index]])
+            raise ReadError(index, cause) from cause
 
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
         with closing(self.get_many([(key, byte_range)])) as data:

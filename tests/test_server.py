@@ -9,6 +9,7 @@ from contextlib import ExitStack, closing
 
 import pytest
 
+import loadbench.server as server_module
 from loadbench.prng import SplitMix64, stream_bytes
 from loadbench.server import serve
 from loadbench.storage import (ByteRange, HTTPBackend, LatencyModel, LocalBackend,
@@ -83,6 +84,64 @@ def test_unsatisfiable_range_416(store):
     assert status == 416
 
 
+def _byteranges(headers, body):
+    """The (Content-Range, bytes) parts of a multipart/byteranges body."""
+    kind, _, boundary = headers["Content-Type"].partition("; boundary=")
+    assert kind == "multipart/byteranges" and boundary
+    delimiter = b"--" + boundary.encode()
+    assert body.startswith(delimiter + b"\r\n")
+    assert body.endswith(b"\r\n" + delimiter + b"--\r\n")
+    parts = []
+    for part in body[len(delimiter) + 2:-len(delimiter) - 6].split(
+            b"\r\n" + delimiter + b"\r\n"):
+        head, _, data = part.partition(b"\r\n\r\n")
+        fields = dict(line.split(": ", 1) for line in head.decode().split("\r\n"))
+        assert fields["Content-Type"] == "application/octet-stream"
+        parts.append((fields["Content-Range"], data))
+    return parts
+
+
+def test_multi_range_get_answers_multipart_byteranges(store):
+    # one part per range, in the header's order, overlaps and all
+    root, local, server = store
+    whole = local.get("train/shard4.dlbs")
+    total = len(whole)
+    status, headers, body = _status(f"{server.endpoint}/train/shard4.dlbs",
+                                    {"Range": "bytes=100-149, 0-9,5-14,-3"})
+    assert status == 206
+    assert int(headers["Content-Length"]) == len(body)
+    assert _byteranges(headers, body) == [
+        (f"bytes {a}-{b}/{total}", whole[a:b + 1])
+        for a, b in ((100, 149), (0, 9), (5, 14), (total - 3, total - 1))]
+
+
+@pytest.mark.parametrize("spec", [
+    "bytes=0-1,{total}-{total}", "bytes=0-1,5-{total}", "bytes=1-2,,3-4",
+    "bytes=5-3,0-1", "bytes=0-1,-0", "bytes=0-1,x"])
+def test_unsatisfiable_range_list_416(store, spec):
+    # one bad range fails the whole request, as a lone bad range does
+    root, local, server = store
+    total = local.size("train/shard0.dlbs")
+    status, headers, _ = _status(f"{server.endpoint}/train/shard0.dlbs",
+                                 {"Range": spec.format(total=total)})
+    assert status == 416
+    assert headers["Content-Range"] == f"bytes */{total}"
+
+
+def test_more_parts_than_one_sendmsg_takes(tmp_path):
+    # 1500 one-byte ranges are over 3000 reply buffers, more than IOV_MAX
+    data = stream_bytes(9, 3000)
+    ranges = [(i, i) for i in range(0, 3000, 2)]
+    assert 2 * len(ranges) > server_module._IOV_MAX
+    with serve(MemoryBackend({"k": data})) as server:
+        status, headers, body = _status(
+            f"{server.endpoint}/k",
+            {"Range": "bytes=" + ",".join(f"{a}-{b}" for a, b in ranges)})
+    assert status == 206
+    assert _byteranges(headers, body) == [
+        (f"bytes {a}-{a}/3000", data[a:a + 1]) for a, _ in ranges]
+
+
 def test_suffix_range(store):
     root, local, server = store
     url = f"{server.endpoint}/train/shard3.dlbs"
@@ -113,7 +172,8 @@ def test_head(store):
 
 
 @pytest.mark.parametrize("range_header", [
-    None, "bytes=0-63", "bytes=100-", "bytes=-10", "bytes=9999-", "bytes=9-3"])
+    None, "bytes=0-63", "bytes=100-", "bytes=-10", "bytes=9999-", "bytes=9-3",
+    "bytes=0-9,20-29,5-14"])
 def test_head_answers_the_get_headers(store, range_header):
     _, _, server = store
     url = f"{server.endpoint}/train/shard2.dlbs"
@@ -502,11 +562,17 @@ def test_failing_backend_answers_500_and_the_server_goes_on():
                 raise RuntimeError("no bytes")
             return super().get(key, byte_range)
 
+        def read_into(self, requests, out):  # a ranged GET's one backend call
+            if any(key == "no-get" for key, *_ in requests):
+                raise RuntimeError("no bytes")
+            super().read_into(requests, out)
+
     backend = Failing({"good": b"fine", "no-size": b"x", "no-get": b"y"})
     with serve(backend) as server:
         assert _raw(server, "GET", "/?prefix=")[0] == 500
         assert _raw(server, "GET", "/no-size")[0] == 500
         assert _raw(server, "HEAD", "/no-size")[0] == 500
+        assert _raw(server, "GET", "/no-get")[0] == 500
         assert _raw(server, "GET", "/no-get", [("Range", "bytes=0-0")])[0] == 500
         assert _status(f"{server.endpoint}/good")[::2] == (200, b"fine")
 

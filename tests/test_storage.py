@@ -588,9 +588,13 @@ class _AnsweringBackend(MemoryBackend):
         super().__init__(objects)
         self.latency = latency
 
-    def get(self, key, byte_range=None):
+    def get(self, key, byte_range=None):  # a whole-object GET
         self.latency.answered()
         return super().get(key, byte_range)
+
+    def read_into(self, requests, out):  # a ranged GET
+        self.latency.answered()
+        super().read_into(requests, out)
 
 
 def test_concurrent_get_many_share_one_pool(shards):
@@ -748,20 +752,29 @@ def test_no_fd_outlives_close(shards, monkeypatch):
     root, local = shards
     requests = _random_requests(local, 4, seed=12)
     expected = [local.get(key, br) for key, br in requests]
+    extents = _extents(local, requests)
     failures = []
 
     def calls():
         try:
             for i in range(100):
-                if i % 3 == 0:
+                if i % 5 == 0:
                     assert list(client.get_many(requests)) == expected
-                elif i % 3 == 1:  # closed early
+                elif i % 5 == 1:  # closed early
                     with closing(client.get_many(requests)) as bufs:
                         assert next(bufs) == expected[0]
-                else:
+                elif i % 5 == 2:
                     with pytest.raises(NotFoundError):
                         list(client.get_many(requests[:2] + [("s/absent.bin", None)]
                                              + requests[2:]))
+                else:  # one GET per key, and a 416 whose GET is read again
+                    bad = [("s/shard0.bin", 297, 4)] if i % 5 == 4 else []
+                    out = bytearray(2 * sum(n for *_, n in extents) + 4 * len(bad))
+                    try:
+                        client.read_into(extents + bad + extents, out)
+                    except ReadError as exc:
+                        assert bad and exc.index == len(extents)
+                    assert out[:len(b"".join(expected))] == b"".join(expected)
         except BaseException as exc:
             failures.append(exc)
     before = len(os.listdir("/proc/self/fd"))
@@ -1009,3 +1022,193 @@ def test_http_ranged_reads_equal_local_reads(shards):
             assert [client.get(key, br) for key, br in requests] == expected
 
         check()
+
+
+# -- read_into over HTTP: one GET per key, answered as multipart/byteranges ----
+
+class _CountingReads(MemoryBackend):
+    """Counts the ranged GETs a server answers: one ``read_into`` each."""
+
+    reads = 0
+
+    def read_into(self, requests, out):
+        self.reads += 1
+        super().read_into(requests, out)
+
+
+@st.composite
+def _batch_extents(draw, sizes):
+    """read_into requests over several keys: new extents, and repeats,
+    overlaps and neighbours of earlier ones; now and then one that fails
+    (an absent key, past the object's end, or an invalid key)."""
+    extents = []
+    for _ in range(draw(st.integers(0, 24))):
+        how = draw(st.sampled_from(["new", "same", "overlap", "adjacent", "bad"]
+                                   if extents else ["new", "bad"]))
+        if how == "bad":
+            extents.append(draw(st.sampled_from([
+                ("s/absent.bin", 0, 4), ("s/shard1.bin", sizes["s/shard1.bin"] - 2, 4),
+                ("s/../shard0.bin", 0, 4)])))
+            continue
+        if how == "new":
+            key = draw(st.sampled_from(sorted(sizes)))
+            start = draw(st.integers(0, sizes[key] - 1))
+        else:
+            key, start, length = draw(st.sampled_from(extents))
+            if key not in sizes or start + length > sizes[key]:
+                continue
+            if how == "same":
+                extents.append((key, start, length))
+                continue
+            start = (draw(st.integers(start, start + length - 1)) if how == "overlap"
+                     else start + length)
+            if start >= sizes[key]:
+                continue
+        extents.append((key, start, draw(st.integers(1, min(64, sizes[key] - start)))))
+    return extents
+
+
+def test_http_read_into_equals_memory_read_into(shards):
+    # read coalescing changes no byte and no failure: the same bytes, or
+    # the same failed request, cause type and bytes before it
+    root, local = shards
+    sizes = {key: local.size(key) for key in local.list("s/")}
+    memory = MemoryBackend.load(local)
+    served = _CountingReads({key: local.get(key) for key in sizes})
+    with serve(served) as server, closing(HTTPBackend(server.endpoint)) as client:
+
+        @settings(deadline=None, max_examples=80)
+        @given(_batch_extents(sizes))
+        def check(extents):
+            total = sum(length for *_, length in extents)
+            expected, got = np.zeros(total, np.uint8), np.zeros(total, np.uint8)
+            served.reads = 0
+            try:
+                memory.read_into(extents, expected)
+            except ReadError as want:
+                with pytest.raises(ReadError) as err:
+                    client.read_into(extents, got)
+                assert err.value.index == want.index
+                assert type(err.value.cause) is type(want.cause)
+                before = sum(length for *_, length in extents[:want.index])
+                assert got[:before].tobytes() == expected[:before].tobytes()
+            else:
+                client.read_into(extents, got)
+                assert got.tobytes() == expected.tobytes()
+                assert served.reads == len({key for key, *_ in extents})
+
+        check()
+
+
+def test_http_read_into_splits_a_range_line_too_long(tmp_path):
+    # 10,000 one-byte extents with gaps between them make a Range line of
+    # about 104 KiB, so the key's runs go out in two GETs
+    data = stream_bytes(3, 20000)
+    served = _CountingReads({"k": data})
+    extents = [("k", offset, 1) for offset in range(0, 20000, 2)]
+    out = bytearray(len(extents))
+    with serve(served) as server, closing(HTTPBackend(server.endpoint)) as client:
+        client.read_into(extents, out)
+    assert out == data[::2]
+    assert served.reads == 2
+
+
+def test_a_batch_over_http_is_one_get_per_shard(tiny_dataset):
+    from loadbench.dataset import record_extents
+    from loadbench.pipeline import DataLoader, LoaderConfig
+    from loadbench.sampling import SamplerConfig
+    from loadbench.transforms import TransformConfig
+
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]  # 48 records, 16 to a shard
+    local = LocalBackend(root)
+    served = _CountingReads({key: local.get(key) for key in local.list("")})
+    config = LoaderConfig(batch_size=16, sampler=SamplerConfig(kind="sequential"),
+                          transform=TransformConfig(seed=3))
+    with serve(served) as server, closing(HTTPBackend(server.endpoint)) as client:
+        loader = DataLoader(config, manifest, client)
+        assert sum(1 for _ in loader) == 3
+        assert served.reads == 3  # each sequential batch is one shard
+        loader.shutdown()
+        rng = np.random.default_rng(5)
+        for ids in (rng.permutation(np.flatnonzero(manifest.shard == 1)),
+                    rng.permutation(len(manifest))[:16]):
+            extents = record_extents(manifest, ids)
+            out = bytearray(sum(length for *_, length in extents))
+            served.reads = 0
+            client.read_into(extents, out)
+            assert served.reads == len(set(manifest.shard[ids].tolist()))
+            assert out == b"".join(local.get(key, ByteRange(offset, offset + length - 1))
+                                   for key, offset, length in extents)
+
+
+@pytest.mark.parametrize("bad, index", [
+    ([("s/shard0.bin", 295, 10)], 2),          # past the end, after a request of its GET
+    ([("s/absent.bin", 0, 4), ("s/shard0.bin", 295, 10)], 2),
+    ([("s/shard0.bin", 295, 10), ("s/absent.bin", 0, 4)], 2),
+    ([("s/shard2.bin", 0, 4), ("s/absent.bin", 0, 4)], 3),
+])
+def test_http_read_into_fails_at_the_earliest_failed_request(shards, bad, index):
+    # requests 0 and 3+ share shard0's GET, which a 416 fails; the requests
+    # before the failed one are all in ``out``
+    root, local = shards
+    good = [("s/shard0.bin", 10, 20), ("s/shard1.bin", 0, 5)]
+    extents = good + bad + [("s/shard0.bin", 40, 5)]
+    out = np.zeros(sum(n for *_, n in extents), np.uint8)
+    with serve(root) as server, closing(HTTPBackend(server.endpoint)) as client:
+        with pytest.raises(ReadError) as err:
+            client.read_into(extents, out)
+    assert err.value.index == index
+    key, offset, length = extents[index]
+    assert isinstance(err.value.cause, NotFoundError if "absent" in key else RangeError)
+    before = sum(n for *_, n in extents[:index])
+    assert out[:before].tobytes() == b"".join(
+        local.get(key, ByteRange(offset, offset + length - 1))
+        for key, offset, length in extents[:index])
+
+
+def _multipart_reply(*parts, boundary=b"B", content_type=None, closing_delimiter=True,
+                separator=b"\r\n"):
+    """A 206 multipart/byteranges reply of (Content-Range, bytes) parts."""
+    body = b"".join(b"%s--%s\r\nContent-Range: bytes %s\r\n\r\n%s" % (
+        separator if i else b"", boundary, crange, data) for i, (crange, data) in enumerate(parts))
+    if closing_delimiter:
+        body += b"\r\n--%s--\r\n" % boundary
+    content_type = content_type or b"multipart/byteranges; boundary=" + boundary
+    return (b"HTTP/1.1 206 Partial Content\r\nContent-Type: %s\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (content_type, len(body), body))
+
+
+_PARTS = [(b"0-1/8", b"ab"), (b"5-6/8", b"fg")]  # of the same length
+
+
+@pytest.mark.parametrize("reply, ok", [
+    (_multipart_reply(*_PARTS), True),
+    (_multipart_reply(*_PARTS, content_type=b'multipart/byteranges; boundary="B"'), True),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\nabcdefgh", False),
+    (b"HTTP/1.1 206 Partial Content\r\nContent-Range: bytes 0-1/8\r\n"
+     b"Content-Length: 2\r\n\r\nab", False),
+    (_multipart_reply(*_PARTS[::-1]), False),
+    (_multipart_reply((b"1-2/8", b"bc"), _PARTS[1]), False),
+    (_multipart_reply((b"0-1/8", b"a"), _PARTS[1]), False),
+    (_multipart_reply(*_PARTS, closing_delimiter=False), False),
+    (_multipart_reply(*_PARTS, separator=b"XX"), False),
+    (_multipart_reply(*_PARTS, content_type=b"multipart/byteranges"), False),
+], ids=["well-formed", "quoted-boundary", "200-whole-object", "single-part-206",
+        "reordered-parts", "wrong-content-range", "part-cut-short",
+        "no-closing-delimiter", "bad-separator", "no-boundary"])
+def test_http_read_into_rejects_a_bad_multipart_answer(reply, ok):
+    # two runs of one key are one GET; any answer but the exact parts in
+    # request order fails the GET's first request and writes no byte
+    with _scripted_server((reply, False), (_HELLO, False)) as endpoint, \
+            closing(HTTPBackend(endpoint, timeout=5)) as client:
+        out = bytearray(4)
+        if ok:
+            client.read_into([("k", 5, 2), ("k", 0, 2)], out)
+            assert out == b"fgab"
+        else:
+            with pytest.raises(ReadError) as err:
+                client.read_into([("k", 5, 2), ("k", 0, 2)], out)
+            assert err.value.index == 0 and type(err.value.cause) is StorageError
+            assert out == bytes(4)
+        assert client.get("k") == b"hello"
