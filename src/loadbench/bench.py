@@ -221,7 +221,8 @@ def _measure(config: BenchConfig, backend: StorageBackend,
             manifest = load_manifest(backend, split)
         except NotFoundError:
             continue
-        loader = DataLoader(config.loader, manifest, backend)
+        loader = DataLoader(config.loader, manifest, backend,
+                            epochs=config.epochs)
         init_times[split] = time.perf_counter() - s0
         loaders[split] = loader
 

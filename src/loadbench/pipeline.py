@@ -5,14 +5,26 @@ are built on a thread pool: the loader keeps a deque of futures in batch
 order and, after each delivery, tops it up to ``prefetch_depth``.  Delivery
 pops the leftmost future, so batches arrive strictly in order and their
 bytes depend only on the seeds, never on worker count, prefetch depth, or
-backend latency.  No more than ``prefetch_depth`` batches of an epoch are
-queued, being built, or finished but undelivered.  With zero workers each
-batch is built in the caller when it is asked for.
+backend latency.  With zero workers each batch is built in the caller when
+it is asked for.
 
-``start_epoch`` also draws the epoch's augmentation: ``sample_seeds`` and
-``draw_stack`` run once over the whole order, and each planned batch
-carries its ids and its rows of the draws.  That is O(N) array work per
-epoch, the order of the shuffle it already runs.
+The window slides across epoch boundaries.  Once every batch of epoch e is
+submitted and the window has room, the loader plans epoch e + 1 and submits
+its first batches behind e's last, so they are built, or being built, when
+the consumer starts that epoch.  It looks one epoch ahead at most, and the
+bound holds across the boundary: no more than ``prefetch_depth`` batches,
+of e and e + 1 together, are queued, being built, or finished but
+undelivered.  ``DataLoader(..., epochs=n)`` says that the caller iterates
+epochs 0 to n - 1, and no batch of epoch n is ever planned or built; with
+``epochs=None`` the lookahead runs on until ``shutdown()`` drops it.
+
+Planning an epoch (``_plan_epoch``) is one path for ``start_epoch`` and the
+lookahead alike.  It runs on the consumer thread: the sampler's order, and
+the epoch's augmentation, where ``sample_seeds`` and ``draw_stack`` run
+once over the whole order and each planned batch carries its ids and its
+rows of the draws.  That is O(N) array work per epoch, the order of the
+shuffle it already runs; the lookahead moves it into the previous epoch's
+last deliveries.
 
 A build works on the whole batch at every stage.  Its record extents
 (shard key, offset, length) come from indexing the manifest's locator
@@ -28,9 +40,15 @@ the first bad record with that record's own ``DatasetError``.
 with its draws, and the labels come from the manifest's label column.
 
 One consumer owns the loader.  Iterating it yields one epoch; iterating
-again starts the next epoch with a fresh per-epoch shuffle and abandons what
-was left of the previous one: its queued builds are cancelled and its
-finished batches are never delivered.
+again starts the next epoch with a fresh per-epoch shuffle.  After an epoch
+whose batches were all delivered, the next ``iter()``, ``next_batch()`` or
+``start_epoch()`` takes over the batches already built ahead for it.  Four
+things cancel every queued build, the lookahead's too, and leave the
+finished batches undelivered: iterating again in the middle of an epoch,
+``start_epoch(k)`` for any k but e + 1, a build that raises, and
+``shutdown()``.  A lookahead
+build that fails raises its ``WorkerError`` when its batch is delivered in
+epoch e + 1, never during epoch e.
 
 ``shutdown()`` cancels queued builds without waiting for builds in
 progress.  The pool's threads are not daemons, so at interpreter exit
@@ -121,60 +139,84 @@ class DataLoader:
     """Iterator of collated batches with worker-based prefetching."""
 
     def __init__(self, config: LoaderConfig, manifest: DatasetManifest,
-                 backend: StorageBackend) -> None:
+                 backend: StorageBackend, epochs: int | None = None) -> None:
         self.config = config
         self.manifest = manifest
         self.backend = backend
+        self.epochs = epochs  # epochs 0 .. epochs - 1 are iterated; None: no end
         self._pool = (ThreadPoolExecutor(config.num_workers,
                                          thread_name_prefix="loadbench-worker")
                       if config.num_workers else None)
         self._epoch = -1
         # the epoch's batches: each one's ids and its rows of the epoch's draws
         self._plan: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._ahead: list[tuple[np.ndarray, np.ndarray]] | None = None  # epoch + 1's
         self._delivered = 0
-        self._pending: deque[Future[Batch]] = deque()  # next batches, in order
+        # the next batches, in order: this epoch's, then the lookahead's first
+        self._pending: deque[Future[Batch]] = deque()
         self._closed = False
 
     @property
     def buffered_batches(self) -> int:
-        """Batches finished but not yet delivered."""
+        """Batches finished but not yet delivered, the next epoch's first
+        batches included; never more than ``prefetch_depth``."""
         return sum(f.done() for f in self._pending)
 
     # -- epoch lifecycle -------------------------------------------------
 
     def start_epoch(self, epoch: int | None = None) -> None:
-        """Begin a new epoch (next in sequence by default); starts prefetching."""
+        """Begin a new epoch (next in sequence by default); starts prefetching.
+
+        The epoch after one whose batches were all delivered takes over the
+        batches already built ahead for it; any other start abandons them.
+        """
         if self._closed:
             raise RuntimeError("loader is shut down")
-        self._abandon_epoch()
-        self._epoch = self._epoch + 1 if epoch is None else epoch
-        order = replica_order(self.config.sampler, self.manifest, self._epoch,
-                              backend=self.backend)
-        ids, tcfg = order.ids, self.config.transform
-        draws = draw_stack(tcfg, sample_seeds(tcfg.seed, self._epoch, ids))
-        batch_size = self.config.batch_size
-        stop = len(ids) - (len(ids) % batch_size if self.config.drop_last else 0)
-        self._plan = [(ids[i:i + batch_size], draws[i:i + batch_size])
-                      for i in range(0, stop, batch_size)]
-        self._delivered = 0
+        epoch = self._epoch + 1 if epoch is None else epoch
+        if (self._ahead is not None and epoch == self._epoch + 1
+                and (self._plan is None or self._delivered == len(self._plan))):
+            plan, self._ahead = self._ahead, None  # its batches lead _pending
+        else:
+            self._abandon_epoch()
+            plan = self._plan_epoch(epoch)
+        self._epoch, self._plan, self._delivered = epoch, plan, 0
         self._prefetch()
 
+    def _plan_epoch(self, epoch: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The epoch's batches: each one's ids and its rows of the draws."""
+        order = replica_order(self.config.sampler, self.manifest, epoch,
+                              backend=self.backend)
+        ids, tcfg = order.ids, self.config.transform
+        draws = draw_stack(tcfg, sample_seeds(tcfg.seed, epoch, ids))
+        batch_size = self.config.batch_size
+        stop = len(ids) - (len(ids) % batch_size if self.config.drop_last else 0)
+        return [(ids[i:i + batch_size], draws[i:i + batch_size])
+                for i in range(0, stop, batch_size)]
+
     def _prefetch(self) -> None:
+        """Top the window up to ``prefetch_depth``: this epoch's next
+        batches, then, once all of them are submitted, the next epoch's."""
         if self._pool is None:
             return
-        plan = self._plan
         while len(self._pending) < self.config.resolved_prefetch_depth:
-            b = self._delivered + len(self._pending)
+            plan, b = self._plan, self._delivered + len(self._pending)
             if b >= len(plan):
-                return
+                if self._ahead is None:
+                    if self.epochs is not None and self._epoch + 1 >= self.epochs:
+                        return
+                    self._ahead = self._plan_epoch(self._epoch + 1)
+                plan, b = self._ahead, b - len(plan)
+                if b >= len(plan):
+                    return
             self._pending.append(
                 self._pool.submit(self._build_batch, b, *plan[b]))
 
     def _abandon_epoch(self) -> None:
+        """Cancel every queued build, the lookahead's too."""
         for future in self._pending:
             future.cancel()
         self._pending.clear()
-        self._plan = None
+        self._plan = self._ahead = None
 
     def shutdown(self) -> None:
         """Cancel queued builds and refuse further epochs; idempotent."""
@@ -243,7 +285,7 @@ class DataLoader:
             self.start_epoch()
         b = self._delivered
         if b >= len(self._plan):
-            self._abandon_epoch()
+            self._plan = None  # the epoch is over; its lookahead stays queued
             return None
         try:
             if self._pool is None:
@@ -258,7 +300,11 @@ class DataLoader:
         return batch
 
     def __iter__(self):
-        self._abandon_epoch()  # restarting iteration abandons any unfinished epoch
+        # restarting iteration abandons an unfinished epoch; after a finished
+        # one, the next epoch takes over the batches built ahead for it
+        if self._plan is not None and self._delivered < len(self._plan):
+            self._abandon_epoch()
+        self._plan = None
         while True:
             batch = self.next_batch()
             if batch is None:

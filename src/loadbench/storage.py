@@ -975,7 +975,10 @@ class LatencyModel:
     Samples never go below ``min_ms``.  The n-th lognormal sample is a pure
     function of (``seed``, n), with ``seed=None`` drawing as 0, so a model's
     samples repeat from run to run; n comes from a counter that threads
-    share without a lock.
+    share without a lock.  So only the multiset of delays is seeded: which
+    request gets which delay depends on thread timing, and the loader's
+    lookahead, which overlaps one epoch's last requests with the next
+    epoch's first, gives timing more to decide.
     """
 
     mean_ms: float

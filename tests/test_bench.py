@@ -166,6 +166,22 @@ def test_run_loop_closes_its_backend(bench_dataset, tmp_path, monkeypatch):
     assert len(closed) == 2
 
 
+def test_run_loop_builds_no_batch_past_its_epochs(bench_dataset, monkeypatch):
+    # run_loop tells its loader how many epochs it iterates, so the loader
+    # builds nothing ahead of the epoch after the last
+    calls = []
+    read_into = StorageBackend.read_into
+
+    def counted(backend, requests, out):
+        calls.append(len(requests))
+        return read_into(backend, requests, out)
+
+    monkeypatch.setattr(StorageBackend, "read_into", counted)
+    result = run_loop(_config(bench_dataset, num_workers=2, epochs=2))
+    assert len(result.per_batch_seconds) == 2 * 13  # 800 samples, batch 64
+    assert len(calls) == 2 * 13
+
+
 def test_replicated_failure_before_barrier_returns(bench_dataset, monkeypatch):
     import loadbench.bench as bench_module
 

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import os
 import struct
+import sys
 import threading
 import time
 
@@ -239,9 +241,24 @@ def test_prefetch_occupancy_capped_by_total(tiny_dataset):
     manifest = manifests["val"]  # 12 samples -> 2 batches of 8
     loader = DataLoader(_loader_config(batch_size=8, num_workers=2,
                                        prefetch_depth=4),
-                        manifest, LocalBackend(root))
+                        manifest, LocalBackend(root), epochs=1)
     try:
         assert _settled_occupancy(loader, 2) == min(4, 2)
+    finally:
+        loader.shutdown()
+
+
+@pytest.mark.parametrize("depth, settled", [(3, 3), (4, 4), (6, 4)])
+def test_unbounded_loader_fills_window_from_next_epoch(tiny_dataset, depth,
+                                                       settled):
+    # a 2-batch epoch: the window holds the next epoch's first batches too,
+    # up to prefetch_depth, and looks no further than one epoch ahead
+    root, manifests = tiny_dataset
+    loader = DataLoader(_loader_config(batch_size=8, num_workers=2,
+                                       prefetch_depth=depth),
+                        manifests["val"], LocalBackend(root))
+    try:
+        assert _settled_occupancy(loader, settled) == settled
     finally:
         loader.shutdown()
 
@@ -254,15 +271,16 @@ def test_buffer_never_exceeds_depth(tiny_dataset):
                                        prefetch_depth=depth),
                         manifest, LocalBackend(root))
     try:
-        seen = 0
-        while True:
-            assert loader.buffered_batches <= depth
-            batch = loader.next_batch()
-            if batch is None:
-                break
-            seen += 1
-            time.sleep(0.002)
-        assert seen == 12
+        for _ in range(3):  # the window reaches into the next epoch
+            seen = 0
+            while True:
+                assert loader.buffered_batches <= depth
+                batch = loader.next_batch()
+                if batch is None:
+                    break
+                seen += 1
+                time.sleep(0.002)
+            assert seen == 12
     finally:
         loader.shutdown()
 
@@ -333,8 +351,7 @@ def test_shutdown_idempotent(tiny_dataset):
 def _assert_new_workers_exit(before: set[threading.Thread]) -> None:
     deadline = time.perf_counter() + 2.0
     for t in threading.enumerate():
-        if (t.name.startswith(("loadbench-worker", "loadbench-fetch"))
-                and t not in before):
+        if t.name.startswith("loadbench-worker") and t not in before:
             t.join(max(0.0, deadline - time.perf_counter()))
             assert not t.is_alive(), t.name
 
@@ -492,6 +509,191 @@ def test_bad_record_and_failed_read_fail_in_batch_order(tiny_dataset, workers,
             loader.next_batch()
     assert err.value.sample_id == second[1]
     assert isinstance(err.value.cause, DatasetError if bad_first else StorageError)
+
+
+# -- lookahead across epoch boundaries --------------------------------------------
+
+class _CountingBackend(StorageBackend):
+    """Counts ``read_into`` calls; once ``gate`` is cleared, the calls after
+    the first ``free`` wait for it to be set again (``blocked`` tells)."""
+
+    def __init__(self, inner, free=0):
+        self.inner = inner
+        self.free = free
+        self.calls = 0
+        self.gate = threading.Event()
+        self.gate.set()
+        self.blocked = threading.Event()
+        self._lock = threading.Lock()
+
+    def read_into(self, requests, out):
+        with self._lock:
+            self.calls += 1
+            held = self.calls > self.free and not self.gate.is_set()
+        if held:
+            self.blocked.set()
+            assert self.gate.wait(5.0)
+        self.inner.read_into(requests, out)
+
+    def get(self, key, byte_range=None):
+        return self.inner.get(key, byte_range)
+
+    def put(self, key, data):
+        self.inner.put(key, data)
+
+    def list(self, prefix=""):
+        return self.inner.list(prefix)
+
+    def size(self, key):
+        return self.inner.size(key)
+
+
+def _drain(loader) -> list[str]:
+    """The digests of the started epoch's remaining batches."""
+    digests = []
+    while (batch := loader.next_batch()) is not None:
+        digests.append(_digest(batch))
+    return digests
+
+
+def _run_epochs(loader, epochs):
+    try:
+        return [[_digest(b) for b in loader] for _ in range(epochs)]
+    finally:
+        loader.shutdown()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 6])
+@pytest.mark.parametrize("kind", ["local", "memory", "latency"])
+def test_lookahead_keeps_contents_over_epochs(tiny_dataset, workers, depth,
+                                              kind):
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]  # 6 batches of 8 an epoch
+    local = LocalBackend(root)
+    reference = _run_epochs(DataLoader(_loader_config(), manifest, local), 3)
+    backend = {"local": local,
+               "memory": MemoryBackend.load(local),
+               "latency": with_latency(local, LatencyModel(mean_ms=1.0))}[kind]
+    loader = DataLoader(_loader_config(num_workers=workers,
+                                       prefetch_depth=depth),
+                        manifest, backend)
+    assert _run_epochs(loader, 3) == reference
+
+
+def test_lookahead_under_thread_stress(tiny_dataset):
+    # more workers than cores and a short switch interval: four epochs of
+    # 12 batches each still give the 0-worker loader's bytes
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    backend = MemoryBackend.load(LocalBackend(root))
+    reference = _run_epochs(DataLoader(_loader_config(batch_size=4), manifest,
+                                       backend), 4)
+    workers = len(os.sched_getaffinity(0)) + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        loader = DataLoader(_loader_config(batch_size=4, num_workers=workers,
+                                           prefetch_depth=3),
+                            manifest, backend)
+        assert _run_epochs(loader, 4) == reference
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_start_out_of_sequence_cancels_the_lookahead(tiny_dataset):
+    root, manifests = tiny_dataset
+    manifest = manifests["val"]  # 2 batches of 8 an epoch
+    reference = DataLoader(_loader_config(batch_size=8), manifest,
+                           LocalBackend(root))
+    reference.start_epoch(3)
+    expected = _drain(reference)
+    # epoch 0's two builds pass; epoch 1's first waits at the gate while
+    # its second is queued behind it (one worker)
+    backend = _CountingBackend(LocalBackend(root), free=2)
+    backend.gate.clear()
+    loader = DataLoader(_loader_config(batch_size=8, num_workers=1,
+                                       prefetch_depth=4),
+                        manifest, backend, epochs=4)
+    try:
+        assert len([b for b in loader]) == 2
+        assert backend.blocked.wait(2.0)
+        loader.start_epoch(3)  # not epoch 1: the queued build is cancelled
+        backend.gate.set()
+        assert _drain(loader) == expected
+    finally:
+        loader.shutdown()
+    # epoch 0's two, epoch 1's first (already running) and epoch 3's two
+    assert backend.calls == 5
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+def test_bounded_loader_builds_no_batch_past_its_epochs(tiny_dataset, epochs):
+    root, manifests = tiny_dataset
+    backend = _CountingBackend(LocalBackend(root))
+    loader = DataLoader(_loader_config(batch_size=8, num_workers=2,
+                                       prefetch_depth=6),
+                        manifests["train"], backend, epochs=epochs)
+    assert [len(e) for e in _run_epochs(loader, epochs)] == [6] * epochs
+    assert backend.calls == epochs * 6
+
+
+class _LatePoisonBackend(_PoisonBackend):
+    """``_PoisonBackend`` whose first ``clean`` batch reads pass untouched."""
+
+    def __init__(self, inner, poison: ByteRange, shard: str, clean: int):
+        super().__init__(inner, poison, shard)
+        self.clean = clean
+        self._lock = threading.Lock()
+
+    def read_into(self, requests, out):
+        with self._lock:
+            self.clean -= 1
+            clean = self.clean >= 0
+        if clean:
+            return self.inner.read_into(requests, out)
+        return super().read_into(requests, out)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_lookahead_failure_surfaces_in_its_own_epoch(tiny_dataset, workers):
+    # the first batch of epoch 1 holds a record whose read fails there
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    depth = 4
+    config = _loader_config(batch_size=8, num_workers=workers,
+                            prefetch_depth=depth)
+    victim = int(replica_order(config.sampler, manifest, 1).ids[0])
+    shard, extent = record_extent(manifest, victim)
+    backend = _LatePoisonBackend(LocalBackend(root), extent, shard, clean=6)
+    before = set(threading.enumerate())
+    with DataLoader(config, manifest, backend) as loader:
+        for _ in range(6):
+            assert loader.next_batch() is not None
+        if workers:  # epoch 1's first batches, the failed one too, are built
+            deadline = time.perf_counter() + 2.0
+            while (loader.buffered_batches < depth
+                   and time.perf_counter() < deadline):
+                time.sleep(0.01)
+            assert loader.buffered_batches == depth
+        assert loader.next_batch() is None  # epoch 0 completes
+        with pytest.raises(WorkerError) as err:
+            loader.next_batch()
+    _assert_new_workers_exit(before)
+    assert err.value.sample_id == victim
+    assert isinstance(err.value.cause, StorageError)
+
+
+@pytest.mark.parametrize("epochs", [None, 2])
+def test_shutdown_after_last_epoch_stops_lookahead_workers(tiny_dataset,
+                                                           epochs):
+    root, manifests = tiny_dataset
+    backend = with_latency(LocalBackend(root), LatencyModel(mean_ms=5.0))
+    before = set(threading.enumerate())
+    loader = DataLoader(_loader_config(batch_size=4, num_workers=2),
+                        manifests["train"], backend, epochs=epochs)
+    assert [len(e) for e in _run_epochs(loader, 2)] == [12, 12]
+    _assert_new_workers_exit(before)
 
 
 def test_tracer_hooks_stay_bound():
