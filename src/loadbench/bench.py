@@ -157,6 +157,7 @@ class RunResult:
     repetition: int = 0
     processed_ids: list[int] = field(default_factory=list)
     batch_digests: list[str] = field(default_factory=list)
+    worker_cpus: tuple[int, ...] | None = None  # the loader's; None: unpinned
 
     @property
     def first_batch_s(self) -> float:
@@ -166,7 +167,8 @@ class RunResult:
 def result_row(config: BenchConfig, result: RunResult | None = None,
                error: str = "", repetition: int = 0) -> dict:
     """One result row of ``config``: the ``results.csv`` columns, with the
-    run's metrics (left empty for a failed run), then ``fingerprint``.
+    run's metrics (left empty for a failed run), then ``worker_cpus`` (the
+    CPUs the loader's workers were pinned to, or None) and ``fingerprint``.
 
     The fingerprint is the config that ``result`` itself ran (a replica's
     carries its sampler rank), or ``config``'s for a failed run; either
@@ -189,6 +191,7 @@ def result_row(config: BenchConfig, result: RunResult | None = None,
                    first_batch_s=result.first_batch_s,
                    repetition=result.repetition,
                    **{f"init_{s}_s": result.init_times.get(s, 0.0) for s in SPLITS})
+    row["worker_cpus"] = result.worker_cpus if result else None
     row["fingerprint"] = result.fingerprint if result else config.fingerprint()
     return row
 
@@ -312,6 +315,7 @@ def _measure(config: BenchConfig, backend: StorageBackend,
         repetition=repetition,
         processed_ids=processed_ids,
         batch_digests=digests,
+        worker_cpus=loader.worker_cpus,
     )
 
 

@@ -40,7 +40,9 @@ the first bad record with that record's own ``DatasetError``.
 with its draws, and the labels come from the manifest's label column.
 
 One consumer owns the loader.  Iterating it yields one epoch; iterating
-again starts the next epoch with a fresh per-epoch shuffle.  After an epoch
+again starts the next epoch with a fresh per-epoch shuffle.  An epoch that
+``start_epoch(k)`` began and that has delivered nothing is the one the next
+``iter()`` yields.  After an epoch
 whose batches were all delivered, the next ``iter()``, ``next_batch()`` or
 ``start_epoch()`` takes over the batches already built ahead for it.  Four
 things cancel every queued build, the lookahead's too, and leave the
@@ -57,10 +59,25 @@ down, for the builds still queued).  A build's storage requests run in the
 thread that builds it, over HTTP in the backend's selector loop, not on
 threads of their own; the wait is bounded by the backend's stall timeout
 (30 s for HTTP).
+
+The pool's threads run off the consumer's CPU.  The loader reads the CPU
+its constructing thread, the consumer, runs on (libc's ``sched_getcpu``),
+and each pool thread pins itself to every other CPU that thread may use
+(``os.sched_setaffinity`` acts on the calling thread on Linux); the
+consumer stays unpinned.  Left to the kernel, a worker the consumer had
+just woken ran on the consumer's CPU while the other CPU of a 2-CPU host
+idled (for 96 of 96 batches), and its build preempted the training step.
+The interpreter lock was not the cause: a shorter switch interval changed
+nothing.  Nothing is pinned with one allowed CPU, no workers, or no
+``sched_setaffinity`` or ``sched_getcpu``, and a thread whose pin fails
+stays unpinned.  ``worker_cpus`` records the placement asked for.  It
+touches no data path, so batch bytes do not depend on it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -135,6 +152,41 @@ def collate(samples: list[tuple[np.ndarray, int]], batch_index: int = 0) -> Batc
     return Batch(X=X, y=y, batch_index=batch_index)
 
 
+def _current_cpu() -> int:
+    """The CPU the calling thread runs on (libc ``sched_getcpu``), or -1."""
+    try:
+        getcpu = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):  # no libc, or no sched_getcpu in it
+        return -1
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    return getcpu()
+
+
+def _worker_cpus() -> tuple[int, ...] | None:
+    """Every CPU the calling thread may use but the one it runs on, sorted;
+    None when that leaves none or threads cannot be placed."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    allowed = os.sched_getaffinity(0)
+    cpu = _current_cpu()
+    if len(allowed) < 2 or cpu not in allowed:
+        return None
+    return tuple(sorted(allowed - {cpu}))
+
+
+def _pin(cpus: tuple[int, ...]) -> None:
+    """Pin the calling thread to ``cpus``; a pool thread's initializer.
+
+    It must not raise: a pool whose initializer raises is broken and fails
+    every build.  It holds no reference to the loader, so a loader dropped
+    without ``shutdown()`` still lets its pool's threads exit.
+    """
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass  # the thread stays unpinned
+
+
 class DataLoader:
     """Iterator of collated batches with worker-based prefetching."""
 
@@ -144,9 +196,15 @@ class DataLoader:
         self.manifest = manifest
         self.backend = backend
         self.epochs = epochs  # epochs 0 .. epochs - 1 are iterated; None: no end
-        self._pool = (ThreadPoolExecutor(config.num_workers,
-                                         thread_name_prefix="loadbench-worker")
-                      if config.num_workers else None)
+        # the CPUs the pool's threads pin themselves to; None: unpinned
+        self.worker_cpus: tuple[int, ...] | None = None
+        self._pool: ThreadPoolExecutor | None = None
+        if config.num_workers:
+            self.worker_cpus = _worker_cpus()
+            self._pool = ThreadPoolExecutor(
+                config.num_workers, thread_name_prefix="loadbench-worker",
+                initializer=_pin if self.worker_cpus else None,
+                initargs=(self.worker_cpus,))
         self._epoch = -1
         # the epoch's batches: each one's ids and its rows of the epoch's draws
         self._plan: list[tuple[np.ndarray, np.ndarray]] | None = None
@@ -300,11 +358,13 @@ class DataLoader:
         return batch
 
     def __iter__(self):
-        # restarting iteration abandons an unfinished epoch; after a finished
-        # one, the next epoch takes over the batches built ahead for it
-        if self._plan is not None and self._delivered < len(self._plan):
-            self._abandon_epoch()
-        self._plan = None
+        # an epoch that has delivered nothing yet, as after start_epoch(k),
+        # is iterated; restarting iteration abandons one in progress; after a
+        # finished one, the next epoch takes over the batches built ahead
+        if self._plan is not None and self._delivered:
+            if self._delivered < len(self._plan):
+                self._abandon_epoch()
+            self._plan = None
         while True:
             batch = self.next_batch()
             if batch is None:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import threading
 
 import numpy as np
@@ -472,5 +473,21 @@ def test_bench_config_validation(bench_dataset):
 def test_result_row_covers_columns(bench_dataset):
     config = _config(bench_dataset, cutoff_batches=2)
     row = result_row(config, run_loop(config))
-    assert list(row) == [*RESULT_COLUMNS, "fingerprint"]
+    assert list(row) == [*RESULT_COLUMNS, "worker_cpus", "fingerprint"]
     assert list(result_row(config, error="E: x")) == list(row)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_result_row_records_worker_cpus(bench_dataset, workers):
+    config = _config(bench_dataset, num_workers=workers, cutoff_batches=2)
+    result = run_loop(config)
+    allowed = os.sched_getaffinity(0)
+    if workers and len(allowed) > 1:  # every allowed CPU but the consumer's
+        assert set(result.worker_cpus) < allowed
+        assert len(result.worker_cpus) == len(allowed) - 1
+    else:
+        assert result.worker_cpus is None
+    row = json.loads(json.dumps(result_row(config, result)))
+    assert row["worker_cpus"] == (list(result.worker_cpus)
+                                  if result.worker_cpus else None)
+    assert result_row(config, error="E: x")["worker_cpus"] is None

@@ -19,6 +19,7 @@ from loadbench.dataset import (
     read_record,
     record_extent,
 )
+from loadbench import pipeline
 from loadbench.pipeline import (
     Batch,
     DataLoader,
@@ -693,6 +694,129 @@ def test_shutdown_after_last_epoch_stops_lookahead_workers(tiny_dataset,
     loader = DataLoader(_loader_config(batch_size=4, num_workers=2),
                         manifests["train"], backend, epochs=epochs)
     assert [len(e) for e in _run_epochs(loader, 2)] == [12, 12]
+    _assert_new_workers_exit(before)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_iterating_a_started_epoch_yields_it(tiny_dataset, workers):
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    backend = LocalBackend(root)
+    with DataLoader(_loader_config(), manifest, backend) as reference:
+        reference.start_epoch(3)
+        expected = _drain(reference)
+    with DataLoader(_loader_config(num_workers=workers), manifest,
+                    backend) as loader:
+        loader.start_epoch(3)  # delivers nothing, so iter() goes on with it
+        assert [_digest(b) for b in loader] == expected
+
+
+# -- worker placement ---------------------------------------------------------
+
+_TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                               reason="needs 2 or more allowed CPUs")
+
+
+class _AffinityBackend(_CountingBackend):
+    """Records the allowed CPUs of each thread that calls ``read_into``."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.affinities = []
+
+    def read_into(self, requests, out):
+        self.affinities.append(frozenset(os.sched_getaffinity(0)))
+        super().read_into(requests, out)
+
+
+@_TWO_CPUS
+def test_current_cpu_reads_the_calling_threads_cpu():
+    seen = {}
+
+    def probe(cpu):  # runs on ``cpu`` alone once pinned there
+        os.sched_setaffinity(0, {cpu})
+        seen[cpu] = pipeline._current_cpu()
+
+    allowed = os.sched_getaffinity(0)
+    for cpu in sorted(allowed):
+        thread = threading.Thread(target=probe, args=(cpu,))
+        thread.start()
+        thread.join(5.0)
+        assert not thread.is_alive()
+    assert seen == {cpu: cpu for cpu in allowed}
+
+
+@_TWO_CPUS
+def test_workers_run_off_the_constructing_threads_cpu(tiny_dataset,
+                                                      monkeypatch):
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    backend = MemoryBackend.load(LocalBackend(root))
+    reference = _run_epochs(DataLoader(_loader_config(), manifest, backend), 2)
+    read = []  # the CPU the loader read for its constructing thread
+
+    def current_cpu():
+        read.append(real_current_cpu())
+        return read[-1]
+
+    real_current_cpu = pipeline._current_cpu
+    monkeypatch.setattr(pipeline, "_current_cpu", current_cpu)
+    recorder = _AffinityBackend(backend)
+    loader = DataLoader(_loader_config(num_workers=2), manifest, recorder)
+    allowed = os.sched_getaffinity(0)
+    assert len(read) == 1 and read[0] in allowed
+    assert loader.worker_cpus == tuple(sorted(allowed - {read[0]}))
+    assert _run_epochs(loader, 2) == reference
+    assert set(recorder.affinities) == {frozenset(allowed - {read[0]})}
+
+
+@pytest.mark.parametrize("workers, one_cpu", [(0, False), (2, True)])
+def test_no_pinning_without_workers_or_a_second_cpu(tiny_dataset, monkeypatch,
+                                                    workers, one_cpu):
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    backend = LocalBackend(root)
+    reference = _run_epochs(DataLoader(_loader_config(), manifest, backend), 2)
+    pins = []
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda *args: pins.append(args))
+    if one_cpu:  # the constructing thread may run on its current CPU only
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {pipeline._current_cpu()})
+    loader = DataLoader(_loader_config(num_workers=workers), manifest, backend)
+    assert loader.worker_cpus is None
+    assert _run_epochs(loader, 2) == reference
+    assert pins == []
+
+
+@_TWO_CPUS
+def test_failed_pin_leaves_the_pool_working(tiny_dataset, monkeypatch):
+    # an initializer that raised would break the pool: every build would
+    # fail with BrokenThreadPool
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    backend = LocalBackend(root)
+    reference = _run_epochs(DataLoader(_loader_config(), manifest, backend), 2)
+    allowed = os.sched_getaffinity(0)
+
+    def refuse(pid, cpus):
+        raise PermissionError("sched_setaffinity refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    recorder = _AffinityBackend(backend)
+    loader = DataLoader(_loader_config(num_workers=2), manifest, recorder)
+    assert _run_epochs(loader, 2) == reference
+    assert set(recorder.affinities) == {frozenset(allowed)}  # unpinned
+
+
+def test_dropped_loader_lets_its_workers_exit(tiny_dataset):
+    # nothing a pool thread holds, its pin included, keeps the loader alive
+    root, manifests = tiny_dataset
+    before = set(threading.enumerate())
+    loader = DataLoader(_loader_config(num_workers=2), manifests["val"],
+                        LocalBackend(root), epochs=1)
+    assert len(list(loader)) == 2
+    del loader  # never shut down
     _assert_new_workers_exit(before)
 
 
