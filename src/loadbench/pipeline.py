@@ -2,7 +2,12 @@
 
 Each epoch cuts the sampler's order into batches.  With workers, batches
 are built on a thread pool: the loader keeps a deque of futures in batch
-order and, after each delivery, tops it up to ``prefetch_depth``.  Delivery
+order and, after each delivery, tops it up to ``prefetch_depth``.  A batch
+enters that window with its read started: the consumer thread calls
+``backend.start_read`` on the batch's record extents as it submits the
+build, so the window, not the worker count, sets how many batch reads are
+in flight (over HTTP their GETs go out then; other backends read when the
+build finishes the read).  Delivery
 pops the leftmost future, so batches arrive strictly in order and their
 bytes depend only on the seeds, never on worker count, prefetch depth, or
 backend latency.  With zero workers each batch is built in the caller when
@@ -28,10 +33,12 @@ last deliveries.
 
 A build works on the whole batch at every stage.  Its record extents
 (shard key, offset, length) come from indexing the manifest's locator
-columns with the batch's ids, and one ``backend.read_into`` call reads them
-into one buffer sized from the length column (over HTTP, with one
-multi-range GET per shard); a failed read raises ``WorkerError`` for its
-sample.  ``decode_records``
+columns with the batch's ids, and one read, started as the batch entered
+the window (over HTTP, with one multi-range GET per shard), is finished
+into one buffer sized from the length column; a failed read raises
+``WorkerError`` for its sample when its batch is delivered, never earlier.
+Starting a read raises nothing, and an id out of range fails its own
+batch's build too.  ``decode_records``
 views the buffer as one array, checks every header with array operations
 and gives the pixels as one (B, H, W, C) uint8 view.  When a check fails,
 ``read_record`` runs on the batch's records in order, so the error names
@@ -48,17 +55,20 @@ whose batches were all delivered, the next ``iter()``, ``next_batch()`` or
 things cancel every queued build, the lookahead's too, and leave the
 finished batches undelivered: iterating again in the middle of an epoch,
 ``start_epoch(k)`` for any k but e + 1, a build that raises, and
-``shutdown()``.  A lookahead
+``shutdown()``.  A cancelled build's read is closed then, which gives its
+connections back; a build that runs closes its own.  A lookahead
 build that fails raises its ``WorkerError`` when its batch is delivered in
 epoch e + 1, never during epoch e.
 
 ``shutdown()`` cancels queued builds without waiting for builds in
 progress.  The pool's threads are not daemons, so at interpreter exit
 Python waits for a build still in progress (and, for a loader never shut
-down, for the builds still queued).  A build's storage requests run in the
-thread that builds it, over HTTP in the backend's selector loop, not on
-threads of their own; the wait is bounded by the backend's stall timeout
-(30 s for HTTP).
+down, for the builds still queued).  No storage request runs on a thread
+of its own: a batch read's first sends run on the consumer thread as the
+batch enters the window, and the rest of the read, over HTTP the
+backend's poll loop, runs in the thread that builds the batch.  The wait
+is bounded by the backend's stall timeout (30 s for HTTP), which counts
+from the build's ``finish``.
 
 The pool's threads run off the consumer's CPU.  The loader reads the CPU
 its constructing thread, the consumer, runs on (libc's ``sched_getcpu``),
@@ -87,12 +97,23 @@ import numpy as np
 from .dataset import (DatasetManifest, ImageRecord, decode_records,
                       read_record, record_extents)
 from .sampling import SamplerConfig, replica_order
-from .storage import ReadError, StorageBackend
+from .storage import PendingRead, ReadError, StorageBackend
 from .transforms import TransformConfig, apply_draws, draw_stack, sample_seeds
 # perfbench/spans.py traces a run by rebinding names on this module: these
 # two, ``read_record``, ``collate`` and ``replica_order``.  The batch build
 # calls neither of these two; they stay bound so that the tracer installs.
 from .transforms import apply_stack, sample_seed  # noqa: F401
+
+
+class _Refused(PendingRead):
+    """The read of a batch whose ids ``record_extents`` rejects: ``finish``
+    raises that error, so the batch fails where it is built."""
+
+    def __init__(self, error: Exception) -> None:
+        self._error = error
+
+    def finish(self, out) -> None:
+        raise self._error
 
 
 class WorkerError(Exception):
@@ -210,15 +231,16 @@ class DataLoader:
         self._plan: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._ahead: list[tuple[np.ndarray, np.ndarray]] | None = None  # epoch + 1's
         self._delivered = 0
-        # the next batches, in order: this epoch's, then the lookahead's first
-        self._pending: deque[Future[Batch]] = deque()
+        # the next batches, in order: this epoch's, then the lookahead's
+        # first; each one's build and its started read
+        self._pending: deque[tuple[Future[Batch], PendingRead]] = deque()
         self._closed = False
 
     @property
     def buffered_batches(self) -> int:
         """Batches finished but not yet delivered, the next epoch's first
         batches included; never more than ``prefetch_depth``."""
-        return sum(f.done() for f in self._pending)
+        return sum(f.done() for f, _ in self._pending)
 
     # -- epoch lifecycle -------------------------------------------------
 
@@ -253,7 +275,8 @@ class DataLoader:
 
     def _prefetch(self) -> None:
         """Top the window up to ``prefetch_depth``: this epoch's next
-        batches, then, once all of them are submitted, the next epoch's."""
+        batches, then, once all of them are submitted, the next epoch's.
+        Each batch's read starts as it enters the window."""
         if self._pool is None:
             return
         while len(self._pending) < self.config.resolved_prefetch_depth:
@@ -266,13 +289,24 @@ class DataLoader:
                 plan, b = self._ahead, b - len(plan)
                 if b >= len(plan):
                     return
+            ids, draws = plan[b]
+            read = self._start_read(ids)
             self._pending.append(
-                self._pool.submit(self._build_batch, b, *plan[b]))
+                (self._pool.submit(self._build_batch, b, ids, draws, read), read))
+
+    def _start_read(self, ids: np.ndarray) -> PendingRead:
+        """The batch's read, started; it raises nothing."""
+        try:
+            return self.backend.start_read(record_extents(self.manifest, ids))
+        except IndexError as exc:  # an id out of range
+            return _Refused(exc)
 
     def _abandon_epoch(self) -> None:
-        """Cancel every queued build, the lookahead's too."""
-        for future in self._pending:
-            future.cancel()
+        """Cancel every queued build, the lookahead's too, and close its
+        read; a build that runs closes its own."""
+        for future, read in self._pending:
+            if future.cancel():
+                read.close()
         self._pending.clear()
         self._plan = self._ahead = None
 
@@ -292,17 +326,18 @@ class DataLoader:
     # -- batch production --------------------------------------------------
 
     def _build_batch(self, batch_index: int, ids: np.ndarray,
-                     draws: np.ndarray) -> Batch:
+                     draws: np.ndarray, read: PendingRead) -> Batch:
         manifest = self.manifest
-        extents = record_extents(manifest, ids)
-        # one backend call reads every record of the batch into one buffer
-        buf = np.empty(int(manifest.length[ids].sum()), dtype=np.uint8)
         try:
-            self.backend.read_into(extents, buf)
+            # one read puts every record of the batch into one buffer
+            buf = np.empty(int(manifest.length[ids].sum()), dtype=np.uint8)
+            read.finish(buf)
         except ReadError as exc:
             # a bad record read before the failed one fails first
             self._read_each(ids[:exc.index], buf)
             raise WorkerError(int(ids[exc.index]), exc.cause) from exc.cause
+        finally:
+            read.close()
         pixels = decode_records(manifest, ids, buf)
         if pixels is None:
             # a header check failed: name the first bad record and its error
@@ -347,9 +382,10 @@ class DataLoader:
             return None
         try:
             if self._pool is None:
-                batch = self._build_batch(b, *self._plan[b])
+                ids, draws = self._plan[b]
+                batch = self._build_batch(b, ids, draws, self._start_read(ids))
             else:
-                batch = self._pending.popleft().result()
+                batch = self._pending.popleft()[0].result()
         except BaseException:
             self._abandon_epoch()
             raise

@@ -1,12 +1,12 @@
 """Byte stores: local directory, in-memory, and S3-compatible HTTP backends.
 
 All backends speak the same small contract (get / put / list / size, plus
-``get_many``, ``read_into`` and ``close``) with inclusive byte ranges, so
-the loading pipeline never knows where bytes live.  ``get_many`` reads a
-list of (key, range) requests and yields their bytes in request order; each
-request may carry a wait, a delay it holds before it is sent.  By default
-it runs one ``get`` at a time, each when its bytes are asked for, after
-sleeping its wait.  ``HTTPBackend`` runs every request through one small
+``get_many``, ``read_into``, ``start_read`` and ``close``) with inclusive
+byte ranges, so the loading pipeline never knows where bytes live.
+``get_many`` reads a list of (key, range) requests and yields their bytes
+in request order; each request may carry a wait, a delay it holds before
+it is sent.  By default it runs one ``get`` at a time, each when its bytes
+are asked for, after sleeping its wait.  ``HTTPBackend`` runs every request through one small
 HTTP/1.1 codec and a poll loop in the calling thread, on a pool of
 keep-alive connections shared by its callers: ``get_many`` keeps up to
 ``_IN_FLIGHT`` requests in flight and times their waits in the loop, so
@@ -22,6 +22,12 @@ merges each key's extents into runs and asks for all of a key's runs in one
 multi-range GET, which the object server answers as ``multipart/byteranges``:
 a batch costs one GET per shard it reads.  Amazon S3 serves no multi-range
 GET, so there its ``read_into`` fails with StorageError.
+
+``start_read`` splits a ``read_into`` into a send and a receive: it returns
+a ``PendingRead`` whose ``finish(out)`` completes the read, in any thread,
+and whose ``close()`` lets go of it.  Only ``HTTPBackend`` sends early: its
+GETs go out when the read starts.  Every other backend does the whole read
+in ``finish``, through its ``read_into``.
 
 Two wrappers recreate network conditions on top of any backend:
 
@@ -81,10 +87,11 @@ class ReadError(StorageError):
 
 
 # Requests an HTTPBackend keeps in flight, and so its most connections.
-# ``read_into`` sends one GET per key, so a batch holds one connection per
-# shard it reads.  The calls that fill the pool are ``get_many``, one GET per
-# (key, range), and so the ``read_into`` of the wrapped backends
-# (``with_latency``, ``cached``), which runs over it.  The depth was chosen
+# A batch read sends one GET per key, so it holds one connection per shard
+# it reads, and the loader starts one for each batch in its prefetch window.
+# The calls that fill the pool are ``get_many``, one GET per (key, range),
+# and so the ``read_into`` of the wrapped backends (``with_latency``,
+# ``cached``), which runs over it.  The depth was chosen
 # when the loader sent one ranged GET per sample: perfbench's http-remote
 # workload (2 loader workers, 64-sample batches, a 3 ms hold at the server)
 # in-process on a 2-vCPU VM read set medians of about 5700 samples/s at 32,
@@ -128,6 +135,27 @@ class ByteRange:
         return self.start, end
 
 
+class PendingRead:
+    """A read that ``StorageBackend.start_read`` began.
+
+    ``finish(out)`` completes it into ``out`` and raises what ``read_into``
+    would; ``close()`` lets go of what the read holds.  Close every read,
+    finished or not: one that is never finished may hold connections.  This
+    one starts nothing, and ``finish`` runs the backend's whole
+    ``read_into``.
+    """
+
+    def __init__(self, backend: "StorageBackend",
+                 requests: list[tuple[str, int, int]]) -> None:
+        self._backend, self._requests = backend, requests
+
+    def finish(self, out) -> None:
+        self._backend.read_into(self._requests, out)
+
+    def close(self) -> None:
+        """Nothing is held before ``finish``."""
+
+
 class StorageBackend:
     """Contract shared by every byte store."""
 
@@ -165,7 +193,9 @@ class StorageBackend:
         ``out`` is a writable buffer of the requests' total length, and
         offsets and lengths are at least 0 and 1.  When request ``i`` fails,
         ``ReadError(i, error)`` is raised once the requests before it are in
-        ``out``.  Here the requests run through one ``get_many``.
+        ``out``.  Here the requests run through one ``get_many``; a backend
+        that can send a read before it is needed overrides ``start_read``,
+        and its ``read_into`` is a ``start_read`` finished at once.
         """
         view = memoryview(out).cast("B")
         pos = 0
@@ -177,6 +207,17 @@ class StorageBackend:
                 except Exception as exc:
                     raise ReadError(i, exc) from exc
                 pos += length
+
+    def start_read(self, requests: list[tuple[str, int, int]]) -> PendingRead:
+        """Begin a ``read_into`` of ``requests``, to be finished with
+        ``finish(out)`` on the read, in this thread or another, and then
+        closed.  What the backend can send now goes out before this returns,
+        and ``finish`` receives the rest.  It raises nothing for a request:
+        an invalid key, a closed backend or a failed connection surfaces
+        from ``finish`` as ``ReadError``.  Here nothing is sent early, and
+        ``finish`` runs the whole ``read_into``.
+        """
+        return PendingRead(self, requests)
 
     def close(self) -> None:
         """Release connections; a no-op for most backends."""
@@ -474,9 +515,11 @@ class _Connection:
 
 class _Pass:
     """One call's requests, all of one method, on an ``HTTPBackend``'s
-    connection pool, run by a ``select.poll`` loop in the calling thread.
-    Watching a connection is an entry in the poll object's own table, not a
-    system call as with epoll, so it never lets the interpreter lock go.
+    connection pool, run by a ``select.poll`` loop in the thread that asks
+    for their results; ``start`` may send the first ones from another
+    thread before.  Watching a connection is an entry in the poll object's
+    own table, not a system call as with epoll, so it never lets the
+    interpreter lock go.
 
     Each connection the pass holds carries one request at a time, in
     request order; a request with a wait holds its connection that long
@@ -514,6 +557,14 @@ class _Pass:
         self._handed: list[_Connection] = []
         self._woken = False
         self._waker: tuple[int, int] | None = None  # the wake pipe's fds, once queued
+
+    def start(self) -> None:
+        """Send the requests the pass can get connections for now; the loop
+        that ``result`` runs sends the rest."""
+        try:
+            self._fill()
+        except StorageError:
+            pass  # the backend is closed: result's first _fill raises it again
 
     def result(self, index: int) -> tuple[int, dict[str, str], bytes]:
         self._progress = time.monotonic()  # a stall is time the caller waits
@@ -694,17 +745,109 @@ def _past_end(requests: list[tuple[str, int, int]], fields: dict[str, str],
     return min(past)
 
 
+class _RangedRead(PendingRead):
+    """An ``HTTPBackend`` read: one GET per key, however the batch is
+    ordered.  A key's extents, sorted by offset, merge into runs where they
+    overlap or touch, and its runs go out in one ``Range`` header, split
+    over more GETs only where the header line would reach _MAX_LINE.  The
+    GETs run through one pass, which sends them as the read starts, on the
+    connections the pool can spare then; ``finish`` runs the pass's loop,
+    which sends the rest, and copies each extent from its run to its place.
+
+    A failed GET fails its first request, or for a 416 the first of its
+    requests that reaches past the size the 416 gives.  The request ``i``
+    that ``finish`` raises ``ReadError`` for is the earliest failed one; when
+    a failed GET also held requests before ``i``, those are read again with
+    one ranged GET each, so that they are in ``out``.
+    """
+
+    def __init__(self, backend: "HTTPBackend",
+                 requests: list[tuple[str, int, int]]) -> None:
+        super().__init__(backend, requests)
+        runs = []  # [key, start, end (exclusive), its requests], by key and start
+        for i in sorted(range(len(requests)), key=requests.__getitem__):
+            key, start, length = requests[i]
+            last = runs[-1] if runs else None
+            if last and last[0] == key and start <= last[2]:
+                last[2] = max(last[2], start + length)
+                last[3].append(i)
+            else:
+                runs.append([key, start, start + length, [i]])
+        gets = []  # [key, runs, Range header line], one per GET
+        for key_run in runs:
+            spec = f"{key_run[1]}-{key_run[2] - 1}"
+            last = gets[-1] if gets else None
+            if last and last[0] == key_run[0] and len(last[2]) + len(spec) + 3 < _MAX_LINE:
+                last[1].append(key_run)
+                last[2] += "," + spec
+            else:
+                gets.append([key_run[0], [key_run], "Range: bytes=" + spec])
+        paths: dict[str, str] = {}  # each key validated and quoted once
+        wires = []
+        self._sent = []  # (path, runs, every request) per GET sent
+        self._failed = []  # (the request that fails, the error, every request) per GET
+        for key, get_runs, line in gets:
+            members = [i for run in get_runs for i in run[3]]
+            path = paths.get(key)
+            if path is None:
+                try:
+                    path = paths[key] = backend._path(key)
+                except ValueError as exc:
+                    self._failed.append((min(members), exc, members))
+                    continue
+            wires.append(f"GET {path} HTTP/1.1\r\n{backend._host_line}\r\n{line}\r\n\r\n"
+                         .encode("latin-1"))
+            self._sent.append((path, get_runs, members))
+        self._run = _Pass(backend, "GET", wires, None)
+        self._run.start()
+
+    def finish(self, out) -> None:
+        requests, failed = self._requests, self._failed
+        view = memoryview(out).cast("B")
+        at = list(itertools.accumulate((n for *_, n in requests), initial=0))
+        try:
+            for n, (path, get_runs, members) in enumerate(self._sent):
+                try:
+                    status, fields, data = self._run.result(n)
+                    if status == 416:
+                        index = _past_end(requests, fields, members)
+                        failed.append((index, RangeError(path), members))
+                        continue
+                    self._backend._check("GET", path, status)
+                    parts = _parts(status, fields, data, get_runs)
+                except StorageError as exc:
+                    failed.append((min(members), exc, members))
+                    continue
+                for (_, start, _, extents), part in zip(get_runs, parts):
+                    for i in extents:
+                        _, offset, length = requests[i]
+                        view[at[i]:at[i] + length] = part[offset - start:offset - start + length]
+        finally:
+            self._run.close()
+        if failed:
+            index, cause, _ = min(failed, key=lambda failure: failure[0])
+            if any(i < index for *_, members in failed for i in members):
+                StorageBackend.read_into(self._backend, requests[:index], view[:at[index]])
+            raise ReadError(index, cause) from cause
+
+    def close(self) -> None:
+        """Close the pass: connections whose responses are still due are
+        closed, and the others go back to the pool."""
+        self._run.close()
+
+
 class HTTPBackend(StorageBackend):
     """Client for the object server's wire protocol (path-style GET/PUT/HEAD).
 
     Ranged reads are sent as ``Range: bytes=a-b`` (``a-`` when open-ended)
     and must come back as 206, with exactly the range's length when its end
     is known; 404 maps to NotFoundError, 416 to RangeError and any other
-    failure to StorageError.  ``read_into`` sends one GET per key, whose
-    ``Range`` header lists the key's merged runs (``bytes=a-b,c-d``): more
-    than one run must come back as a 206 ``multipart/byteranges`` body with
-    exactly those parts, in that order, or the GET fails with StorageError,
-    so a server that serves no multi-range GET (Amazon S3) fails loudly.
+    failure to StorageError.  A batch read (``start_read``, ``read_into``)
+    sends one GET per key, whose ``Range`` header lists the key's merged
+    runs (``bytes=a-b,c-d``): more than one run must come back as a 206
+    ``multipart/byteranges`` body with exactly those parts, in that order,
+    or the GET fails with StorageError, so a server that serves no
+    multi-range GET (Amazon S3) fails loudly.
 
     The backend starts no threads.  Every call runs its requests on one
     shared pool of at most ``_IN_FLIGHT`` keep-alive connections, through a
@@ -712,7 +855,12 @@ class HTTPBackend(StorageBackend):
     has one): ``get_many`` keeps as many requests
     in flight as it holds connections and yields the bytes in request
     order, and ``get``, ``put``, ``size`` and ``list`` are passes of one
-    request.  A call that needs more connections than the pool can spare
+    request.  ``start_read`` splits a batch read in two: its GETs go out on
+    the thread that starts it, as far as the pool has connections then,
+    and ``finish`` receives the responses, and sends the rest, on the
+    thread that calls it.  In between, the read holds its connections and
+    its responses wait in their sockets' buffers; the stall timeout counts
+    only from ``finish``.  A call that needs more connections than the pool can spare
     waits in a queue, in arrival order: a call that gives connections back
     hands them to the oldest waiting call first, up to what it lacks, and
     wakes its loop, which sends on them at once even while its own
@@ -860,79 +1008,13 @@ class HTTPBackend(StorageBackend):
         finally:
             run.close()
 
-    def read_into(self, requests: list[tuple[str, int, int]], out) -> None:
-        """One GET per key, however the batch is ordered: a key's extents,
-        sorted by offset, merge into runs where they overlap or touch, and
-        its runs go out in one ``Range`` header, split over more GETs only
-        where the header line would reach _MAX_LINE.  The GETs run through
-        one pass, and each extent is copied from its run to its place.
+    def start_read(self, requests: list[tuple[str, int, int]]) -> "_RangedRead":
+        """Send the read's GETs now, as far as the pool has connections."""
+        return _RangedRead(self, requests)
 
-        A failed GET fails its first request, or for a 416 the first of its
-        requests that reaches past the size the 416 gives.  The request
-        ``i`` that raises is the earliest failed one; when a failed GET also
-        held requests before ``i``, those are read again with one ranged GET
-        each, so that they are in ``out``.
-        """
-        view = memoryview(out).cast("B")
-        at = list(itertools.accumulate((n for *_, n in requests), initial=0))
-        runs = []  # [key, start, end (exclusive), its requests], by key and start
-        for i in sorted(range(len(requests)), key=requests.__getitem__):
-            key, start, length = requests[i]
-            last = runs[-1] if runs else None
-            if last and last[0] == key and start <= last[2]:
-                last[2] = max(last[2], start + length)
-                last[3].append(i)
-            else:
-                runs.append([key, start, start + length, [i]])
-        gets = []  # [key, runs, Range header line], one per GET
-        for key_run in runs:
-            spec = f"{key_run[1]}-{key_run[2] - 1}"
-            last = gets[-1] if gets else None
-            if last and last[0] == key_run[0] and len(last[2]) + len(spec) + 3 < _MAX_LINE:
-                last[1].append(key_run)
-                last[2] += "," + spec
-            else:
-                gets.append([key_run[0], [key_run], "Range: bytes=" + spec])
-        paths: dict[str, str] = {}  # each key validated and quoted once
-        wires, sent = [], []
-        failed = []  # (the request that fails, the error, every request) per GET
-        for key, get_runs, line in gets:
-            members = [i for run in get_runs for i in run[3]]
-            path = paths.get(key)
-            if path is None:
-                try:
-                    path = paths[key] = self._path(key)
-                except ValueError as exc:
-                    failed.append((min(members), exc, members))
-                    continue
-            wires.append(f"GET {path} HTTP/1.1\r\n{self._host_line}\r\n{line}\r\n\r\n"
-                         .encode("latin-1"))
-            sent.append((path, get_runs, members))
-        run = _Pass(self, "GET", wires, None)
-        try:
-            for n, (path, get_runs, members) in enumerate(sent):
-                try:
-                    status, fields, data = run.result(n)
-                    if status == 416:
-                        index = _past_end(requests, fields, members)
-                        failed.append((index, RangeError(path), members))
-                        continue
-                    self._check("GET", path, status)
-                    parts = _parts(status, fields, data, get_runs)
-                except StorageError as exc:
-                    failed.append((min(members), exc, members))
-                    continue
-                for (_, start, _, extents), part in zip(get_runs, parts):
-                    for i in extents:
-                        _, offset, length = requests[i]
-                        view[at[i]:at[i] + length] = part[offset - start:offset - start + length]
-        finally:
-            run.close()
-        if failed:
-            index, cause, _ = min(failed, key=lambda failure: failure[0])
-            if any(i < index for *_, members in failed for i in members):
-                StorageBackend.read_into(self, requests[:index], view[:at[index]])
-            raise ReadError(index, cause) from cause
+    def read_into(self, requests: list[tuple[str, int, int]], out) -> None:
+        with closing(self.start_read(requests)) as read:
+            read.finish(out)
 
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
         with closing(self.get_many([(key, byte_range)])) as data:

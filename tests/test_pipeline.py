@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from loadbench.dataset import (
     read_record,
     record_extent,
 )
-from loadbench import pipeline
+from loadbench import pipeline, storage
 from loadbench.pipeline import (
     Batch,
     DataLoader,
@@ -424,28 +425,34 @@ def test_worker_failure_carries_sample_id(tiny_dataset, workers):
 @pytest.mark.parametrize("workers", [0, 2])
 def test_http_read_failure_carries_first_sample_id(tiny_dataset, workers):
     # two records of the second batch point past the end of their shard;
-    # the error names the one that comes first in the batch
+    # the error names the one that comes first in the batch, and it is
+    # raised when that batch is delivered, also from a window of 6 that
+    # started the batch's read before the first batch was delivered
     root, manifests = tiny_dataset
     manifest = manifests["train"]
-    config = _loader_config(batch_size=4, num_workers=workers)
-    second = replica_order(config.sampler, manifest, 0).ids[4:8].tolist()
+    second = replica_order(_loader_config().sampler, manifest, 0).ids[4:8].tolist()
     offset = manifest.offset.copy()
     for victim in (second[1], second[3]):
         loc = manifest.locators[victim]
         offset[victim] = LocalBackend(root).size(loc.shard) - loc.length + 1
     broken = dataclasses.replace(manifest, offset=offset)
     before = set(threading.enumerate())
-    with serve(root) as server:
-        backend = HTTPBackend(server.endpoint)
-        loader = DataLoader(config, broken, backend)
-        with pytest.raises(WorkerError) as err:
-            for _ in loader:
-                pass
-        loader.shutdown()
-        backend.close()
-        _assert_new_workers_exit(before)
-    assert err.value.sample_id == second[1]
-    assert isinstance(err.value.cause, RangeError)
+    for depth in [None, 6] if workers else [None]:
+        config = _loader_config(batch_size=4, num_workers=workers,
+                                prefetch_depth=depth)
+        delivered = []
+        with serve(root) as server:
+            backend = HTTPBackend(server.endpoint)
+            loader = DataLoader(config, broken, backend)
+            with pytest.raises(WorkerError) as err:
+                for batch in loader:
+                    delivered.append(batch.batch_index)
+            loader.shutdown()
+            _assert_new_workers_exit(before)
+            backend.close()
+        assert delivered == [0]
+        assert err.value.sample_id == second[1]
+        assert isinstance(err.value.cause, RangeError)
 
 
 def _bad_payload_len(backend, manifest, victim):
@@ -818,6 +825,162 @@ def test_dropped_loader_lets_its_workers_exit(tiny_dataset):
     assert len(list(loader)) == 2
     del loader  # never shut down
     _assert_new_workers_exit(before)
+
+
+# -- reads started as batches enter the window ------------------------------------
+
+@pytest.mark.parametrize("in_flight", [None, 2])
+@pytest.mark.parametrize("depth", [1, 2, 6])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_started_reads_keep_contents_over_epochs(tiny_dataset, monkeypatch,
+                                                 workers, depth, in_flight):
+    # each batch's GETs go out as it enters the window; with two
+    # connections for reads of up to three shards, started reads also wait
+    # in the pool's queue: the bytes are a 0-worker memory loader's, and
+    # nothing stalls
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]  # 6 batches of 8 an epoch, from 3 shards
+    memory = MemoryBackend.load(LocalBackend(root))
+    reference = _run_epochs(DataLoader(_loader_config(), manifest, memory), 3)
+    if in_flight:
+        monkeypatch.setattr(storage, "_IN_FLIGHT", in_flight)
+    got = []
+    with serve(root) as server, \
+            closing(HTTPBackend(server.endpoint, timeout=5)) as backend:
+        loader = DataLoader(_loader_config(num_workers=workers,
+                                           prefetch_depth=depth),
+                            manifest, backend, epochs=3)
+        runner = threading.Thread(
+            target=lambda: got.append(_run_epochs(loader, 3)), daemon=True)
+        runner.start()
+        runner.join(60)
+        assert not runner.is_alive(), "the loader stalled"
+        assert backend._opened == len(backend._idle)
+    assert got == [reference]
+
+
+def test_started_reads_under_thread_stress(tiny_dataset, monkeypatch):
+    # more workers than cores, a short switch interval and two connections:
+    # reads started on the consumer thread, finished on the workers and
+    # handed connections in the pool's queue give four epochs of the
+    # 0-worker loader's bytes
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    reference = _run_epochs(DataLoader(_loader_config(batch_size=4), manifest,
+                                       MemoryBackend.load(LocalBackend(root))), 4)
+    monkeypatch.setattr(storage, "_IN_FLIGHT", 2)
+    workers = len(os.sched_getaffinity(0)) + 1
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with serve(root) as server, \
+                closing(HTTPBackend(server.endpoint, timeout=5)) as backend:
+            loader = DataLoader(_loader_config(batch_size=4, num_workers=workers,
+                                               prefetch_depth=3),
+                                manifest, backend, epochs=4)
+            runner = threading.Thread(
+                target=lambda: got.append(_run_epochs(loader, 4)), daemon=True)
+            runner.start()
+            runner.join(60)
+            assert not runner.is_alive(), "the loader stalled"
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [reference]
+
+
+class _OutOfRangeLoader(DataLoader):
+    """Plans epochs whose fourth batch ends with an id past the manifest."""
+
+    def _plan_epoch(self, epoch):
+        plan = super()._plan_epoch(epoch)
+        ids, draws = plan[3]
+        plan[3] = (np.append(ids[:-1], len(self.manifest)), draws)
+        return plan
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_an_id_out_of_range_fails_its_own_batch(tiny_dataset, workers):
+    # the window of 6 starts the fourth batch's read before the first
+    # batch is delivered; its error waits for that batch
+    root, manifests = tiny_dataset
+    backend = MemoryBackend.load(LocalBackend(root))
+    delivered = []
+    with _OutOfRangeLoader(_loader_config(num_workers=workers,
+                                          prefetch_depth=6),
+                           manifests["train"], backend) as loader:
+        with pytest.raises(IndexError):
+            for batch in loader:
+                delivered.append(batch.batch_index)
+    assert delivered == [0, 1, 2]
+
+
+def _past_end_of_third_batch(root, manifest, config):
+    """``manifest`` with the third batch's first record past its shard's end."""
+    victim = replica_order(config.sampler, manifest, 0).ids[2 * config.batch_size]
+    offset = manifest.offset.copy()
+    loc = manifest.locators[victim]
+    offset[victim] = LocalBackend(root).size(loc.shard) - loc.length + 1
+    return dataclasses.replace(manifest, offset=offset)
+
+
+def _reiterate(loader):
+    next(iter(loader))
+    next(iter(loader))  # mid-epoch: epoch 0 is abandoned
+
+
+def _out_of_sequence(loader):
+    loader.next_batch()
+    loader.start_epoch(5)
+    loader.next_batch()
+
+
+def _failed_build(loader):
+    with pytest.raises(WorkerError):
+        for _ in loader:
+            pass
+
+
+def _shutdown_mid_epoch(loader):
+    loader.next_batch()
+    loader.next_batch()
+
+
+def _last_epoch(loader):
+    assert [len(list(loader)) for _ in range(2)] == [6, 6]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+@pytest.mark.parametrize("in_flight", [None, 2])
+@pytest.mark.parametrize("use", [_reiterate, _out_of_sequence, _failed_build,
+                                 _shutdown_mid_epoch, _last_epoch],
+                         ids=lambda use: use.__name__.strip("_"))
+def test_cancelled_reads_hold_no_connection(tiny_dataset, monkeypatch, use,
+                                            in_flight):
+    # one worker and a window of 6, and every request held 20 ms at the
+    # server: the loader is left with reads queued, in flight and answered
+    # but unread; once it is shut down and its worker has exited, every
+    # connection the backend still counts is idle, no read waits in the
+    # pool's queue, and no socket or wake pipe is left open
+    root, manifests = tiny_dataset
+    config = _loader_config(num_workers=1, prefetch_depth=6)
+    manifest = manifests["train"]
+    if use is _failed_build:
+        manifest = _past_end_of_third_batch(root, manifest, config)
+    if in_flight:
+        monkeypatch.setattr(storage, "_IN_FLIGHT", in_flight)
+    before = set(threading.enumerate())
+    fds = len(os.listdir("/proc/self/fd"))
+    with serve(root, latency=LatencyModel(mean_ms=20.0)) as server:
+        with closing(HTTPBackend(server.endpoint, timeout=5)) as backend:
+            loader = DataLoader(config, manifest, backend,
+                                epochs=2 if use is _last_epoch else None)
+            use(loader)
+            loader.shutdown()
+            _assert_new_workers_exit(before)
+            assert backend._opened == len(backend._idle)
+            assert not backend._queue
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_tracer_hooks_stay_bound():

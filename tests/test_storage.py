@@ -1,5 +1,6 @@
 import http.client
 import os
+import socket
 import socketserver
 import sys
 import threading
@@ -809,6 +810,112 @@ def test_unread_responses_are_never_read_as_later_ones(shards):
             list(client.get_many([("s/absent.bin", None)] + first))
         assert list(client.get_many(later)) == expected
         assert client.get(*later[1]) == expected[1]
+
+
+# -- start_read: a batch read sent before it is finished ------------------------
+
+def test_base_start_read_reads_in_finish():
+    class Counting(MemoryBackend):
+        reads = 0
+
+        def read_into(self, requests, out):
+            self.reads += 1
+            super().read_into(requests, out)
+
+    backend = Counting({"A": b"abcdef"})
+    with closing(backend.start_read([("A", 4, 2), ("A", 0, 3)])) as read:
+        assert backend.reads == 0
+        out = bytearray(5)
+        read.finish(out)
+    assert backend.reads == 1 and out == b"efabc"
+    backend.start_read([("A", 0, 9)]).close()  # never finished: never read
+    assert backend.reads == 1
+
+
+def test_http_start_read_sends_before_finish(shards):
+    # the server sees every GET of a started read before its finish begins
+    root, local = shards
+    keys = local.list("s/")
+    extents = [(keys[i % 4], 3 * i, 5) for i in range(8)]
+    arrivals = _Arrivals(mean_ms=1.0)
+    with serve(root, latency=arrivals) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        with closing(client.start_read(extents)) as read:
+            deadline = time.monotonic() + 5
+            while len(arrivals.times) < 4 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            began = time.monotonic()
+            out = bytearray(40)
+            read.finish(out)
+    assert len(arrivals.times) == 4 and max(arrivals.times) < began
+    assert out == b"".join(local.get(key, ByteRange(o, o + n - 1)) for key, o, n in extents)
+
+
+def _refusing_endpoint() -> str:
+    """An endpoint on a loopback port that was bound and closed again."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}"
+
+
+@pytest.mark.parametrize("failure", ["invalid-key", "past-end", "closed", "refused"])
+def test_start_read_defers_every_failure_to_finish(shards, failure):
+    # start_read raises nothing; finish raises the read's ReadError, with
+    # the requests before the failed one in the buffer
+    root, local = shards
+    extents = _extents(local, _random_requests(local, 6, seed=4))
+    bad = {"invalid-key": ("s/../shard0.bin", 0, 4),
+           "past-end": ("s/shard0.bin", 297, 4)}.get(failure)
+    requests = extents[:3] + [bad] + extents[3:] if bad else extents
+    index = 3 if bad else 0
+    out = np.zeros(sum(n for *_, n in requests), dtype=np.uint8)
+    with serve(root) as server, closing(HTTPBackend(
+            _refusing_endpoint() if failure == "refused" else server.endpoint,
+            timeout=5)) as client:
+        if failure == "closed":
+            client.close()
+        read = client.start_read(requests)
+        with closing(read), pytest.raises(ReadError) as err:
+            read.finish(out)
+        assert client._opened == len(client._idle)
+    assert err.value.index == index
+    assert isinstance(err.value.cause, {"invalid-key": ValueError,
+                                        "past-end": RangeError}.get(failure, StorageError))
+    before = sum(n for *_, n in requests[:index])
+    assert out[:before].tobytes() == b"".join(
+        local.get(key, ByteRange(o, o + n - 1)) for key, o, n in requests[:index])
+
+
+def test_stall_timeout_counts_from_finish(shards):
+    # responses that came in long before finish are read, however long
+    # ago: the 0.2 s the read waited unpolled is no stall
+    root, local = shards
+    extents = _extents(local, _random_requests(local, 8, seed=6))
+    expected = b"".join(local.get(key, ByteRange(o, o + n - 1)) for key, o, n in extents)
+    out = bytearray(len(expected))
+    with serve(root) as server, \
+            closing(HTTPBackend(server.endpoint, timeout=0.2)) as client:
+        with closing(client.start_read(extents)) as read:
+            time.sleep(0.5)
+            read.finish(out)
+        assert client._opened == len(client._idle)
+    assert out == expected
+
+
+def test_silent_server_fails_a_started_read_a_timeout_after_finish_begins():
+    # the server accepts (into its backlog) and never answers; the read
+    # waited unpolled longer than the timeout, yet finish waits a whole one
+    with socket.create_server(("127.0.0.1", 0)) as silent, closing(HTTPBackend(
+            f"http://127.0.0.1:{silent.getsockname()[1]}", timeout=0.2)) as client:
+        read = client.start_read([("k", 0, 4)])
+        time.sleep(0.5)
+        began = time.monotonic()
+        with closing(read), pytest.raises(ReadError) as err:
+            read.finish(bytearray(4))
+        waited = time.monotonic() - began
+        assert client._opened == len(client._idle)
+    assert "no response for 0.2 s" in str(err.value.cause)
+    assert 0.2 <= waited < 1.0
 
 
 def test_wrappers_forward_close():
