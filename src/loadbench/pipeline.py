@@ -6,8 +6,9 @@ order and, after each delivery, tops it up to ``prefetch_depth``.  A batch
 enters that window with its read started: the consumer thread calls
 ``backend.start_read`` on the batch's record extents as it submits the
 build, so the window, not the worker count, sets how many batch reads are
-in flight (over HTTP their GETs go out then; other backends read when the
-build finishes the read).  Delivery
+in flight (over HTTP, wrapped in a cache or latency or not, their GETs go
+out then, and a latency wrapper's wait counts from then; other backends
+read when the build finishes the read).  Delivery
 pops the leftmost future, so batches arrive strictly in order and their
 bytes depend only on the seeds, never on worker count, prefetch depth, or
 backend latency.  With zero workers each batch is built in the caller when

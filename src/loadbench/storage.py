@@ -1,43 +1,45 @@
 """Byte stores: local directory, in-memory, and S3-compatible HTTP backends.
 
 All backends speak the same small contract (get / put / list / size, plus
-``get_many``, ``read_into``, ``start_read`` and ``close``) with inclusive
-byte ranges, so the loading pipeline never knows where bytes live.
-``get_many`` reads a list of (key, range) requests and yields their bytes
-in request order; each request may carry a wait, a delay it holds before
-it is sent.  By default it runs one ``get`` at a time, each when its bytes
-are asked for, after sleeping its wait.  ``HTTPBackend`` runs every request through one small
-HTTP/1.1 codec and a poll loop in the calling thread, on a pool of
-keep-alive connections shared by its callers: ``get_many`` keeps up to
-``_IN_FLIGHT`` requests in flight and times their waits in the loop, so
-delayed requests overlap too.  ``close()`` releases the connections.
+``read_into``, ``start_read`` and ``close``) with inclusive byte ranges, so
+the loading pipeline never knows where bytes live.
 
 ``read_into`` reads a batch of (key, offset, length) requests, back to back
 in request order, into one buffer the caller allocated; a failed request
 raises ``ReadError`` with its index once the requests before it are in the
-buffer.  By default it runs over ``get_many``, so each backend's waits and
-concurrency carry over.  ``MemoryBackend`` copies the extents itself under
-one hold of its lock, checking each distinct key once.  ``HTTPBackend``
-merges each key's extents into runs and asks for all of a key's runs in one
-multi-range GET, which the object server answers as ``multipart/byteranges``:
-a batch costs one GET per shard it reads.  Amazon S3 serves no multi-range
-GET, so there its ``read_into`` fails with StorageError.
+buffer.  ``start_read`` splits it into a send and a receive: it returns a
+``PendingRead`` whose ``finish(out)`` completes the read, in any thread,
+and whose ``close()`` lets go of it.  ``start_read`` is the one batch read:
+the loader calls nothing else, and a backend that does more than read in
+``finish`` overrides it and reads into a buffer by starting a read and
+finishing it at once.
 
-``start_read`` splits a ``read_into`` into a send and a receive: it returns
-a ``PendingRead`` whose ``finish(out)`` completes the read, in any thread,
-and whose ``close()`` lets go of it.  Only ``HTTPBackend`` sends early: its
-GETs go out when the read starts.  Every other backend does the whole read
-in ``finish``, through its ``read_into``.
+By default ``read_into`` runs one ``get`` per request, in request order,
+and ``start_read`` does the whole ``read_into`` in ``finish``.
+``MemoryBackend`` copies the extents itself under one hold of its lock,
+checking each distinct key once.  ``HTTPBackend`` runs every request through
+one small HTTP/1.1 codec and a poll loop in the calling thread, on a pool of
+keep-alive connections shared by its callers, which ``close()`` releases.
+Its batch read merges each key's extents into runs and asks for all of a
+key's runs in one multi-range GET, sent as the read starts, which the
+object server answers as ``multipart/byteranges``: a batch costs one GET
+per shard it reads.  Amazon S3 serves no multi-range GET, so there a batch
+read fails with StorageError.
 
-Two wrappers recreate network conditions on top of any backend:
+Two wrappers recreate network conditions on top of any backend, and both
+compose over ``start_read``:
 
 * ``with_latency`` delays every request by a sample from a ``LatencyModel``
-  (constant or lognormal round-trip time, clamped to a floor); in
-  ``get_many`` the samples become the inner backend's waits.  The object
-  server delays its requests by samples of the same ``LatencyModel``.
-* ``CachedBackend`` adds a byte-capacity LRU over (key, range) entries; its
-  ``get_many`` answers hits itself and sends the misses to the inner
-  backend in one ``get_many``.
+  (constant or lognormal round-trip time, clamped to a floor).  A batch
+  read draws one sample per distinct key it touches, one per GET the HTTP
+  plan sends, and is due the largest of them after it starts, since those
+  GETs are in flight together; ``finish`` sleeps what is left of the wait,
+  then runs the inner read.  The object server delays its requests by
+  samples of the same ``LatencyModel``.
+* ``CachedBackend`` adds a byte-capacity LRU over (key, start, end)
+  entries.  A batch read looks up every extent as it starts, passes the
+  misses on as one inner read, started at once, and stores them when it
+  finishes.
 
 Ranges are strict: a range reaching past the end of the object is an error,
 not a clamp, so every backend returns identical bytes for identical requests.
@@ -45,7 +47,6 @@ not a clamp, so every backend returns identical bytes for identical requests.
 
 from __future__ import annotations
 
-import heapq
 import http.client
 import itertools
 import math
@@ -56,7 +57,6 @@ import socket
 import threading
 import time
 from collections import OrderedDict, deque
-from collections.abc import Generator
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,16 +87,14 @@ class ReadError(StorageError):
 
 
 # Requests an HTTPBackend keeps in flight, and so its most connections.
-# A batch read sends one GET per key, so it holds one connection per shard
-# it reads, and the loader starts one for each batch in its prefetch window.
-# The calls that fill the pool are ``get_many``, one GET per (key, range),
-# and so the ``read_into`` of the wrapped backends (``with_latency``,
-# ``cached``), which runs over it.  The depth was chosen
-# when the loader sent one ranged GET per sample: perfbench's http-remote
-# workload (2 loader workers, 64-sample batches, a 3 ms hold at the server)
-# in-process on a 2-vCPU VM read set medians of about 5700 samples/s at 32,
-# 8400 at 64 and 9900 at 128, where both workers' whole batches were in
-# flight at once; a deeper setting would only fit the benchmark.
+# A batch read sends one GET per shard it reads, and the loader starts a
+# read for each batch in its prefetch window, so what fills the pool is one
+# GET per shard per batch in the window; ``get``, ``put``, ``size`` and
+# ``list`` hold one connection each.  The depth was chosen when the loader
+# sent one ranged GET per sample (perfbench's http-remote workload, 2
+# loader workers and 64-sample batches, read about 5700 samples/s at 32,
+# 8400 at 64 and 9900 at 128 on a 2-vCPU VM) and has not been measured again
+# since a batch read became one GET per shard.
 _IN_FLIGHT = 64
 _MAX_LINE = 65536  # the longest status, request or header line (as http.client)
 _MAX_HEADERS = 100
@@ -171,21 +169,6 @@ class StorageBackend:
     def size(self, key: str) -> int:
         return len(self.get(key))
 
-    def get_many(self, requests: list[tuple[str, ByteRange | None]],
-                 waits: list[float] | None = None) -> Generator[bytes, None, None]:
-        """Yield the bytes of each (key, range) request, in request order.
-
-        ``waits`` gives each request a delay in seconds to hold before it
-        is sent.  A failed request raises its own error when its turn comes.
-        Closing the generator early drops the requests that have not
-        started.  Here the requests run one at a time, each when its bytes
-        are asked for.
-        """
-        for i, (key, byte_range) in enumerate(requests):
-            if waits and waits[i] > 0:
-                time.sleep(waits[i])
-            yield self.get(key, byte_range)
-
     def read_into(self, requests: list[tuple[str, int, int]], out) -> None:
         """Read each (key, offset, length) request into ``out``, back to back
         in request order.
@@ -193,20 +176,17 @@ class StorageBackend:
         ``out`` is a writable buffer of the requests' total length, and
         offsets and lengths are at least 0 and 1.  When request ``i`` fails,
         ``ReadError(i, error)`` is raised once the requests before it are in
-        ``out``.  Here the requests run through one ``get_many``; a backend
-        that can send a read before it is needed overrides ``start_read``,
-        and its ``read_into`` is a ``start_read`` finished at once.
+        ``out``.  Here each request is one ``get``, made in request order: the
+        fallback of a backend that defines only ``get``.
         """
         view = memoryview(out).cast("B")
         pos = 0
-        with closing(self.get_many([(key, ByteRange(start, start + length - 1))
-                                    for key, start, length in requests])) as reads:
-            for i, (_, _, length) in enumerate(requests):
-                try:
-                    view[pos:pos + length] = next(reads)
-                except Exception as exc:
-                    raise ReadError(i, exc) from exc
-                pos += length
+        for i, (key, start, length) in enumerate(requests):
+            try:
+                view[pos:pos + length] = self.get(key, ByteRange(start, start + length - 1))
+            except Exception as exc:
+                raise ReadError(i, exc) from exc
+            pos += length
 
     def start_read(self, requests: list[tuple[str, int, int]]) -> PendingRead:
         """Begin a ``read_into`` of ``requests``, to be finished with
@@ -221,6 +201,15 @@ class StorageBackend:
 
     def close(self) -> None:
         """Release connections; a no-op for most backends."""
+
+
+class _ReadsByStart(StorageBackend):
+    """A backend whose batch read is its own ``start_read``: ``read_into``
+    starts a read, finishes it at once and closes it."""
+
+    def read_into(self, requests: list[tuple[str, int, int]], out) -> None:
+        with closing(self.start_read(requests)) as read:
+            read.finish(out)
 
 
 class LocalBackend(StorageBackend):
@@ -522,8 +511,7 @@ class _Pass:
     interpreter lock go.
 
     Each connection the pass holds carries one request at a time, in
-    request order; a request with a wait holds its connection that long
-    before it is sent.  ``result(i)`` runs the loop until request i is
+    request order.  ``result(i)`` runs the loop until request i is
     answered.  A pass that needs more connections than the pool can spare
     waits in the pool's queue for the rest, with or without requests in
     flight: a call that gives connections back hands them to it there and
@@ -536,17 +524,14 @@ class _Pass:
     pool, those handed to it included, and then closes the wake pipe.
     """
 
-    def __init__(self, backend: "HTTPBackend", method: str, wires: list[bytes],
-                 waits: list[float] | None) -> None:
+    def __init__(self, backend: "HTTPBackend", method: str, wires: list[bytes]) -> None:
         self._backend = backend
         self._method = method
         self._bodiless = method == "HEAD"  # its responses have no body
         self._wires = wires  # each request's bytes
-        self._waits = waits
         self._next = 0  # the next request to get a connection
         self._results: dict[int, tuple | StorageError] = {}
         self._free: list[_Connection] = []  # held, carrying no request
-        self._timers: list[tuple[float, int, _Connection]] = []  # sends due
         self._poller = select.poll()  # watches the connections reading
         self._reading: dict[int, _Connection] = {}  # by socket fd
         self._progress = 0.0  # when a response last moved, or a request went out
@@ -589,13 +574,8 @@ class _Pass:
         if unsent > len(free) or self._lacking or self._woken:
             free += self._backend._take(self, unsent - len(free))
         while free and self._next < len(self._wires):
-            conn, index = free.pop(), self._next
             self._next += 1
-            wait_s = self._waits[index] if self._waits else 0.0
-            if wait_s > 0:
-                heapq.heappush(self._timers, (time.monotonic() + wait_s, index, conn))
-            else:
-                self._send(conn, index)
+            self._send(free.pop(), self._next - 1)
         if free:
             self._backend._give(self)
 
@@ -625,10 +605,7 @@ class _Pass:
         return self._reading.pop(fd)
 
     def _poll(self) -> None:
-        timeout = self._backend.timeout
-        if self._timers:
-            timeout = min(timeout, self._timers[0][0] - time.monotonic())
-        events = self._poller.poll(max(timeout, 0.0) * 1000.0)
+        events = self._poller.poll(self._backend.timeout * 1000.0)
         for fd, _ in events:
             conn = self._reading.get(fd)
             if conn is None:  # the wake pipe: _fill takes what was handed over
@@ -646,11 +623,8 @@ class _Pass:
         now = time.monotonic()
         if events:
             self._progress = now
-        while self._timers and self._timers[0][0] <= now:
-            _, index, conn = heapq.heappop(self._timers)
-            self._send(conn, index)
         if now - self._progress >= self._backend.timeout:
-            if not self._reading and not self._timers:
+            if not self._reading:
                 raise StorageError(f"no connection free for {self._backend.timeout} s")
             stalled = StorageError(
                 f"transport failure: no response for {self._backend.timeout} s")
@@ -676,8 +650,6 @@ class _Pass:
             conn = self._unwatch(fd)
             conn.close()  # its response is due: no later request may read it
             self._free.append(conn)
-        self._free.extend(conn for _, _, conn in self._timers)
-        self._timers.clear()
         if self._free or self._waker is not None:
             self._backend._give(self)  # out of the queue: no more writes
         if self._waker is not None:
@@ -757,8 +729,8 @@ class _RangedRead(PendingRead):
     A failed GET fails its first request, or for a 416 the first of its
     requests that reaches past the size the 416 gives.  The request ``i``
     that ``finish`` raises ``ReadError`` for is the earliest failed one; when
-    a failed GET also held requests before ``i``, those are read again with
-    one ranged GET each, so that they are in ``out``.
+    a failed GET also held requests before ``i``, the requests before ``i``
+    are read again with one more read, so that they are in ``out``.
     """
 
     def __init__(self, backend: "HTTPBackend",
@@ -798,7 +770,7 @@ class _RangedRead(PendingRead):
             wires.append(f"GET {path} HTTP/1.1\r\n{backend._host_line}\r\n{line}\r\n\r\n"
                          .encode("latin-1"))
             self._sent.append((path, get_runs, members))
-        self._run = _Pass(backend, "GET", wires, None)
+        self._run = _Pass(backend, "GET", wires)
         self._run.start()
 
     def finish(self, out) -> None:
@@ -827,7 +799,7 @@ class _RangedRead(PendingRead):
         if failed:
             index, cause, _ = min(failed, key=lambda failure: failure[0])
             if any(i < index for *_, members in failed for i in members):
-                StorageBackend.read_into(self._backend, requests[:index], view[:at[index]])
+                self._backend.read_into(requests[:index], view[:at[index]])
             raise ReadError(index, cause) from cause
 
     def close(self) -> None:
@@ -836,7 +808,7 @@ class _RangedRead(PendingRead):
         self._run.close()
 
 
-class HTTPBackend(StorageBackend):
+class HTTPBackend(_ReadsByStart):
     """Client for the object server's wire protocol (path-style GET/PUT/HEAD).
 
     Ranged reads are sent as ``Range: bytes=a-b`` (``a-`` when open-ended)
@@ -852,10 +824,10 @@ class HTTPBackend(StorageBackend):
     The backend starts no threads.  Every call runs its requests on one
     shared pool of at most ``_IN_FLIGHT`` keep-alive connections, through a
     ``select.poll`` loop in the calling thread (so it needs a platform that
-    has one): ``get_many`` keeps as many requests
-    in flight as it holds connections and yields the bytes in request
-    order, and ``get``, ``put``, ``size`` and ``list`` are passes of one
-    request.  ``start_read`` splits a batch read in two: its GETs go out on
+    has one): ``get``, ``put``, ``size`` and ``list`` are passes of one
+    request, and a batch read is a pass of one GET per key, as many in
+    flight as it holds connections.  ``start_read`` splits a batch read in
+    two: its GETs go out on
     the thread that starts it, as far as the pool has connections then,
     and ``finish`` receives the responses, and sends the rest, on the
     thread that calls it.  In between, the read holds its connections and
@@ -872,8 +844,8 @@ class HTTPBackend(StorageBackend):
     connection) is sent once more on a fresh one; nothing else is retried.
     A call that receives nothing for ``timeout`` seconds fails with
     StorageError, as does a call that waits that long for a connection
-    with nothing in flight.  An invalid key raises ValueError at its
-    request's turn.
+    with nothing in flight.  An invalid key raises ValueError, and in a
+    batch read fails its own request.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
@@ -963,72 +935,44 @@ class HTTPBackend(StorageBackend):
         if not 200 <= status < 300:
             raise StorageError(f"HTTP {status} for {method} {path}")
 
-    def _request(self, method: str, path: str, body: bytes | None = None
-                 ) -> tuple[dict[str, str], bytes]:
+    def _request(self, method: str, path: str, body: bytes | None = None,
+                 header: str = "") -> tuple[int, dict[str, str], bytes]:
+        """One request, with ``header`` lines after the Host line; its
+        status, fields and body once ``_check`` passes the status."""
         length = "" if body is None else f"Content-Length: {len(body)}\r\n"
-        wire = f"{method} {path} HTTP/1.1\r\n{self._host_line}\r\n{length}\r\n"
-        run = _Pass(self, method, [wire.encode("latin-1") + (body or b"")], None)
+        wire = f"{method} {path} HTTP/1.1\r\n{self._host_line}\r\n{header}{length}\r\n"
+        run = _Pass(self, method, [wire.encode("latin-1") + (body or b"")])
         try:
             status, fields, data = run.result(0)
         finally:
             run.close()
         self._check(method, path, status)
-        return fields, data
-
-    def get_many(self, requests: list[tuple[str, ByteRange | None]],
-                 waits: list[float] | None = None) -> Generator[bytes, None, None]:
-        paths: dict[str, str] = {}  # each key validated and quoted once
-        wires = []
-        invalid = None  # an invalid key's error, raised at its request's turn
-        for key, br in requests:
-            path = paths.get(key)
-            if path is None:
-                try:
-                    path = paths[key] = self._path(key)
-                except ValueError as exc:
-                    invalid = exc
-                    break
-            wires.append((f"GET {path} HTTP/1.1\r\n{self._host_line}\r\n\r\n" if br is None
-                          else f"GET {path} HTTP/1.1\r\n{self._host_line}\r\nRange: bytes="
-                          f"{br.start}-{'' if br.end is None else br.end}\r\n\r\n"
-                          ).encode("latin-1"))
-        run = _Pass(self, "GET", wires, waits)
-        try:
-            for index, (key, br) in enumerate(requests[:len(wires)]):
-                status, _, data = run.result(index)
-                self._check("GET", paths[key], status)
-                if br is not None and (status != 206 or (
-                        br.end is not None and len(data) != br.end - br.start + 1)):
-                    raise StorageError(
-                        f"HTTP {status} with {len(data)} bytes for "
-                        f"bytes={br.start}-{'' if br.end is None else br.end} of {key}")
-                yield data
-            if invalid is not None:
-                raise invalid
-        finally:
-            run.close()
+        return status, fields, data
 
     def start_read(self, requests: list[tuple[str, int, int]]) -> "_RangedRead":
         """Send the read's GETs now, as far as the pool has connections."""
         return _RangedRead(self, requests)
 
-    def read_into(self, requests: list[tuple[str, int, int]], out) -> None:
-        with closing(self.start_read(requests)) as read:
-            read.finish(out)
-
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
-        with closing(self.get_many([(key, byte_range)])) as data:
-            return next(data)
+        path = self._path(key)
+        if byte_range is None:
+            return self._request("GET", path)[2]
+        spec = f"{byte_range.start}-{'' if byte_range.end is None else byte_range.end}"
+        status, _, data = self._request("GET", path, header=f"Range: bytes={spec}\r\n")
+        if status != 206 or (byte_range.end is not None
+                             and len(data) != byte_range.end - byte_range.start + 1):
+            raise StorageError(f"HTTP {status} with {len(data)} bytes for bytes={spec} of {key}")
+        return data
 
     def put(self, key: str, data: bytes) -> None:
         self._request("PUT", self._path(key), body=data)
 
     def list(self, prefix: str = "") -> list[str]:
-        body = self._request("GET", f"{self._base}/?prefix={quote(prefix)}")[1]
+        body = self._request("GET", f"{self._base}/?prefix={quote(prefix)}")[2]
         return [line for line in body.decode("utf-8").splitlines() if line]
 
     def size(self, key: str) -> int:
-        length = self._request("HEAD", self._path(key))[0].get("content-length", "")
+        length = self._request("HEAD", self._path(key))[1].get("content-length", "")
         if not length.isdecimal():
             raise StorageError(f"HEAD {key} without a Content-Length")
         return int(length)
@@ -1057,10 +1001,12 @@ class LatencyModel:
     Samples never go below ``min_ms``.  The n-th lognormal sample is a pure
     function of (``seed``, n), with ``seed=None`` drawing as 0, so a model's
     samples repeat from run to run; n comes from a counter that threads
-    share without a lock.  So only the multiset of delays is seeded: which
-    request gets which delay depends on thread timing, and the loader's
-    lookahead, which overlaps one epoch's last requests with the next
-    epoch's first, gives timing more to decide.
+    share without a lock.  So which request gets which delay depends on the
+    order of the draws.  The loader starts every batch read on its consumer
+    thread in batch order, so a latency-wrapped loader's per-batch delays
+    are a pure function of the seeds, with workers or without; draws made
+    by concurrent callers on their own threads are seeded only as a
+    multiset.
     """
 
     mean_ms: float
@@ -1095,8 +1041,27 @@ class LatencyModel:
             time.sleep(delay_ms / 1000.0)
 
 
-class LatencyBackend(StorageBackend):
-    """Delays every request by one latency sample, then defers to the inner backend."""
+class _DelayedRead(PendingRead):
+    """A ``LatencyBackend`` read, due ``delay_s`` after it starts: ``finish``
+    sleeps what is left of that, then runs the inner backend's read."""
+
+    def __init__(self, inner: StorageBackend, requests: list[tuple[str, int, int]],
+                 delay_s: float) -> None:
+        super().__init__(inner, requests)
+        self._due = time.monotonic() + delay_s
+
+    def finish(self, out) -> None:
+        left = self._due - time.monotonic()
+        if left > 0:
+            time.sleep(left)
+        super().finish(out)
+
+
+class LatencyBackend(_ReadsByStart):
+    """Delays every request by one latency sample, then defers to the inner
+    backend.  A batch read draws one sample per distinct key it reads, as
+    the HTTP plan sends one GET per key, and waits the largest, counted from
+    ``start_read``: those GETs are in flight together."""
 
     def __init__(self, inner: StorageBackend, model: LatencyModel) -> None:
         self.inner = inner
@@ -1106,13 +1071,10 @@ class LatencyBackend(StorageBackend):
         self.model.wait()
         return self.inner.get(key, byte_range)
 
-    def get_many(self, requests: list[tuple[str, ByteRange | None]],
-                 waits: list[float] | None = None) -> Generator[bytes, None, None]:
-        """The inner ``get_many``, each request's wait longer by its sample."""
-        delays = [self.model.sample_ms() / 1000.0 for _ in requests]
-        if waits:
-            delays = [a + b for a, b in zip(delays, waits)]
-        yield from self.inner.get_many(requests, delays)
+    def start_read(self, requests: list[tuple[str, int, int]]) -> PendingRead:
+        keys = len({key for key, *_ in requests})
+        delay_ms = max((self.model.sample_ms() for _ in range(keys)), default=0.0)
+        return _DelayedRead(self.inner, requests, delay_ms / 1000.0)
 
     def put(self, key: str, data: bytes) -> None:
         self.model.wait()
@@ -1143,13 +1105,56 @@ class StorageStats:
     bytes_read: int = 0
 
 
-class CachedBackend(StorageBackend):
-    """Byte-capacity LRU over (key, range) entries.
+class _CachedRead(PendingRead):
+    """A ``CachedBackend`` read: every extent is looked up as it starts, and
+    the misses go to the inner backend as one read, started at once."""
+
+    def __init__(self, cache: "CachedBackend",
+                 requests: list[tuple[str, int, int]]) -> None:
+        super().__init__(cache, requests)
+        with cache._lock:
+            self._found = [cache._lookup((key, start, start + length - 1))
+                           for key, start, length in requests]
+        self._missed = [i for i, data in enumerate(self._found) if data is None]
+        self._inner = cache.inner.start_read([requests[i] for i in self._missed])
+
+    def finish(self, out) -> None:
+        """Scatter the hits and the misses into ``out`` in request order and
+        store the misses; a failed miss stops both at its own request."""
+        requests, cache = self._requests, self._backend
+        fetched = memoryview(bytearray(sum(requests[i][2] for i in self._missed)))
+        failed = None
+        try:
+            self._inner.finish(fetched)
+        except ReadError as exc:
+            failed = exc
+        stop = len(requests) if failed is None else self._missed[failed.index]
+        view = memoryview(out).cast("B")
+        pos = at = 0
+        with cache._lock:
+            for (key, start, length), data in zip(requests[:stop], self._found):
+                if data is None:
+                    data = bytes(fetched[at:at + length])
+                    at += length
+                    cache._store((key, start, start + length - 1), data)
+                view[pos:pos + length] = data
+                pos += length
+        if failed is not None:
+            raise ReadError(stop, failed.cause) from failed.cause
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+class CachedBackend(_ReadsByStart):
+    """Byte-capacity LRU over (key, start, end) entries, ``end`` inclusive
+    or None for the end of the object; ``get(key)`` is (key, 0, None).
 
     Objects are assumed immutable, so a hit is always byte-identical to the
     inner read.  Entries larger than the whole capacity bypass the cache.
     Ranged reads of the same object are distinct entries (no coalescing).
-    A put invalidates that key's entries.
+    A put invalidates that key's entries.  A batch read looks up all of its
+    extents as it starts and stores its misses as it finishes.
     """
 
     def __init__(self, inner: StorageBackend, capacity_bytes: int) -> None:
@@ -1158,11 +1163,11 @@ class CachedBackend(StorageBackend):
         self.inner = inner
         self.capacity_bytes = capacity_bytes
         self.stats = StorageStats()
-        self._entries: OrderedDict[tuple, bytes] = OrderedDict()
+        self._entries: OrderedDict[tuple[str, int, int | None], bytes] = OrderedDict()
         self._used = 0
         self._lock = threading.Lock()
 
-    def _lookup(self, ck: tuple[str, ByteRange | None]) -> bytes | None:
+    def _lookup(self, ck: tuple[str, int, int | None]) -> bytes | None:
         """The cached bytes of ``ck``, or None on a miss; the caller holds the lock."""
         self.stats.requests += 1
         if ck in self._entries:
@@ -1172,42 +1177,29 @@ class CachedBackend(StorageBackend):
         self.stats.misses += 1
         return None
 
-    def _store(self, ck: tuple[str, ByteRange | None], data: bytes) -> None:
-        with self._lock:
-            self.stats.bytes_read += len(data)
-            if len(data) <= self.capacity_bytes and ck not in self._entries:
-                self._entries[ck] = data
-                self._used += len(data)
-                while self._used > self.capacity_bytes:
-                    _, evicted = self._entries.popitem(last=False)
-                    self._used -= len(evicted)
-                    self.stats.evictions += 1
+    def _store(self, ck: tuple[str, int, int | None], data: bytes) -> None:
+        """Count ``data`` as read and keep it; the caller holds the lock."""
+        self.stats.bytes_read += len(data)
+        if len(data) <= self.capacity_bytes and ck not in self._entries:
+            self._entries[ck] = data
+            self._used += len(data)
+            while self._used > self.capacity_bytes:
+                _, evicted = self._entries.popitem(last=False)
+                self._used -= len(evicted)
+                self.stats.evictions += 1
 
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
+        ck = (key, 0, None) if byte_range is None else (key, byte_range.start, byte_range.end)
         with self._lock:
-            data = self._lookup((key, byte_range))
+            data = self._lookup(ck)
         if data is None:
             data = self.inner.get(key, byte_range)
-            self._store((key, byte_range), data)
+            with self._lock:
+                self._store(ck, data)
         return data
 
-    def get_many(self, requests: list[tuple[str, ByteRange | None]],
-                 waits: list[float] | None = None) -> Generator[bytes, None, None]:
-        """Hits are answered here (after their waits); the misses go to the
-        inner backend in one ``get_many``."""
-        with self._lock:
-            found = [self._lookup((key, br)) for key, br in requests]
-        misses = [i for i, data in enumerate(found) if data is None]
-        with closing(self.inner.get_many(
-                [requests[i] for i in misses],
-                waits and [waits[i] for i in misses])) as fetched:
-            for i, ((key, br), data) in enumerate(zip(requests, found)):
-                if data is None:
-                    data = next(fetched)
-                    self._store((key, br), data)
-                elif waits and waits[i] > 0:
-                    time.sleep(waits[i])
-                yield data
+    def start_read(self, requests: list[tuple[str, int, int]]) -> PendingRead:
+        return _CachedRead(self, requests)
 
     def put(self, key: str, data: bytes) -> None:
         self.inner.put(key, data)

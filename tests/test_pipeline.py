@@ -39,6 +39,7 @@ from loadbench.storage import (
     RangeError,
     StorageBackend,
     StorageError,
+    cached,
     with_latency,
 )
 from loadbench.transforms import TransformConfig
@@ -716,6 +717,73 @@ def test_iterating_a_started_epoch_yields_it(tiny_dataset, workers):
                     backend) as loader:
         loader.start_epoch(3)  # delivers nothing, so iter() goes on with it
         assert [_digest(b) for b in loader] == expected
+
+
+# -- wrapped backends: one batch read through every wrapper ---------------------
+
+_WRAPS = {
+    "plain": lambda backend: backend,
+    "latency": lambda backend: with_latency(backend, LatencyModel(mean_ms=0.5)),
+    "cached": lambda backend: cached(backend, 1 << 20),
+    "cached-latency": lambda backend: cached(
+        with_latency(backend, LatencyModel(mean_ms=0.5)), 1 << 20),
+}
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("wrap", sorted(_WRAPS))
+@pytest.mark.parametrize("kind", ["local", "memory", "http"])
+def test_contents_independent_of_backend_and_wrappers(tiny_dataset, kind, wrap,
+                                                      workers):
+    # two epochs, so a cache that holds the split answers the second from
+    # its hits alone
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    local = LocalBackend(root)
+    reference = _run_epochs(DataLoader(_loader_config(), manifest, local), 2)
+    with serve(root) as server:
+        backend = {"local": lambda: local,
+                   "memory": lambda: MemoryBackend.load(local),
+                   "http": lambda: HTTPBackend(server.endpoint)}[kind]()
+        with closing(_WRAPS[wrap](backend)) as wrapped:
+            loader = DataLoader(_loader_config(num_workers=workers), manifest,
+                                wrapped, epochs=2)
+            assert _run_epochs(loader, 2) == reference
+
+
+def test_latency_draws_repeat_batch_for_batch(tiny_dataset):
+    # every batch read starts on the consumer thread in batch order, so with
+    # workers too each batch draws the same delays from a seeded model in
+    # every run
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    local = LocalBackend(root)
+
+    def draws():
+        model = LatencyModel(mean_ms=1.0, std_ms=0.8, distribution="lognormal", seed=6)
+        per_batch, drawn = [], []
+        sample_ms = model.sample_ms
+
+        def recording():
+            drawn.append(sample_ms())
+            return drawn[-1]
+        model.sample_ms = recording
+
+        class Batches(storage.LatencyBackend):
+            def start_read(self, requests):
+                before = len(drawn)
+                read = super().start_read(requests)
+                per_batch.append((tuple(requests), tuple(drawn[before:])))
+                return read
+        loader = DataLoader(_loader_config(num_workers=2, prefetch_depth=4),
+                            manifest, Batches(local, model), epochs=2)
+        _run_epochs(loader, 2)
+        return per_batch
+
+    first = draws()
+    assert len(first) == 12 and len({d for _, ds in first for d in ds}) > 12
+    assert all(len(ds) == len({key for key, *_ in requests}) for requests, ds in first)
+    assert draws() == first
 
 
 # -- worker placement ---------------------------------------------------------

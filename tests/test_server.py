@@ -579,18 +579,34 @@ def test_failing_backend_answers_500_and_the_server_goes_on():
 
 def test_large_object_whole_and_ranged_among_small_gets(tmp_path):
     # 8 MB replies outgrow the socket's send buffer, so each goes out in
-    # many partial writes while small replies go out on other connections
+    # many partial writes while small replies go out on other connections:
+    # whole and ranged GETs of the big object on other threads, and a batch
+    # read of one multi-range GET of it among one GET per small object
     local = LocalBackend(tmp_path, create=True)
     local.put("big.bin", stream_bytes(5, 8 << 20))
-    local.put("small.bin", stream_bytes(6, 4096))
-    requests = []
+    for k in range(12):
+        local.put(f"small{k}.bin", stream_bytes(6 + k, 4096))
+    extents = []
     for i in range(6):
-        big = None if i % 3 == 0 else ByteRange(i << 20, (i + 2 << 20) - 1)
-        requests += [("big.bin", big)] + [("small.bin", ByteRange(j, j + 99))
-                                           for j in range(i, 4000, 500)]
+        extents += [("big.bin", i << 20, 1 << 19)] + [
+            (f"small{(i + j) % 12}.bin", j, 100) for j in range(i, 4000, 500)]
+    ranges = [None if i % 3 == 0 else ByteRange(i << 20, (i + 2 << 20) - 1)
+              for i in range(6)]
+    got = [None] * len(ranges)
     with serve(tmp_path) as server, closing(HTTPBackend(server.endpoint)) as client:
-        got = list(client.get_many(requests))
-    assert got == [local.get(key, br) for key, br in requests]
+
+        def get(i):
+            got[i] = client.get("big.bin", ranges[i])
+        threads = [threading.Thread(target=get, args=(i,)) for i in range(len(ranges))]
+        for t in threads:
+            t.start()
+        out = bytearray(sum(n for *_, n in extents))
+        client.read_into(extents, out)
+        for t in threads:
+            t.join(30)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [local.get("big.bin", br) for br in ranges]
+    assert out == b"".join(local.get(key, ByteRange(o, o + n - 1)) for key, o, n in extents)
 
 
 def test_client_puts_a_body_larger_than_its_send_buffer(tmp_path):
@@ -618,11 +634,16 @@ def test_keep_alive_connections_add_no_thread(store):
 
 
 def test_latency_of_64_concurrent_requests_overlaps(tmp_path):
-    LocalBackend(tmp_path).put("obj", b"payload")
+    # a batch read over 64 objects is 64 GETs in flight together
+    local = LocalBackend(tmp_path)
+    for k in range(64):
+        local.put(f"obj{k:02d}", b"payload%02d" % k)
+    extents = [(f"obj{k:02d}", 0, 9) for k in range(64)]
+    out = bytearray(64 * 9)
     with serve(tmp_path, latency=LatencyModel(mean_ms=50.0)) as server, \
             closing(HTTPBackend(server.endpoint)) as client:
         t0 = time.perf_counter()
-        data = list(client.get_many([("obj", None)] * 64))
+        client.read_into(extents, out)
         wall = time.perf_counter() - t0
-    assert data == [b"payload"] * 64
+    assert out == b"".join(b"payload%02d" % k for k in range(64))
     assert wall < 0.25 * 64 * 0.050

@@ -28,6 +28,7 @@ from loadbench.storage import (
     NotFoundError,
     RangeError,
     ReadError,
+    StorageBackend,
     StorageError,
     cached,
     validate_key,
@@ -223,6 +224,61 @@ def test_zero_latency_is_transparent():
     assert delayed.get("obj", ByteRange(1, 2)) == b"at"
 
 
+class _Clock:
+    """Stands in for ``loadbench.storage``'s ``time``: a clock that moves
+    only when told to or slept on, and a ``sleep`` that records its wait."""
+
+    def __init__(self):
+        self.now, self.slept = 100.0, []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.slept.append(seconds)
+        self.now += seconds
+
+
+def test_latency_read_waits_its_largest_sample_once(monkeypatch):
+    # five requests over three keys: three samples, in flight together, so
+    # a read finished at once sleeps the largest of them, then reads
+    clock = _Clock()
+    monkeypatch.setattr(storage_module, "time", clock)
+    reference = _lognormal(3)
+    samples = [reference.sample_ms() for _ in range(3)]
+    backend = with_latency(MemoryBackend({"A": b"abcdef", "B": b"ghij", "C": b"kl"}),
+                           _lognormal(3))
+    out = bytearray(9)
+    with closing(backend.start_read([("A", 0, 2), ("B", 1, 2), ("A", 4, 2),
+                                     ("C", 0, 2), ("B", 0, 1)])) as read:
+        assert clock.slept == []
+        read.finish(out)
+    assert clock.slept == [pytest.approx(max(samples) / 1000.0)]
+    assert out == b"abhiefklg"
+    assert backend.model.sample_ms() == reference.sample_ms()  # three draws, no more
+    backend.read_into([], out[:0])  # no key, no sample, no wait
+    assert len(clock.slept) == 1
+    assert backend.model.sample_ms() == reference.sample_ms()
+
+
+def test_latency_read_counts_its_wait_from_its_start(monkeypatch):
+    # two reads started together wait together: the one finished before its
+    # deadline sleeps what is left, the one finished after it does not sleep
+    clock = _Clock()
+    monkeypatch.setattr(storage_module, "time", clock)
+    backend = with_latency(MemoryBackend({"A": b"abc"}), LatencyModel(mean_ms=10.0))
+    first = backend.start_read([("A", 0, 1)])
+    second = backend.start_read([("A", 1, 2)])
+    clock.now += 0.004
+    out = bytearray(3)
+    first.finish(memoryview(out)[:1])
+    assert clock.slept == [pytest.approx(0.006)]
+    clock.now += 0.001
+    second.finish(memoryview(out)[1:])
+    assert clock.slept == [pytest.approx(0.006)]
+    assert out == b"abc"
+
+
 def test_lognormal_latency_statistics():
     model = LatencyModel(mean_ms=59.2, std_ms=58.5, min_ms=8.8,
                          distribution="lognormal", seed=4)
@@ -263,24 +319,43 @@ def test_cache_hit_when_capacity_suffices():
 
 
 class _ReferenceLRU:
-    """Independent byte-capacity LRU simulation (hit/miss oracle)."""
+    """Independent byte-capacity LRU simulation (hit/miss oracle), with the
+    cache's counters.  ``lookup`` and ``store`` are the two halves of a
+    miss, which a batch read runs at its start and at its finish."""
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.entries = OrderedDict()
         self.used = 0
+        self.hits = self.misses = self.evictions = self.bytes_read = 0
 
-    def access(self, key, size):
+    def lookup(self, key):
         if key in self.entries:
             self.entries.move_to_end(key)
-            return "hit"
-        if size <= self.capacity:
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def store(self, key, size):
+        self.bytes_read += size
+        if size <= self.capacity and key not in self.entries:
             self.entries[key] = size
             self.used += size
             while self.used > self.capacity:
                 _, evicted = self.entries.popitem(last=False)
                 self.used -= evicted
+                self.evictions += 1
+
+    def access(self, key, size):
+        if self.lookup(key):
+            return "hit"
+        self.store(key, size)
         return "miss"
+
+    def drop(self, name):
+        for key in [key for key in self.entries if key[0] == name]:
+            self.used -= self.entries.pop(key)
 
 
 def test_cache_matches_reference_policy():
@@ -325,7 +400,106 @@ def test_cache_config_validation():
     assert CachedBackend(inner, 1).get("A") == b"abc"  # oversize bypass
 
 
-# -- get_many, persistent HTTP connections, close -------------------------------
+def test_cache_read_fails_at_the_callers_index_after_hits():
+    # the misses go to the inner backend as one read; its failure is raised
+    # at the caller's index, with every request before it in ``out``, hits
+    # and misses alike
+    cache = cached(MemoryBackend({"A": b"abcdef", "B": b"ghij"}), 100)
+    cache.read_into([("A", 0, 2), ("B", 1, 2)], bytearray(4))
+    requests = [("A", 0, 2), ("A", 3, 2), ("B", 1, 2), ("absent", 0, 1),
+                ("A", 0, 2), ("B", 0, 1)]
+    out = bytearray(10)
+    with pytest.raises(ReadError) as err:
+        cache.read_into(requests, out)
+    assert err.value.index == 3 and isinstance(err.value.cause, NotFoundError)
+    assert out[:6] == b"abdehi"
+    assert (cache.stats.hits, cache.stats.misses) == (3, 5)
+    assert cache.cached_bytes == 6  # the miss before the failed one is stored
+
+
+@st.composite
+def _cache_ops(draw):
+    """Objects, a capacity, and a run of gets, batch read starts and
+    finishes, and puts."""
+    sizes = {f"o{i}": draw(st.integers(1, 40)) for i in range(4)}
+
+    def extent():
+        key = draw(st.sampled_from(sorted(sizes)))
+        start = draw(st.integers(0, sizes[key] - 1))
+        return key, start, draw(st.integers(1, sizes[key] - start))
+    ops = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["get", "start", "finish", "put"]))
+        if kind == "get":
+            key, start, length = extent()
+            ops.append(("get", key, draw(st.sampled_from(
+                [None, ByteRange(start, start + length - 1)]))))
+        elif kind == "start":
+            ops.append(("start", [extent() for _ in range(draw(st.integers(0, 6)))]))
+        elif kind == "put":
+            ops.append(("put", draw(st.sampled_from(sorted(sizes))), draw(st.integers(0, 9))))
+        else:
+            ops.append(("finish",))
+    return sizes, draw(st.integers(1, 120)), ops
+
+
+@settings(deadline=None, max_examples=200)
+@given(_cache_ops())
+def test_cache_matches_reference_lru(case):
+    # a batch read looks up all of its extents as it starts and stores its
+    # misses as it finishes, with reads started and finished in any order
+    # around gets; puts come between reads
+    sizes, capacity, ops = case
+    objects = {key: stream_bytes(i, size) for i, (key, size) in enumerate(sizes.items())}
+    cache = cached(MemoryBackend(objects), capacity)
+    reference = _ReferenceLRU(capacity)
+    pending = []  # started reads: the read, its extents and which missed
+
+    def finish_oldest():
+        read, extents, missed = pending.pop(0)
+        out = bytearray(sum(n for *_, n in extents))
+        with closing(read):
+            read.finish(out)
+        assert out == b"".join(objects[key][start:start + n] for key, start, n in extents)
+        for (key, start, n), miss in zip(extents, missed):
+            if miss:
+                reference.store((key, start, start + n - 1), n)
+
+    for op in ops:
+        if op[0] == "get":
+            _, key, br = op
+            data = cache.get(key, br)
+            assert data == (objects[key] if br is None else objects[key][br.start:br.end + 1])
+            reference.access((key, 0, None) if br is None else (key, br.start, br.end),
+                             len(data))
+        elif op[0] == "start":
+            extents = op[1]
+            missed = [not reference.lookup((key, start, start + n - 1))
+                      for key, start, n in extents]
+            pending.append((cache.start_read(extents), extents, missed))
+        elif op[0] == "finish":
+            if pending:
+                finish_oldest()
+        else:
+            while pending:
+                finish_oldest()
+            _, key, seed = op
+            objects[key] = stream_bytes(seed, sizes[key])
+            cache.put(key, objects[key])
+            reference.drop(key)
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions, stats.bytes_read) == (
+            reference.hits, reference.misses, reference.evictions, reference.bytes_read)
+        assert stats.requests == stats.hits + stats.misses
+        assert cache.cached_bytes == reference.used
+    while pending:
+        finish_oldest()
+
+
+# -- batch reads, persistent HTTP connections, close ----------------------------
+# The tests named for ``get_many``, the per-request batch call the backends
+# had before ``start_read`` became the one batch read, now check the same
+# behaviour through ``start_read`` and ``read_into``.
 
 @pytest.fixture(scope="module")
 def shards(tmp_path_factory):
@@ -334,6 +508,16 @@ def shards(tmp_path_factory):
     rng = SplitMix64(5)
     for i in range(4):
         local.put(f"s/shard{i}.bin", stream_bytes(rng.next_u64(), 300 + 41 * i))
+    return root, local
+
+
+@pytest.fixture(scope="module")
+def many_shards(tmp_path_factory):
+    """40 objects under ``m/``: a batch read of all of them is 40 GETs."""
+    root = tmp_path_factory.mktemp("many-shards")
+    local = LocalBackend(root)
+    for i in range(40):
+        local.put(f"m/k{i:02d}.bin", stream_bytes(100 + i, 200 + 7 * i))
     return root, local
 
 
@@ -352,6 +536,24 @@ def _random_requests(local, n, seed):
     return requests
 
 
+def _one_extent_each(local, prefix, seed):
+    """One extent of each object under ``prefix``, in a seeded order: a
+    batch read of them is one GET per object."""
+    rng = SplitMix64(seed)
+    drawn = []
+    for key in local.list(prefix):
+        size = local.size(key)
+        start = rng.next_below(size)
+        drawn.append((rng.next_u64(), (key, start, 1 + rng.next_below(min(64, size - start)))))
+    return [extent for _, extent in sorted(drawn)]
+
+
+def _expected(local, extents):
+    """The bytes a read of (key, offset, length) ``extents`` puts in its buffer."""
+    return b"".join(local.get(key, ByteRange(offset, offset + length - 1))
+                    for key, offset, length in extents)
+
+
 def _count_connects(monkeypatch) -> list:
     opened = []
     connect = http.client.HTTPConnection.connect
@@ -361,30 +563,6 @@ def _count_connects(monkeypatch) -> list:
         connect(conn)
     monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
     return opened
-
-
-@pytest.mark.parametrize("kind", ["local", "memory", "latency", "cached", "http"])
-def test_get_many_matches_get_in_order(shards, kind):
-    root, local = shards
-    requests = _random_requests(local, 40, seed=9)
-    expected = [local.get(key, br) for key, br in requests]
-    with serve(root) as server:
-        backend = {
-            "local": lambda: LocalBackend(root),
-            "memory": lambda: MemoryBackend.load(local),
-            "latency": lambda: with_latency(local, LatencyModel(mean_ms=0.1)),
-            "cached": lambda: cached(local, 2000),
-            "http": lambda: HTTPBackend(server.endpoint),
-        }[kind]()
-        with closing(backend):
-            assert list(backend.get_many(requests)) == expected
-            assert list(backend.get_many(requests[:1])) == expected[:1]
-            assert list(backend.get_many([])) == []
-            extents = _extents(local, requests)
-            out = np.empty(sum(length for *_, length in extents), dtype=np.uint8)
-            backend.read_into(extents, out)
-            assert out.tobytes() == b"".join(expected)
-            backend.read_into([], out[:0])
 
 
 def _extents(local, requests):
@@ -401,6 +579,28 @@ _BACKENDS = {
     "cached": lambda root, local, server: cached(local, 2000),
     "http": lambda root, local, server: HTTPBackend(server.endpoint),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_get_many_matches_get_in_order(shards, kind):
+    # the cache answers the read's extents that the gets stored, so its
+    # read scatters hits and misses
+    root, local = shards
+    requests = _random_requests(local, 40, seed=9)
+    expected = [local.get(key, br) for key, br in requests]
+    extents = _extents(local, requests)
+    with serve(root) as server, \
+            closing(_BACKENDS[kind](root, local, server)) as backend:
+        assert [backend.get(key, br) for key, br in requests] == expected
+        out = np.empty(sum(length for *_, length in extents), dtype=np.uint8)
+        backend.read_into(extents, out)
+        assert out.tobytes() == b"".join(expected)
+        first = out[:extents[0][2]]
+        first[:] = 0
+        with closing(backend.start_read(extents[:1])) as read:
+            read.finish(first)
+        assert first.tobytes() == expected[0]
+        backend.read_into([], out[:0])
 
 
 @pytest.mark.parametrize("kind", sorted(_BACKENDS))
@@ -424,46 +624,41 @@ def test_read_into_fails_at_its_own_request(shards, kind, bad, error):
     assert out[:before].tobytes() == b"".join(local.get(*r) for r in requests[:4])
 
 
-def test_read_into_holds_every_wait():
-    # a latency-wrapped memory backend reads through the base read_into,
-    # so each request still waits its sample, one after another
-    backend = with_latency(MemoryBackend({"A": b"abcdef"}),
-                           LatencyModel(mean_ms=10.0))
-    out = bytearray(12)
-    t0 = time.perf_counter()
-    backend.read_into([("A", i % 6, 1) for i in range(12)], out)
-    assert time.perf_counter() - t0 >= 12 * 0.010
-    assert out == b"abcdefabcdef"
-
-
-def test_default_get_many_reads_one_request_at_a_time():
-    class Counting(MemoryBackend):
-        gets = 0
+def test_default_read_into_gets_each_request_in_order():
+    # a backend that defines only ``get`` reads a batch with one ``get`` per
+    # request, in request order, and gets nothing after a failed request
+    class GetOnly(StorageBackend):
+        def __init__(self, objects):
+            self.inner, self.log = MemoryBackend(objects), []
 
         def get(self, key, byte_range=None):
-            self.gets += 1
-            return super().get(key, byte_range)
+            self.log.append((key, byte_range))
+            return self.inner.get(key, byte_range)
 
-    backend = Counting({"A": b"abc"})
-    bufs = backend.get_many([("A", None), ("A", ByteRange(1, 1)), ("absent", None)])
-    assert backend.gets == 0
-    assert next(bufs) == b"abc" and backend.gets == 1
-    assert next(bufs) == b"b" and backend.gets == 2
-    with pytest.raises(NotFoundError):
-        next(bufs)
+    backend = GetOnly({"A": b"abc"})
+    out = bytearray(6)
+    with pytest.raises(ReadError) as err:
+        backend.read_into([("A", 0, 3), ("A", 1, 1), ("absent", 0, 1), ("A", 2, 1)], out)
+    assert err.value.index == 2 and isinstance(err.value.cause, NotFoundError)
+    assert out[:4] == b"abcb"
+    assert backend.log == [("A", ByteRange(0, 2)), ("A", ByteRange(1, 1)),
+                           ("absent", ByteRange(0, 0))]
 
 
 def test_http_connections_are_reused(shards, monkeypatch):
     root, local = shards
     opened = _count_connects(monkeypatch)
     requests = _random_requests(local, 100, seed=3)
+    extents = _extents(local, requests)
     with serve(root) as server, closing(HTTPBackend(server.endpoint)) as client:
         t0 = time.perf_counter()
         for key, br in requests:
             assert client.get(key, br) == local.get(key, br)
         serial = time.perf_counter() - t0
-        assert list(client.get_many(requests)) == [local.get(k, r) for k, r in requests]
-    assert 1 < len(opened) <= storage_module._IN_FLIGHT + 1
+        out = bytearray(sum(n for *_, n in extents))
+        client.read_into(extents, out)  # one GET per shard, in flight together
+        assert out == _expected(local, extents)
+    assert 1 < len(opened) <= 4
     # about 0.5 ms a request; a server that leaves Nagle on stalls each
     # request on a reused connection for tens of ms (over 4 s in all)
     assert serial < 2.0
@@ -474,18 +669,19 @@ def test_http_connections_are_reused(shards, monkeypatch):
     lambda client: with_latency(client, LatencyModel(mean_ms=10.0)),
     lambda client: cached(client, 1 << 20),
 ], ids=["http", "latency", "cached"])
-def test_get_many_overlaps_round_trips(shards, wrap):
-    # the injected 20 ms per request dominates the noise: serially, 32
-    # requests cannot take less than 640 ms
-    root, local = shards
-    requests = _random_requests(local, 32, seed=4)
+def test_get_many_overlaps_round_trips(many_shards, wrap):
+    # a read of 40 objects is 40 GETs, and the injected 20 ms per GET
+    # dominates the noise: one after another they cannot take less than 800 ms
+    root, local = many_shards
+    extents = _one_extent_each(local, "m/", seed=4)
+    out = bytearray(sum(n for *_, n in extents))
     with serve(root, latency=LatencyModel(mean_ms=20.0)) as server, \
             closing(wrap(HTTPBackend(server.endpoint))) as client:
         t0 = time.perf_counter()
-        data = list(client.get_many(requests))
+        client.read_into(extents, out)
         wall = time.perf_counter() - t0
-    assert data == [local.get(key, br) for key, br in requests]
-    assert wall < 0.5 * 32 * 0.020
+    assert out == _expected(local, extents)
+    assert wall < 0.5 * 40 * 0.020
 
 
 def test_http_reopens_connection_the_server_closed(shards, monkeypatch):
@@ -506,62 +702,48 @@ class _CountingBackend(MemoryBackend):
     def __init__(self, objects):
         super().__init__(objects)
         self.sizes = 0
-        self.gets = 0
+        self.reads = 0
 
     def size(self, key):
         self.sizes += 1  # the server asks once per key, then keeps the size
         return super().size(key)
 
-    def get(self, key, byte_range=None):
-        self.gets += 1  # once per GET of an existing object
-        return super().get(key, byte_range)
-
-
-def test_failed_get_many_cancels_queued_fetches(shards, monkeypatch):
-    # one request in flight, so the failing first request runs alone
-    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
-    root, local = shards
-    key = local.list("s/")[0]
-    served = _CountingBackend({key: local.get(key)})
-    requests = [("s/absent.bin", None)] + [(key, None)] * 20
-    with serve(served, latency=LatencyModel(mean_ms=20.0)) as server, \
-            closing(HTTPBackend(server.endpoint)) as client:
-        with pytest.raises(NotFoundError):
-            list(client.get_many(requests))
-        time.sleep(0.2)  # ten more round trips, had the fetches gone on
-        assert served.sizes <= 3
-
-
-def test_closed_get_many_cancels_queued_fetches(shards, monkeypatch):
-    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
-    root, local = shards
-    key = local.list("s/")[0]
-    served = _CountingBackend({key: local.get(key)})
-    with serve(served, latency=LatencyModel(mean_ms=20.0)) as server, \
-            closing(HTTPBackend(server.endpoint)) as client:
-        with closing(client.get_many([(key, None)] * 20)) as bufs:
-            assert next(bufs) == local.get(key)
-        time.sleep(0.2)  # ten more round trips, had the fetches gone on
-        assert served.sizes <= 3
+    def read_into(self, requests, out):
+        self.reads += 1  # once per ranged GET of an existing object
+        super().read_into(requests, out)
 
 
 @pytest.mark.parametrize("stop", ["fail", "close"])
-def test_stopped_get_many_sends_no_more_requests(shards, monkeypatch, stop):
-    # the server keeps each object's size, so count its reads of the bytes
+def test_stopped_get_many_sends_no_more_requests(many_shards, monkeypatch, stop):
+    # one connection, so a read's GETs go out one at a time; the server
+    # keeps each object's size, so it asks for one size per object it is
+    # sent, and reads the bytes of each ranged GET it answers.  A failed
+    # read has read every GET when it raises (the earliest failed request
+    # may be in any of them), and a read closed unfinished sends no more.
     monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
-    root, local = shards
-    key = local.list("s/")[0]
-    served = _CountingBackend({key: local.get(key)})
+    root, local = many_shards
+    served = _CountingBackend({key: local.get(key) for key in local.list("m/")})
+    extents = _one_extent_each(local, "m/", seed=5)[:20]
     with serve(served, latency=LatencyModel(mean_ms=20.0)) as server, \
             closing(HTTPBackend(server.endpoint)) as client:
         if stop == "fail":
-            with pytest.raises(NotFoundError):
-                list(client.get_many([("s/absent.bin", None)] + [(key, None)] * 20))
+            with pytest.raises(ReadError) as err:
+                client.read_into(extents[:5] + [("m/absent.bin", 0, 4)] + extents[5:],
+                                 bytearray(4 + sum(n for *_, n in extents)))
+            assert err.value.index == 5 and isinstance(err.value.cause, NotFoundError)
+            assert (served.sizes, served.reads) == (21, 20)
         else:
-            with closing(client.get_many([(key, None)] * 20)) as bufs:
-                assert next(bufs) == local.get(key)
-        time.sleep(0.2)  # ten more round trips, had the requests gone on
-        assert served.gets <= 2
+            client.start_read(extents).close()  # its first GET is on its way
+        assert client._opened == len(client._idle)
+        sent = served.sizes, served.reads
+        time.sleep(0.2)  # ten more round trips, had the GETs gone on
+        if stop == "fail":
+            assert (served.sizes, served.reads) == sent
+        else:
+            assert served.sizes <= 1 and served.reads <= 1
+        out = bytearray(sum(n for *_, n in extents[:3]))
+        client.read_into(extents[:3], out)
+        assert out == _expected(local, extents[:3])
 
 
 class _HeldRequests(LatencyModel):
@@ -598,22 +780,26 @@ class _AnsweringBackend(MemoryBackend):
         super().read_into(requests, out)
 
 
-def test_concurrent_get_many_share_one_pool(shards):
-    # more callers than cores, switching threads as often as possible
-    root, local = shards
+def test_concurrent_get_many_share_one_pool(many_shards):
+    # more callers than cores, switching threads as often as possible; four
+    # reads of 40 GETs each need more connections than the pool has
+    root, local = many_shards
     held = _HeldRequests(mean_ms=20.0)  # far longer than it takes to send a request
-    served = _AnsweringBackend({key: local.get(key) for key in local.list("s/")}, held)
-    requests = [_random_requests(local, 3 * storage_module._IN_FLIGHT, seed)
-                for seed in range(6, 10)]
-    results = [None] * len(requests)
+    served = _AnsweringBackend({key: local.get(key) for key in local.list("m/")}, held)
+    reads = [[_one_extent_each(local, "m/", seed + 4 * k) for k in range(3)]
+             for seed in range(6, 10)]
+    results = [[] for _ in reads]
     with serve(served, latency=held) as server:
         before = set(threading.enumerate())
         client = HTTPBackend(server.endpoint)
 
         def fetch(i):
-            results[i] = list(client.get_many(requests[i]))
+            for extents in reads[i]:
+                out = bytearray(sum(n for *_, n in extents))
+                client.read_into(extents, out)
+                results[i].append(bytes(out))
         threads = [threading.Thread(target=fetch, args=(i,))
-                   for i in range(len(requests))]
+                   for i in range(len(reads))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -630,8 +816,8 @@ def test_concurrent_get_many_share_one_pool(shards):
         while set(threading.enumerate()) - before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert set(threading.enumerate()) <= before
-    for got, wanted in zip(results, requests):
-        assert got == [local.get(key, br) for key, br in wanted]
+    for got, wanted in zip(results, reads):
+        assert got == [_expected(local, extents) for extents in wanted]
     assert 1 < held.peak <= storage_module._IN_FLIGHT
 
 
@@ -652,69 +838,73 @@ class _Arrivals(LatencyModel):
 class _LoggingBackend(MemoryBackend):
     def __init__(self, objects):
         super().__init__(objects)
-        self.log = []  # the keys read, in the order the server answers
+        self.log = []  # the key of each ranged GET, in the order the server answers
 
-    def get(self, key, byte_range=None):
-        self.log.append(key)
-        return super().get(key, byte_range)
+    def read_into(self, requests, out):
+        self.log.append(requests[0][0])
+        super().read_into(requests, out)
 
 
-def test_queued_requests_go_out_on_connections_given_back(shards, monkeypatch):
-    # Call A holds two of the four connections; call B takes the other two
+def test_queued_requests_go_out_on_connections_given_back(many_shards, monkeypatch):
+    # Read A holds two of the four connections; read B takes the other two
     # and waits for four more.  When A's responses come in, A's connections
-    # carry B's next requests at once, not when B's own responses come in.
+    # carry B's next GETs at once, not when B's own responses come in.
     monkeypatch.setattr(storage_module, "_IN_FLIGHT", 4)
-    root, local = shards
-    key = local.list("s/")[0]
+    root, local = many_shards
+    keys = local.list("m/")
     hold = 0.3
     arrivals = _Arrivals(mean_ms=hold * 1000)
-    ranges = [ByteRange(0, i) for i in range(6)]
+    extents = [(key, 0, 8) for key in keys[2:8]]
+    out = bytearray(8 * len(extents))
     with serve(root, latency=arrivals) as server, \
             closing(HTTPBackend(server.endpoint)) as client:
-        first = threading.Thread(target=lambda: list(client.get_many([(key, None)] * 2)))
+        first = threading.Thread(target=lambda: client.read_into(
+            [(key, 0, 8) for key in keys[:2]], bytearray(16)))
         first.start()
         deadline = time.monotonic() + 5
         while len(arrivals.times) < 2 and time.monotonic() < deadline:
             time.sleep(0.001)
-        time.sleep(hold * 2 / 3)  # A's two requests are held
-        got = list(client.get_many([(key, br) for br in ranges]))
+        time.sleep(hold * 2 / 3)  # A's two GETs are held
+        client.read_into(extents, out)
         first.join(10)
     assert not first.is_alive()
-    assert got == [local.get(key, br) for br in ranges]
+    assert out == _expected(local, extents)
     assert len(arrivals.times) == 8
-    # B's own first responses return a hold after its first request arrived
-    # (without the handover its third and fourth requests would go out only
+    # B's own first responses return a hold after its first GET arrived
+    # (without the handover its third and fourth GETs would go out only
     # then); A's return about a third of a hold after it
     b0 = arrivals.times[2]
     assert max(arrivals.times[4:6]) < b0 + hold * 2 / 3
 
 
-def test_given_back_connections_go_to_the_oldest_waiting_call(shards, monkeypatch):
-    # A holds both connections.  B waits for two, then C for one: A's two
-    # connections go to B as they come back, and C gets one only when B's
-    # first response does.
+def test_given_back_connections_go_to_the_oldest_waiting_call(many_shards, monkeypatch):
+    # Read A holds both connections.  B waits for two, then C for one: A's
+    # two connections go to B as they come back, and C gets one only when
+    # B's first response does.
     monkeypatch.setattr(storage_module, "_IN_FLIGHT", 2)
-    root, local = shards
-    a, b, c = local.list("s/")[:3]
-    served = _LoggingBackend({key: local.get(key) for key in (a, b, c)})
-    holds = _Arrivals(mean_ms=200.0, first_ms=[150.0, 250.0])  # A's two requests
+    root, local = many_shards
+    keys = local.list("m/")[:5]
+    served = _LoggingBackend({key: local.get(key) for key in keys})
+    holds = _Arrivals(mean_ms=200.0, first_ms=[150.0, 250.0])  # A's two GETs
     with serve(served, latency=holds) as server, \
             closing(HTTPBackend(server.endpoint)) as client:
-        calls = [threading.Thread(target=lambda k=k, n=n: list(client.get_many([(k, None)] * n)))
-                 for k, n in ((a, 2), (b, 2), (c, 1))]
+        calls = [threading.Thread(target=lambda ks=ks: client.read_into(
+            [(key, 0, 8) for key in ks], bytearray(8 * len(ks))))
+            for ks in (keys[:2], keys[2:4], keys[4:])]
         for call in calls:
             call.start()
             time.sleep(0.05)
         for call in calls:
             call.join(10)
     assert not any(call.is_alive() for call in calls)
-    assert served.log == [a, a, b, b, c]
+    # A's two GETs go out together, so either may reach the server first
+    assert sorted(served.log[:2]) + served.log[2:] == keys
 
 
 @pytest.mark.parametrize("stop", ["close", "timeout"])
 def test_call_waiting_for_a_connection_fails_promptly(shards, monkeypatch, stop):
-    # the only connection carries a request of a call that is not reading
-    # its response, so a second call waits with nothing in flight
+    # the only connection carries the GET of a started read that is not
+    # reading its response, so a second call waits with nothing in flight
     monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
     root, local = shards
     key = local.list("s/")[0]
@@ -728,8 +918,7 @@ def test_call_waiting_for_a_connection_fails_promptly(shards, monkeypatch, stop)
             failed.append((exc, time.monotonic() - t0))
     with serve(root) as server, closing(HTTPBackend(
             server.endpoint, timeout=0.2 if stop == "timeout" else 30.0)) as client:
-        with closing(client.get_many([(key, None)] * 2)) as held:
-            assert next(held) == local.get(key)
+        with closing(client.start_read([(key, 0, 8)])):
             waiter = threading.Thread(target=wait)
             waiter.start()
             if stop == "close":
@@ -747,35 +936,35 @@ def test_call_waiting_for_a_connection_fails_promptly(shards, monkeypatch, stop)
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
 def test_no_fd_outlives_close(shards, monkeypatch):
     # a wake pipe raises no ResourceWarning if it leaks, so count the
-    # process's fds; two connections for calls of four requests, so every
-    # call waits in the queue
+    # process's fds; two connections for reads of four GETs, so every
+    # read waits in the queue
     monkeypatch.setattr(storage_module, "_IN_FLIGHT", 2)
     root, local = shards
-    requests = _random_requests(local, 4, seed=12)
-    expected = [local.get(key, br) for key, br in requests]
-    extents = _extents(local, requests)
+    extents = [(key, 5 * k, 20) for k, key in enumerate(local.list("s/"))]
+    expected = _expected(local, extents)
     failures = []
 
     def calls():
         try:
             for i in range(100):
                 if i % 5 == 0:
-                    assert list(client.get_many(requests)) == expected
-                elif i % 5 == 1:  # closed early
-                    with closing(client.get_many(requests)) as bufs:
-                        assert next(bufs) == expected[0]
-                elif i % 5 == 2:
-                    with pytest.raises(NotFoundError):
-                        list(client.get_many(requests[:2] + [("s/absent.bin", None)]
-                                             + requests[2:]))
-                else:  # one GET per key, and a 416 whose GET is read again
+                    out = bytearray(len(expected))
+                    client.read_into(extents, out)
+                    assert out == expected
+                elif i % 5 == 1:  # closed unfinished
+                    client.start_read(extents).close()
+                elif i % 5 == 2:  # a failed GET, and GETs not waited for
+                    with pytest.raises(ReadError):
+                        client.read_into(extents[:2] + [("s/absent.bin", 0, 4)]
+                                         + extents[2:], bytearray(len(expected) + 4))
+                else:  # and a 416 whose GET is read again
                     bad = [("s/shard0.bin", 297, 4)] if i % 5 == 4 else []
-                    out = bytearray(2 * sum(n for *_, n in extents) + 4 * len(bad))
+                    out = bytearray(2 * len(expected) + 4 * len(bad))
                     try:
                         client.read_into(extents + bad + extents, out)
                     except ReadError as exc:
                         assert bad and exc.index == len(extents)
-                    assert out[:len(b"".join(expected))] == b"".join(expected)
+                    assert out[:len(expected)] == expected
         except BaseException as exc:
             failures.append(exc)
     before = len(os.listdir("/proc/self/fd"))
@@ -792,24 +981,28 @@ def test_no_fd_outlives_close(shards, monkeypatch):
     assert len(os.listdir("/proc/self/fd")) == before
 
 
-def test_unread_responses_are_never_read_as_later_ones(shards):
-    # responses still on their way when a call ends must not answer the
+def test_unread_responses_are_never_read_as_later_ones(many_shards):
+    # responses still on their way when a read ends must not answer the
     # next call's requests
-    root, local = shards
-    keys = local.list("s/")
-    first = [(keys[0], ByteRange(i, i + 7)) for i in range(40)]
-    later = _random_requests(local, 40, seed=11)
-    expected = [local.get(key, br) for key, br in later]
+    root, local = many_shards
+    first = _one_extent_each(local, "m/", seed=10)
+    later = _one_extent_each(local, "m/", seed=11)
+    expected = _expected(local, later)
+    out = bytearray(len(expected))
     with serve(root, latency=LatencyModel(mean_ms=20.0)) as server, \
             closing(HTTPBackend(server.endpoint)) as client:
-        with closing(client.get_many(first)) as bufs:
-            assert next(bufs) == local.get(*first[0])
-        assert list(client.get_many(later)) == expected
-        assert client.get(*later[0]) == expected[0]
-        with pytest.raises(NotFoundError):
-            list(client.get_many([("s/absent.bin", None)] + first))
-        assert list(client.get_many(later)) == expected
-        assert client.get(*later[1]) == expected[1]
+        client.start_read(first).close()
+        client.read_into(later, out)
+        assert out == expected
+        key, offset, length = later[0]
+        assert client.get(key, ByteRange(offset, offset + length - 1)) == expected[:length]
+        with pytest.raises(ReadError):
+            client.read_into([("m/absent.bin", 0, 4)] + first,
+                             bytearray(4 + sum(n for *_, n in first)))
+        out[:] = bytes(len(out))
+        client.read_into(later, out)
+        assert out == expected
+        assert client.get(key, ByteRange(offset, offset + length - 1)) == expected[:length]
 
 
 # -- start_read: a batch read sent before it is finished ------------------------
@@ -927,7 +1120,9 @@ def test_wrappers_forward_close():
 
     inner = Closing({"A": b"abc"})
     with closing(cached(with_latency(inner, LatencyModel(mean_ms=0.0)), 100)) as backend:
-        assert list(backend.get_many([("A", ByteRange(1, 2))])) == [b"bc"]
+        out = bytearray(2)
+        backend.read_into([("A", 1, 2)], out)
+        assert out == b"bc"
     assert inner.closed == 1
 
 
@@ -1125,7 +1320,6 @@ def test_http_ranged_reads_equal_local_reads(shards):
         @given(_ranged_requests(sizes))
         def check(requests):
             expected = [local.get(key, br) for key, br in requests]
-            assert list(client.get_many(requests)) == expected
             assert [client.get(key, br) for key, br in requests] == expected
 
         check()
@@ -1247,6 +1441,69 @@ def test_a_batch_over_http_is_one_get_per_shard(tiny_dataset):
             assert served.reads == len(set(manifest.shard[ids].tolist()))
             assert out == b"".join(local.get(key, ByteRange(offset, offset + length - 1))
                                    for key, offset, length in extents)
+
+
+def _wrapped_http(endpoint, stack):
+    """The backend ``BackendConfig.build`` makes for a remote store with
+    latency, a cache or both."""
+    from loadbench.bench import BackendConfig
+
+    return BackendConfig(
+        kind="remote", endpoint=endpoint,
+        latency=None if stack == "cached" else LatencyModel(mean_ms=1.0),
+        cache_bytes=1 << 20 if stack.startswith("cached") else 0).build()
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("stack", ["latency", "cached", "cached-latency"])
+def test_a_wrapped_batch_over_http_is_one_get_per_shard(tiny_dataset, stack, workers):
+    # the wrappers pass the batch read on whole, so the HTTP plan still
+    # sends one GET per shard a batch reads, not one per record
+    from loadbench.pipeline import DataLoader, LoaderConfig
+    from loadbench.sampling import SamplerConfig
+    from loadbench.transforms import TransformConfig
+
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]  # 48 records in 3 shards
+    local = LocalBackend(root)
+    served = _CountingReads({key: local.get(key) for key in local.list("")})
+    config = LoaderConfig(batch_size=8, num_workers=workers,
+                          sampler=SamplerConfig(kind="shuffle", seed=4),
+                          transform=TransformConfig(seed=3))
+    with serve(served) as server, \
+            closing(_wrapped_http(server.endpoint, stack)) as backend, \
+            DataLoader(config, manifest, backend, epochs=1) as loader:
+        shards = [len(set(manifest.shard[batch.ids].tolist())) for batch in loader]
+    assert len(shards) == 6 and served.reads == sum(shards)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("stack", ["cached", "cached-latency"])
+def test_a_cache_that_holds_the_split_sends_no_get_in_a_second_epoch(tiny_dataset, stack,
+                                                                     workers):
+    # each epoch on a loader that looks no further ahead, so every read of
+    # the first has finished, and stored its misses, before the second starts
+    from loadbench.pipeline import DataLoader, LoaderConfig
+    from loadbench.sampling import SamplerConfig
+    from loadbench.transforms import TransformConfig
+
+    root, manifests = tiny_dataset
+    manifest = manifests["train"]
+    local = LocalBackend(root)
+    served = _CountingReads({key: local.get(key) for key in local.list("")})
+    config = LoaderConfig(batch_size=8, num_workers=workers,
+                          sampler=SamplerConfig(kind="shuffle", seed=4),
+                          transform=TransformConfig(seed=3))
+    with serve(served) as server, \
+            closing(_wrapped_http(server.endpoint, stack)) as backend:
+        with DataLoader(config, manifest, backend, epochs=1) as loader:
+            assert sum(len(batch) for batch in loader) == 48
+        reads, hits = served.reads, backend.stats.hits
+        with DataLoader(config, manifest, backend, epochs=2) as loader:
+            loader.start_epoch(1)
+            assert sum(len(batch) for batch in loader) == 48
+    assert reads > 0 and served.reads == reads
+    assert backend.stats.hits - hits == 48
 
 
 @pytest.mark.parametrize("bad, index", [
