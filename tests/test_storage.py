@@ -713,6 +713,44 @@ class _CountingBackend(MemoryBackend):
         super().read_into(requests, out)
 
 
+def test_failed_get_many_cancels_queued_fetches(many_shards, monkeypatch):
+    # one connection, so the failing first request goes out alone; the
+    # server asks one size per key it is sent, and nothing is sent after
+    # the read raises
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
+    root, local = many_shards
+    served = _CountingBackend({key: local.get(key) for key in local.list("m/")})
+    extents = _one_extent_each(local, "m/", seed=6)[:20]
+    with serve(served, latency=LatencyModel(mean_ms=20.0)) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        with pytest.raises(ReadError) as err:
+            client.read_into([("m/absent.bin", 0, 4)] + extents,
+                             bytearray(4 + sum(n for *_, n in extents)))
+        assert err.value.index == 0 and isinstance(err.value.cause, NotFoundError)
+        sizes = served.sizes
+        time.sleep(0.2)  # ten more round trips, had the fetches gone on
+        assert served.sizes == sizes <= 21
+
+
+def test_closed_get_many_cancels_queued_fetches(many_shards, monkeypatch):
+    # one connection; the read is closed once the server holds its first GET
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
+    root, local = many_shards
+    served = _CountingBackend({key: local.get(key) for key in local.list("m/")})
+    extents = _one_extent_each(local, "m/", seed=7)[:20]
+    with serve(served, latency=LatencyModel(mean_ms=20.0)) as server, \
+            closing(HTTPBackend(server.endpoint)) as client:
+        read = client.start_read(extents)
+        deadline = time.monotonic() + 5.0
+        while served.sizes == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        read.close()
+        assert served.sizes >= 1
+        time.sleep(0.2)  # ten more round trips, had the fetches gone on
+        assert served.sizes <= 3
+        assert client._opened == len(client._idle)
+
+
 @pytest.mark.parametrize("stop", ["fail", "close"])
 def test_stopped_get_many_sends_no_more_requests(many_shards, monkeypatch, stop):
     # one connection, so a read's GETs go out one at a time; the server
