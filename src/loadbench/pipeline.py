@@ -67,9 +67,9 @@ Python waits for a build still in progress (and, for a loader never shut
 down, for the builds still queued).  No storage request runs on a thread
 of its own: a batch read's first sends run on the consumer thread as the
 batch enters the window, and the rest of the read, over HTTP the
-backend's poll loop, runs in the thread that builds the batch.  The wait
-is bounded by the backend's stall timeout (30 s for HTTP), which counts
-from the build's ``finish``.
+blocking reads of the responses in request order, runs in the thread that
+builds the batch.  The wait is bounded by the backend's stall timeout (30 s
+for HTTP), which counts from the build's ``finish``.
 
 The pool's threads run off the consumer's CPU.  The loader reads the CPU
 its constructing thread, the consumer, runs on (libc's ``sched_getcpu``),

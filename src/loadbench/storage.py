@@ -18,8 +18,13 @@ By default ``read_into`` runs one ``get`` per request, in request order,
 and ``start_read`` does the whole ``read_into`` in ``finish``.
 ``MemoryBackend`` copies the extents itself under one hold of its lock,
 checking each distinct key once.  ``HTTPBackend`` runs every request through
-one small HTTP/1.1 codec and a poll loop in the calling thread, on a pool of
-keep-alive connections shared by its callers, which ``close()`` releases.
+one small HTTP/1.1 codec in the calling thread, on a pool of blocking
+keep-alive connections shared by its callers, which ``close()`` releases;
+a call sends what it has connections for, then reads the responses in
+request order.  A call that gets no connection as it starts queues at
+once, connections given back go to the oldest queued call, one to a call,
+nothing is taken while a call is queued, and a call that holds a
+connection never waits for another (see ``HTTPBackend``).
 Its batch read merges each key's extents into runs and asks for all of a
 key's runs in one multi-range GET, sent as the read starts, which the
 object server answers as ``multipart/byteranges``: a batch costs one GET
@@ -50,9 +55,7 @@ from __future__ import annotations
 import http.client
 import itertools
 import math
-import os
 import re
-import select
 import socket
 import threading
 import time
@@ -90,11 +93,13 @@ class ReadError(StorageError):
 # A batch read sends one GET per shard it reads, and the loader starts a
 # read for each batch in its prefetch window, so what fills the pool is one
 # GET per shard per batch in the window; ``get``, ``put``, ``size`` and
-# ``list`` hold one connection each.  The depth was chosen when the loader
-# sent one ranged GET per sample (perfbench's http-remote workload, 2
-# loader workers and 64-sample batches, read about 5700 samples/s at 32,
-# 8400 at 64 and 9900 at 128 on a 2-vCPU VM) and has not been measured again
-# since a batch read became one GET per shard.
+# ``list`` hold one connection each.  Counted under a loader of 1000
+# samples in 64-sample batches over 3 epochs: in one 1000-sample shard
+# with 2 workers (perfbench's http-remote) every read is 1 GET, at most 4
+# connections are open and no call queues; in 500-sample shards with 4
+# workers and a window of 8, reads are 2 GETs and at most 16 are open; only
+# in 64-sample shards (4 workers, window 8, reads of 14-16 GETs) does the
+# cap bind, and 12 of the 48 reads queued.
 _IN_FLIGHT = 64
 _MAX_LINE = 65536  # the longest status, request or header line (as http.client)
 _MAX_HEADERS = 100
@@ -389,17 +394,17 @@ class _HeadReader:
 
 
 class _Connection:
-    """One keep-alive HTTP/1.1 connection of an ``HTTPBackend``'s pool.
+    """One keep-alive HTTP/1.1 connection of an ``HTTPBackend``'s pool: a
+    blocking socket with the backend's timeout, carrying one request at a
+    time.
 
-    It carries one request at a time.  ``start`` sends a request in one
-    ``send`` (a body the socket's buffer cannot take waits for room, up to
-    the timeout), and ``feed`` reads the response as its bytes arrive: the
-    head, read by a ``_HeadReader``, then exactly
-    ``Content-Length`` body bytes.  Interim (1xx) responses are skipped, and
-    HEAD, 204 and 304 have no body.  A malformed or short response raises
-    StorageError; a connection that closes before any byte of the response
-    raises ConnectionError.  Bytes past the body close the connection, as
-    does ``Connection: close``.
+    ``send`` sends a request whole, and ``receive`` reads its response: the
+    head, read by a ``_HeadReader``, then exactly ``Content-Length`` body
+    bytes.  Interim (1xx) responses are skipped, and HEAD, 204 and 304 have
+    no body.  A malformed or short response raises StorageError; a
+    connection that closes before any byte of the response raises
+    ConnectionError, and one silent for the timeout TimeoutError.  Bytes
+    past the body close the connection, as does ``Connection: close``.
     """
 
     def __init__(self, address: tuple[str, int | None, float]) -> None:
@@ -407,94 +412,62 @@ class _Connection:
         self.sock: socket.socket | None = None
         self.reused = False    # it answered a request before the current one
         self.received = False  # a byte of the current response arrived
-        self.index = -1        # the request it carries, within its pass
 
     def open(self) -> None:
         self.reused = False
-        # http.client opens the socket (TCP_NODELAY, its audit event)
+        # http.client opens the socket (TCP_NODELAY, the timeout, its audit event)
         opener = http.client.HTTPConnection(*self._address)
         opener.connect()
         self.sock = opener.sock
-        # Non-blocking, so that a send or a read is one system call: with a
-        # timeout, Python polls the socket before each.  The loop reads only
-        # a socket the poll found readable.
-        self.sock.setblocking(False)
-        self._reader = _HeadReader()
 
-    def start(self, wire: bytes, bodiless: bool) -> None:
-        """Send a request; ``bodiless`` (a HEAD) means no response body."""
-        self._bodiless = bodiless
+    def send(self, wire: bytes) -> None:
         self.received = False
-        self._head = b""    # the response head's bytes so far
-        self._missing = -1  # body bytes still to come, once the head is read
-        self._body: list[bytes] = []
-        sent = self.sock.send(wire)  # an idle connection's send buffer is empty
-        if sent < len(wire):  # a body larger than the buffer: wait for room
-            self.sock.settimeout(self._address[2])
-            self.sock.sendall(memoryview(wire)[sent:])
-            self.sock.setblocking(False)
+        self.sock.sendall(wire)
 
-    def feed(self) -> tuple[int, dict[str, str], bytes] | None:
-        """Read what has arrived (call it when the socket is readable); the
-        response once it is complete."""
-        try:
-            data = self.sock.recv(_RECV_BYTES)
-        except BlockingIOError:  # nothing after all
-            return None
-        if not data:
-            if not self.received:
-                raise ConnectionError("connection closed before a status line")
-            if self._missing < 0:
-                raise StorageError("connection closed inside a response head")
-            got = sum(map(len, self._body))
-            raise StorageError(f"body cut short: {got} of {got + self._missing} bytes")
-        self.received = True
-        if self._missing < 0:
-            if self._head:  # the head came in pieces
-                self._head += data
-                data = self._head
-            data = self._read_head(data)
-            if data is None:
-                return None
-        self._body.append(data)
-        self._missing -= len(data)
-        if self._missing > 0:
-            return None
-        body = b"".join(self._body)
-        if self._missing < 0:  # no request asked for the bytes past the body
-            body = body[:len(body) + self._missing]
-            self.close()
-        elif self._fields.get("connection", "").lower() == "close":
-            self.close()
-        return self._status, self._fields, body
-
-    def _read_head(self, buf: bytes | bytearray) -> bytes | None:
-        """Once ``buf`` holds the final response's whole head, set the
-        status, fields and body length and return the bytes after the head;
-        until then keep ``buf`` and return None."""
+    def receive(self, bodiless: bool) -> tuple[int, dict[str, str], bytearray]:
+        """The status, fields and body of the response to the request sent;
+        ``bodiless`` (a HEAD) means no body."""
+        reader, buf = _HeadReader(), bytearray()
         while True:
             try:
-                head = self._reader.read(buf)
+                head = reader.read(buf)
             except _BadHead as exc:
                 raise StorageError(str(exc)) from None
             if head is None:
-                self._head = buf if isinstance(buf, bytearray) else bytearray(buf)
-                return None
+                data = self.sock.recv(_RECV_BYTES)
+                if not data:
+                    if not self.received:
+                        raise ConnectionError("connection closed before a status line")
+                    raise StorageError("connection closed inside a response head")
+                self.received = True
+                buf += data
+                continue
             line, fields, end = head
             words = line.split(None, 2)
             if (len(words) < 2 or not words[0].startswith("HTTP/1.")
                     or len(words[1]) != 3 or not words[1].isdecimal()):
                 raise StorageError(f"malformed status line {line[:80]!r}")
-            status, buf = int(words[1]), buf[end:]
+            status = int(words[1])
+            del buf[:end]
             if status >= 200:  # a 1xx is interim: the final response follows it
                 break
-        self._status, self._fields, self._missing = status, fields, 0
-        if not self._bodiless and status not in (204, 304):
+        length = 0
+        if not bodiless and status not in (204, 304):
             length = fields.get("content-length", "")
             if not length.isdecimal():
                 raise StorageError(f"HTTP {status} without a Content-Length")
-            self._missing = int(length)
-        return bytes(buf)  # copies only a head that came in pieces
+            length = int(length)
+        body, got = bytearray(length), min(len(buf), length)
+        body[:got] = buf[:got]
+        view = memoryview(body)
+        while got < length:
+            n = self.sock.recv_into(view[got:])
+            if not n:
+                raise StorageError(f"body cut short: {got} of {length} bytes")
+            got += n
+        if len(buf) > length or fields.get("connection", "").lower() == "close":
+            self.close()  # no request asked for the bytes past the body
+        return status, fields, body
 
     def close(self) -> None:
         sock, self.sock = self.sock, None
@@ -502,160 +475,121 @@ class _Connection:
             sock.close()
 
 
-class _Pass:
+class _Call:
     """One call's requests, all of one method, on an ``HTTPBackend``'s
-    connection pool, run by a ``select.poll`` loop in the thread that asks
-    for their results; ``start`` may send the first ones from another
-    thread before.  Watching a connection is an entry in the poll object's
-    own table, not a system call as with epoll, so it never lets the
-    interpreter lock go.
+    connection pool: a batch read's GETs, or the one request of ``get``,
+    ``put``, ``size`` or ``list``.
 
-    Each connection the pass holds carries one request at a time, in
-    request order.  ``result(i)`` runs the loop until request i is
-    answered.  A pass that needs more connections than the pool can spare
-    waits in the pool's queue for the rest, with or without requests in
-    flight: a call that gives connections back hands them to it there and
-    writes a byte to its wake pipe, which the loop polls beside the
-    sockets, so the pass sends on them at once.  A request that fails on a
-    reused connection before any byte of its response (the server closed
-    the idle connection) is sent once more on a fresh one.  ``close``
-    closes the connections whose responses are still due, so no later
-    request can read one, leaves the queue, returns the connections to the
-    pool, those handed to it included, and then closes the wake pipe.
+    The call sends as many requests as it gets connections for as it is
+    made; a call that gets none waits in the pool's queue.  ``result(i)``
+    then reads the responses in request order, in the calling thread, until
+    request i is answered, waiting first for the connection the queue hands
+    to the call if it holds none.  After each response the call sends its
+    next unsent request on the connection just freed, and on any the pool
+    can spare without waiting, and it gives a connection back once it has
+    nothing left to send on it.  A request that fails on a reused connection
+    before any byte of its response (the server closed the idle connection)
+    is sent once more on a fresh one.  A read that waits the timeout fails
+    every request the call has left.  ``close`` closes the connections whose
+    responses are still due, so no later request can read one, leaves the
+    queue and gives every connection back, the one handed to it included.
     """
 
     def __init__(self, backend: "HTTPBackend", method: str, wires: list[bytes]) -> None:
         self._backend = backend
-        self._method = method
         self._bodiless = method == "HEAD"  # its responses have no body
+        self._resend = method in ("GET", "HEAD")  # safe to send once more
         self._wires = wires  # each request's bytes
-        self._next = 0  # the next request to get a connection
+        self._next = 0  # the first request not yet sent
+        self._flight: dict[int, _Connection] = {}  # sent, response due, by request
         self._results: dict[int, tuple | StorageError] = {}
-        self._free: list[_Connection] = []  # held, carrying no request
-        self._poller = select.poll()  # watches the connections reading
-        self._reading: dict[int, _Connection] = {}  # by socket fd
-        self._progress = 0.0  # when a response last moved, or a request went out
-        # Under the pool's lock: the connections the pass waits for in the
-        # pool's queue (0 when it is not queued), those handed to it there,
-        # and whether a byte is on its wake pipe.
-        self._lacking = 0
-        self._handed: list[_Connection] = []
-        self._woken = False
-        self._waker: tuple[int, int] | None = None  # the wake pipe's fds, once queued
+        self.handed: _Connection | None = None  # set in the pool's queue, under its lock
+        self._carry([])
 
-    def start(self) -> None:
-        """Send the requests the pass can get connections for now; the loop
-        that ``result`` runs sends the rest."""
-        try:
-            self._fill()
-        except StorageError:
-            pass  # the backend is closed: result's first _fill raises it again
-
-    def result(self, index: int) -> tuple[int, dict[str, str], bytes]:
-        self._progress = time.monotonic()  # a stall is time the caller waits
-        while True:
-            self._fill()
-            if index in self._results:
-                break
-            self._poll()
+    def result(self, index: int) -> tuple[int, dict[str, str], bytearray]:
+        while index not in self._results:
+            if self._flight:
+                self._receive(min(self._flight))
+                continue
+            try:  # nothing in flight and requests unsent: the call is queued
+                conn = self._backend._wait(self)
+            except StorageError as exc:
+                self._fail_rest(exc)
+            else:
+                self._carry([conn])
         result = self._results.pop(index)
         if isinstance(result, StorageError):
             raise result
         return result
 
-    def _fill(self) -> None:
-        """Give the next requests the connections the pass holds free, those
-        handed to it and those the pool can spare, and give the free ones
-        back once every request has one."""
-        free, unsent = self._free, len(self._wires) - self._next
-        # _lacking and _woken are read without the lock: only this pass sets
-        # _lacking, _give sets _woken before the byte that ends the poll, and
-        # a stale value costs one more hold of the lock
-        if unsent > len(free) or self._lacking or self._woken:
-            free += self._backend._take(self, unsent - len(free))
-        while free and self._next < len(self._wires):
+    def _carry(self, conns: list[_Connection]) -> None:
+        """Send the next unsent requests, one on each of ``conns`` and of the
+        connections the pool can spare without waiting, and give back those
+        left with nothing to send.  With none, the call joins the queue."""
+        short = len(self._wires) - self._next - len(conns)
+        if short > 0:
+            try:
+                conns += self._backend._take(self, short, queue=not conns)
+            except StorageError as exc:  # the backend is closed
+                self._fail_rest(exc)
+        while conns and self._next < len(self._wires):
             self._next += 1
-            self._send(free.pop(), self._next - 1)
-        if free:
-            self._backend._give(self)
+            if self._send(conns[-1], self._next - 1):
+                conns.pop()
+        if conns:
+            self._backend._give(conns)
 
-    def _wake(self) -> None:
-        """Make the loop's poll return: one byte on the pipe until ``_take``
-        reads it.  Called under the pool's lock, while the pass is queued,
-        so the pipe is open."""
-        if not self._woken:
-            self._woken = True
-            os.write(self._waker[1], b"\0")
-
-    def _send(self, conn: _Connection, index: int) -> None:
-        conn.index = index
+    def _send(self, conn: _Connection, index: int) -> bool:
+        """Send request ``index`` on ``conn``, opened if closed; False when
+        the request failed."""
         try:
             if conn.sock is None:
                 conn.open()
-            conn.start(self._wires[index], self._bodiless)
+            conn.send(self._wires[index])
         except OSError as exc:
-            return self._lost(conn, exc)
-        self._progress = time.monotonic()
-        fd = conn.sock.fileno()
-        self._reading[fd] = conn
-        self._poller.register(fd, select.POLLIN)
+            return self._lost(conn, index, exc)
+        self._flight[index] = conn
+        return True
 
-    def _unwatch(self, fd: int) -> _Connection:
-        self._poller.unregister(fd)
-        return self._reading.pop(fd)
+    def _receive(self, index: int) -> None:
+        conn = self._flight.pop(index)
+        try:
+            self._results[index] = conn.receive(self._bodiless)
+            conn.reused = True
+        except TimeoutError:
+            self._flight[index] = conn  # fails with the rest
+            return self._fail_rest(StorageError(
+                f"transport failure: no response for {self._backend.timeout} s"))
+        except (OSError, StorageError) as exc:
+            if self._lost(conn, index, exc):
+                return
+        self._carry([conn])
 
-    def _poll(self) -> None:
-        events = self._poller.poll(self._backend.timeout * 1000.0)
-        for fd, _ in events:
-            conn = self._reading.get(fd)
-            if conn is None:  # the wake pipe: _fill takes what was handed over
-                continue
-            try:
-                response = conn.feed()
-            except (OSError, StorageError) as exc:
-                self._lost(self._unwatch(fd), exc)
-                continue
-            if response is not None:
-                self._unwatch(fd)
-                conn.reused = True
-                self._results[conn.index] = response
-                self._free.append(conn)
-        now = time.monotonic()
-        if events:
-            self._progress = now
-        if now - self._progress >= self._backend.timeout:
-            if not self._reading:
-                raise StorageError(f"no connection free for {self._backend.timeout} s")
-            stalled = StorageError(
-                f"transport failure: no response for {self._backend.timeout} s")
-            for fd in list(self._reading):
-                self._fail(self._unwatch(fd), stalled)
-
-    def _lost(self, conn: _Connection, exc: Exception) -> None:
-        """``conn`` failed while carrying a request."""
+    def _lost(self, conn: _Connection, index: int, exc: Exception) -> bool:
+        """``conn`` failed carrying request ``index``: close it and send the
+        request once more on a fresh connection when it may go again (True
+        if it went), or record the failure."""
         conn.close()
         if (isinstance(exc, ConnectionError) and conn.reused and not conn.received
-                and self._method in ("GET", "HEAD")):
-            return self._send(conn, conn.index)  # not reused once it reopens
-        self._fail(conn, exc if isinstance(exc, StorageError)
-                   else StorageError(f"transport failure: {exc!r}"))
+                and self._resend):
+            return self._send(conn, index)  # not reused once it reopens
+        self._results[index] = (exc if isinstance(exc, StorageError)
+                                else StorageError(f"transport failure: {exc!r}"))
+        return False
 
-    def _fail(self, conn: _Connection, error: StorageError) -> None:
-        conn.close()
-        self._results[conn.index] = error
-        self._free.append(conn)  # it reconnects for the pass's next request
+    def _fail_rest(self, error: StorageError) -> None:
+        """Fail every request in flight or unsent with ``error``."""
+        for index in [*self._flight, *range(self._next, len(self._wires))]:
+            self._results[index] = error
+        self.close()
 
     def close(self) -> None:
-        for fd in list(self._reading):
-            conn = self._unwatch(fd)
+        conns = list(self._flight.values())
+        for conn in conns:
             conn.close()  # its response is due: no later request may read it
-            self._free.append(conn)
-        if self._free or self._waker is not None:
-            self._backend._give(self)  # out of the queue: no more writes
-        if self._waker is not None:
-            for fd in self._waker:
-                os.close(fd)
-            self._waker = None
+        self._flight.clear()
+        self._next = len(self._wires)
+        self._backend._give(conns, self)
 
 
 def _parts(status: int, fields: dict[str, str], data: bytes,
@@ -722,9 +656,10 @@ class _RangedRead(PendingRead):
     ordered.  A key's extents, sorted by offset, merge into runs where they
     overlap or touch, and its runs go out in one ``Range`` header, split
     over more GETs only where the header line would reach _MAX_LINE.  The
-    GETs run through one pass, which sends them as the read starts, on the
-    connections the pool can spare then; ``finish`` runs the pass's loop,
-    which sends the rest, and copies each extent from its run to its place.
+    GETs are one call, which sends them as the read starts, on the
+    connections the pool can spare then; ``finish`` reads the call's
+    responses, which sends the rest, and copies each extent from its run to
+    its place.
 
     A failed GET fails its first request, or for a 416 the first of its
     requests that reaches past the size the 416 gives.  The request ``i``
@@ -770,8 +705,7 @@ class _RangedRead(PendingRead):
             wires.append(f"GET {path} HTTP/1.1\r\n{backend._host_line}\r\n{line}\r\n\r\n"
                          .encode("latin-1"))
             self._sent.append((path, get_runs, members))
-        self._run = _Pass(backend, "GET", wires)
-        self._run.start()
+        self._run = _Call(backend, "GET", wires)
 
     def finish(self, out) -> None:
         requests, failed = self._requests, self._failed
@@ -803,7 +737,7 @@ class _RangedRead(PendingRead):
             raise ReadError(index, cause) from cause
 
     def close(self) -> None:
-        """Close the pass: connections whose responses are still due are
+        """Close the call: connections whose responses are still due are
         closed, and the others go back to the pool."""
         self._run.close()
 
@@ -822,30 +756,46 @@ class HTTPBackend(_ReadsByStart):
     multi-range GET (Amazon S3) fails loudly.
 
     The backend starts no threads.  Every call runs its requests on one
-    shared pool of at most ``_IN_FLIGHT`` keep-alive connections, through a
-    ``select.poll`` loop in the calling thread (so it needs a platform that
-    has one): ``get``, ``put``, ``size`` and ``list`` are passes of one
-    request, and a batch read is a pass of one GET per key, as many in
-    flight as it holds connections.  ``start_read`` splits a batch read in
-    two: its GETs go out on
-    the thread that starts it, as far as the pool has connections then,
-    and ``finish`` receives the responses, and sends the rest, on the
-    thread that calls it.  In between, the read holds its connections and
-    its responses wait in their sockets' buffers; the stall timeout counts
-    only from ``finish``.  A call that needs more connections than the pool can spare
-    waits in a queue, in arrival order: a call that gives connections back
-    hands them to the oldest waiting call first, up to what it lacks, and
-    wakes its loop, which sends on them at once even while its own
-    requests are in flight.  Only connections no call waits for go idle.
-    A request goes out in one ``send`` as a rule, and a response must carry
-    exactly ``Content-Length`` body bytes; ``Connection: close`` closes the
-    connection after its response.  A GET or HEAD that fails on a reused
-    connection before a status line arrives (the server closed an idle
-    connection) is sent once more on a fresh one; nothing else is retried.
-    A call that receives nothing for ``timeout`` seconds fails with
-    StorageError, as does a call that waits that long for a connection
-    with nothing in flight.  An invalid key raises ValueError, and in a
-    batch read fails its own request.
+    shared pool of at most ``_IN_FLIGHT`` keep-alive connections, each a
+    blocking socket that carries one request at a time: ``get``, ``put``,
+    ``size`` and ``list`` are calls of one request, and a batch read is a
+    call of one GET per key.  A call sends as many requests as it gets
+    connections for and then reads the responses in request order, in the
+    calling thread.  After each response it sends its next request on the
+    connection just freed, and on any idle one it can take without
+    waiting, and it gives each connection back as soon as it has nothing
+    left to send on it.  ``start_read`` splits a batch read in two: its
+    GETs go out on the thread that starts it, as far as the pool has
+    connections then, and ``finish`` reads the responses, and sends the
+    rest, on the thread that calls it.  In between, the read holds its
+    connections and its responses wait in their sockets' buffers.
+
+    The pool keeps four rules.  The loader starts its reads in batch order
+    and builds, so finishes, them in batch order; under these rules its
+    prefetch window cannot deadlock:
+
+    1. A call that gets no connection as it starts joins a FIFO queue at
+       once; a started read does not wait for its ``finish`` to join.
+    2. A connection given back, or the place a closed one frees under
+       ``_IN_FLIGHT``, goes to the oldest queued call, one to a call.
+    3. No call takes an idle connection or opens a new one while a call is
+       queued.
+    4. A call that holds a connection never waits on the pool.
+
+    So a call with requests in flight gets no connection that another call
+    gives back: it slides over its own.  A queued call waits up to
+    ``timeout`` seconds for its connection (a started read from its
+    ``finish``), and then fails with StorageError, as it does once the
+    backend is closed.  A request goes
+    out whole, and a response must carry exactly ``Content-Length`` body
+    bytes; ``Connection: close`` closes the connection after its response.
+    A GET or HEAD that fails on a reused connection before a byte of its
+    response arrives (the server closed an idle connection) is sent once
+    more on a fresh one; nothing else is retried.  A read that waits
+    ``timeout`` seconds for a byte fails its request, and every other
+    request its call has left, with StorageError; for a started read the
+    wait counts from ``finish``.  An invalid key raises ValueError, and in
+    a batch read fails its own request.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
@@ -859,72 +809,67 @@ class HTTPBackend(_ReadsByStart):
         host = parts.hostname if parts.port is None else f"{parts.hostname}:{parts.port}"
         self._host_line = f"Host: {host}"
         self._lock = threading.Lock()  # guards the pool below
-        self._idle: list[_Connection] = []  # empty while a pass is queued
-        self._opened = 0  # connections open or being opened, idle or held
-        self._queue: deque[_Pass] = deque()  # passes lacking connections, oldest first
+        self._ready = threading.Condition(self._lock)  # a queued call was handed one
+        self._idle: list[_Connection] = []  # empty while a call is queued
+        self._opened = 0  # connections open or to be opened, idle or held
+        self._queue: deque[_Call] = deque()  # calls holding none, oldest first
         self._closed = False
 
     def _path(self, key: str) -> str:
         return f"{self._base}/{quote(validate_key(key))}"
 
-    def _take(self, run: _Pass, wanted: int) -> list[_Connection]:
-        """The connections handed to ``run``, then idle ones and new ones
-        while the pool has room, up to ``wanted`` in all; ``run`` waits in
-        the queue for the rest, and leaves it once it lacks none."""
+    def _take(self, call: _Call, wanted: int, queue: bool) -> list[_Connection]:
+        """Idle connections, then new ones while the pool has room, up to
+        ``wanted`` in all, and none while a call is queued; ``call`` joins
+        the queue if it gets none and ``queue`` says it holds none."""
         with self._lock:
             if self._closed:
                 raise StorageError(f"{self.endpoint}: backend is closed")
-            if run._woken:  # the byte is on the pipe, so the read cannot block
-                os.read(run._waker[0], 1)
-                run._woken = False
-            taken, run._handed = run._handed, []
-            short = wanted - len(taken)
-            if short > 0:
-                taken += self._idle[-short:]
-                del self._idle[-short:]
-            new = max(0, min(wanted - len(taken), _IN_FLIGHT - self._opened))
-            self._opened += new
-            lacking = max(0, wanted - len(taken) - new)
-            if lacking and not run._lacking:
-                if run._waker is None:
-                    run._waker = os.pipe()
-                    run._poller.register(run._waker[0], select.POLLIN)
-                self._queue.append(run)
-            elif run._lacking and not lacking:
-                self._queue.remove(run)
-            run._lacking = lacking
+            taken, new = [], 0
+            if not self._queue:
+                taken = self._idle[-wanted:]
+                del self._idle[-wanted:]
+                new = max(0, min(wanted - len(taken), _IN_FLIGHT - self._opened))
+                self._opened += new
+            if queue and not taken and not new:
+                self._queue.append(call)
         return taken + [_Connection(self._address) for _ in range(new)]
 
-    def _give(self, run: _Pass) -> None:
-        """Take ``run`` out of the queue and return its free connections and
-        those handed to it; a closed one frees its place.  They go to the
-        queued passes first, oldest first, each up to what it lacks and
-        then woken, live connections before new ones; the rest go idle."""
+    def _wait(self, call: _Call) -> _Connection:
+        """The connection the queue hands to ``call``, waited for up to the
+        timeout."""
         with self._lock:
-            if run._lacking:
-                self._queue.remove(run)
-                run._lacking = 0
-            live = []
-            for conn in itertools.chain(run._free, run._handed):
-                if conn.sock is not None and not self._closed:
-                    live.append(conn)
-                else:
+            if not self._ready.wait_for(
+                    lambda: call.handed is not None or self._closed, self.timeout):
+                self._queue.remove(call)
+                raise StorageError(f"no connection free for {self.timeout} s")
+            if self._closed:
+                raise StorageError(f"{self.endpoint}: backend is closed")
+            conn, call.handed = call.handed, None
+        return conn
+
+    def _give(self, conns: list[_Connection], leaving: _Call | None = None) -> None:
+        """Return ``conns``, and take ``leaving`` out of the queue with the
+        connection handed to it.  Each connection, closed or not, goes to
+        the oldest queued call, one to a call; the rest go idle, and a
+        closed one frees its place."""
+        with self._lock:
+            if leaving is not None:
+                if leaving in self._queue:
+                    self._queue.remove(leaving)
+                if leaving.handed is not None:
+                    conns.append(leaving.handed)
+                    leaving.handed = None
+            for conn in conns:
+                if self._closed:
                     conn.close()
+                if self._queue:
+                    self._queue.popleft().handed = conn  # it opens a closed one
+                    self._ready.notify_all()
+                elif conn.sock is None:
                     self._opened -= 1
-            run._free.clear()
-            run._handed = []
-            while self._queue and (live or self._opened < _IN_FLIGHT):
-                waiting = self._queue[0]
-                handed = live[max(0, len(live) - waiting._lacking):]
-                del live[len(live) - len(handed):]
-                new = max(0, min(waiting._lacking - len(handed), _IN_FLIGHT - self._opened))
-                self._opened += new
-                waiting._handed += handed + [_Connection(self._address) for _ in range(new)]
-                waiting._lacking -= len(handed) + new
-                if not waiting._lacking:
-                    self._queue.popleft()
-                waiting._wake()
-            self._idle += live
+                else:
+                    self._idle.append(conn)
 
     @staticmethod
     def _check(method: str, path: str, status: int) -> None:
@@ -936,16 +881,16 @@ class HTTPBackend(_ReadsByStart):
             raise StorageError(f"HTTP {status} for {method} {path}")
 
     def _request(self, method: str, path: str, body: bytes | None = None,
-                 header: str = "") -> tuple[int, dict[str, str], bytes]:
+                 header: str = "") -> tuple[int, dict[str, str], bytearray]:
         """One request, with ``header`` lines after the Host line; its
         status, fields and body once ``_check`` passes the status."""
         length = "" if body is None else f"Content-Length: {len(body)}\r\n"
         wire = f"{method} {path} HTTP/1.1\r\n{self._host_line}\r\n{header}{length}\r\n"
-        run = _Pass(self, method, [wire.encode("latin-1") + (body or b"")])
+        call = _Call(self, method, [wire.encode("latin-1") + (body or b"")])
         try:
-            status, fields, data = run.result(0)
+            status, fields, data = call.result(0)
         finally:
-            run.close()
+            call.close()
         self._check(method, path, status)
         return status, fields, data
 
@@ -956,13 +901,13 @@ class HTTPBackend(_ReadsByStart):
     def get(self, key: str, byte_range: ByteRange | None = None) -> bytes:
         path = self._path(key)
         if byte_range is None:
-            return self._request("GET", path)[2]
+            return bytes(self._request("GET", path)[2])
         spec = f"{byte_range.start}-{'' if byte_range.end is None else byte_range.end}"
         status, _, data = self._request("GET", path, header=f"Range: bytes={spec}\r\n")
         if status != 206 or (byte_range.end is not None
                              and len(data) != byte_range.end - byte_range.start + 1):
             raise StorageError(f"HTTP {status} with {len(data)} bytes for bytes={spec} of {key}")
-        return data
+        return bytes(data)
 
     def put(self, key: str, data: bytes) -> None:
         self._request("PUT", self._path(key), body=data)
@@ -979,15 +924,13 @@ class HTTPBackend(_ReadsByStart):
 
     def close(self) -> None:
         """Close the idle connections, and each held one when its call ends;
-        wake the waiting calls.  Later requests raise StorageError."""
+        the queued calls fail.  Later requests raise StorageError."""
         with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []
             self._opened -= len(idle)
-            for run in self._queue:
-                run._lacking = 0
-                run._wake()  # its _take raises: the backend is closed
             self._queue.clear()
+            self._ready.notify_all()
         for conn in idle:
             conn.close()
 

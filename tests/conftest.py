@@ -1,4 +1,5 @@
-"""Shared fixtures: generated datasets reused across the suite."""
+"""Shared fixtures: generated datasets reused across the suite, and a check
+of an HTTP backend's connection pool."""
 
 from __future__ import annotations
 
@@ -27,3 +28,10 @@ def random_small(tmp_path_factory):
     root = tmp_path_factory.mktemp("random-small")
     manifests = generate_random_dataset(SMALL_SPEC, root, shard_capacity=500)
     return root, manifests
+
+
+def assert_pool_at_rest(backend) -> None:
+    """Every connection ``backend``, an ``HTTPBackend``, counts as open is
+    idle, and no call waits in its pool's queue."""
+    assert backend._opened == len(backend._idle)
+    assert not backend._queue

@@ -10,6 +10,7 @@ from contextlib import closing
 import numpy as np
 import pytest
 
+from conftest import assert_pool_at_rest
 from loadbench.dataset import (
     RECORD_HEADER,
     DatasetError,
@@ -897,12 +898,12 @@ def test_dropped_loader_lets_its_workers_exit(tiny_dataset):
 
 # -- reads started as batches enter the window ------------------------------------
 
-@pytest.mark.parametrize("in_flight", [None, 2])
+@pytest.mark.parametrize("in_flight", [None, 2, 1])
 @pytest.mark.parametrize("depth", [1, 2, 6])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_started_reads_keep_contents_over_epochs(tiny_dataset, monkeypatch,
                                                  workers, depth, in_flight):
-    # each batch's GETs go out as it enters the window; with two
+    # each batch's GETs go out as it enters the window; with one or two
     # connections for reads of up to three shards, started reads also wait
     # in the pool's queue: the bytes are a 0-worker memory loader's, and
     # nothing stalls
@@ -923,7 +924,7 @@ def test_started_reads_keep_contents_over_epochs(tiny_dataset, monkeypatch,
         runner.start()
         runner.join(60)
         assert not runner.is_alive(), "the loader stalled"
-        assert backend._opened == len(backend._idle)
+        assert_pool_at_rest(backend)
     assert got == [reference]
 
 
@@ -1029,7 +1030,7 @@ def test_cancelled_reads_hold_no_connection(tiny_dataset, monkeypatch, use,
     # server: the loader is left with reads queued, in flight and answered
     # but unread; once it is shut down and its worker has exited, every
     # connection the backend still counts is idle, no read waits in the
-    # pool's queue, and no socket or wake pipe is left open
+    # pool's queue, and no socket is left open
     root, manifests = tiny_dataset
     config = _loader_config(num_workers=1, prefetch_depth=6)
     manifest = manifests["train"]
@@ -1046,8 +1047,7 @@ def test_cancelled_reads_hold_no_connection(tiny_dataset, monkeypatch, use,
             use(loader)
             loader.shutdown()
             _assert_new_workers_exit(before)
-            assert backend._opened == len(backend._idle)
-            assert not backend._queue
+            assert_pool_at_rest(backend)
     assert len(os.listdir("/proc/self/fd")) == fds
 
 

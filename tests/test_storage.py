@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_pool_at_rest
 import loadbench.server as server_module
 import loadbench.storage as storage_module
 from loadbench.prng import SplitMix64, stream_bytes
@@ -748,7 +749,7 @@ def test_closed_get_many_cancels_queued_fetches(many_shards, monkeypatch):
         assert served.sizes >= 1
         time.sleep(0.2)  # ten more round trips, had the fetches gone on
         assert served.sizes <= 3
-        assert client._opened == len(client._idle)
+        assert_pool_at_rest(client)
 
 
 @pytest.mark.parametrize("stop", ["fail", "close"])
@@ -772,7 +773,7 @@ def test_stopped_get_many_sends_no_more_requests(many_shards, monkeypatch, stop)
             assert (served.sizes, served.reads) == (21, 20)
         else:
             client.start_read(extents).close()  # its first GET is on its way
-        assert client._opened == len(client._idle)
+        assert_pool_at_rest(client)
         sent = served.sizes, served.reads
         time.sleep(0.2)  # ten more round trips, had the GETs gone on
         if stop == "fail":
@@ -883,42 +884,11 @@ class _LoggingBackend(MemoryBackend):
         super().read_into(requests, out)
 
 
-def test_queued_requests_go_out_on_connections_given_back(many_shards, monkeypatch):
-    # Read A holds two of the four connections; read B takes the other two
-    # and waits for four more.  When A's responses come in, A's connections
-    # carry B's next GETs at once, not when B's own responses come in.
-    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 4)
-    root, local = many_shards
-    keys = local.list("m/")
-    hold = 0.3
-    arrivals = _Arrivals(mean_ms=hold * 1000)
-    extents = [(key, 0, 8) for key in keys[2:8]]
-    out = bytearray(8 * len(extents))
-    with serve(root, latency=arrivals) as server, \
-            closing(HTTPBackend(server.endpoint)) as client:
-        first = threading.Thread(target=lambda: client.read_into(
-            [(key, 0, 8) for key in keys[:2]], bytearray(16)))
-        first.start()
-        deadline = time.monotonic() + 5
-        while len(arrivals.times) < 2 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        time.sleep(hold * 2 / 3)  # A's two GETs are held
-        client.read_into(extents, out)
-        first.join(10)
-    assert not first.is_alive()
-    assert out == _expected(local, extents)
-    assert len(arrivals.times) == 8
-    # B's own first responses return a hold after its first GET arrived
-    # (without the handover its third and fourth GETs would go out only
-    # then); A's return about a third of a hold after it
-    b0 = arrivals.times[2]
-    assert max(arrivals.times[4:6]) < b0 + hold * 2 / 3
-
-
 def test_given_back_connections_go_to_the_oldest_waiting_call(many_shards, monkeypatch):
-    # Read A holds both connections.  B waits for two, then C for one: A's
-    # two connections go to B as they come back, and C gets one only when
-    # B's first response does.
+    # Read A holds both connections.  B (two GETs), then C (one), queue.  A
+    # connection given back goes to the oldest queued call, one to a call:
+    # A's first carries B's first GET, A's second C's GET, and B's second
+    # GET goes out on B's own connection once its first response is in.
     monkeypatch.setattr(storage_module, "_IN_FLIGHT", 2)
     root, local = many_shards
     keys = local.list("m/")[:5]
@@ -936,13 +906,48 @@ def test_given_back_connections_go_to_the_oldest_waiting_call(many_shards, monke
             call.join(10)
     assert not any(call.is_alive() for call in calls)
     # A's two GETs go out together, so either may reach the server first
-    assert sorted(served.log[:2]) + served.log[2:] == keys
+    assert sorted(served.log[:2]) == keys[:2]
+    assert served.log[2:] == [keys[2], keys[4], keys[3]]
+
+
+def test_a_started_read_queues_before_it_is_finished(many_shards, monkeypatch):
+    # One connection.  R1 holds it, and R2, started, gets none, so it
+    # queues at once; finishing R1 hands the connection to R2.  R3, started
+    # and finished on a thread after that, finds no idle connection to
+    # barge in with: it queues behind R2 and goes out once R2 finishes.
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
+    root, local = many_shards
+    keys = local.list("m/")[:3]
+    served = _LoggingBackend({key: local.get(key) for key in keys})
+    outs = [bytearray(8) for _ in keys]
+    took = {}
+
+    def finish(k, read):
+        t0 = time.monotonic()
+        with closing(read):
+            read.finish(outs[k])
+        took[k] = time.monotonic() - t0
+    with serve(served) as server, \
+            closing(HTTPBackend(server.endpoint, timeout=5)) as client:
+        r1, r2 = (client.start_read([(key, 0, 8)]) for key in keys[:2])
+        finish(0, r1)
+        third = threading.Thread(
+            target=lambda: finish(2, client.start_read([(keys[2], 0, 8)])))
+        third.start()
+        time.sleep(0.1)  # R3 waits in its finish
+        finish(1, r2)
+        third.join(10)
+        assert_pool_at_rest(client)
+    assert not third.is_alive()
+    assert served.log == keys
+    assert outs == [local.get(key, ByteRange(0, 7)) for key in keys]
+    assert took[1] < 1.0 and took[2] < 1.1
 
 
 @pytest.mark.parametrize("stop", ["close", "timeout"])
 def test_call_waiting_for_a_connection_fails_promptly(shards, monkeypatch, stop):
     # the only connection carries the GET of a started read that is not
-    # reading its response, so a second call waits with nothing in flight
+    # reading its response, so a second call, holding none, queues
     monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
     root, local = shards
     key = local.list("s/")[0]
@@ -973,9 +978,9 @@ def test_call_waiting_for_a_connection_fails_promptly(shards, monkeypatch, stop)
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
 def test_no_fd_outlives_close(shards, monkeypatch):
-    # a wake pipe raises no ResourceWarning if it leaks, so count the
-    # process's fds; two connections for reads of four GETs, so every
-    # read waits in the queue
+    # count the process's fds, which shows a socket left open even where
+    # no ResourceWarning is raised for it; two connections for two threads'
+    # reads of four GETs, so reads wait in the queue
     monkeypatch.setattr(storage_module, "_IN_FLIGHT", 2)
     root, local = shards
     extents = [(key, 5 * k, 20) for k, key in enumerate(local.list("s/"))]
@@ -1108,7 +1113,7 @@ def test_start_read_defers_every_failure_to_finish(shards, failure):
         read = client.start_read(requests)
         with closing(read), pytest.raises(ReadError) as err:
             read.finish(out)
-        assert client._opened == len(client._idle)
+        assert_pool_at_rest(client)
     assert err.value.index == index
     assert isinstance(err.value.cause, {"invalid-key": ValueError,
                                         "past-end": RangeError}.get(failure, StorageError))
@@ -1119,7 +1124,7 @@ def test_start_read_defers_every_failure_to_finish(shards, failure):
 
 def test_stall_timeout_counts_from_finish(shards):
     # responses that came in long before finish are read, however long
-    # ago: the 0.2 s the read waited unpolled is no stall
+    # ago: the 0.2 s the read waited before finish is no stall
     root, local = shards
     extents = _extents(local, _random_requests(local, 8, seed=6))
     expected = b"".join(local.get(key, ByteRange(o, o + n - 1)) for key, o, n in extents)
@@ -1129,13 +1134,13 @@ def test_stall_timeout_counts_from_finish(shards):
         with closing(client.start_read(extents)) as read:
             time.sleep(0.5)
             read.finish(out)
-        assert client._opened == len(client._idle)
+        assert_pool_at_rest(client)
     assert out == expected
 
 
 def test_silent_server_fails_a_started_read_a_timeout_after_finish_begins():
     # the server accepts (into its backlog) and never answers; the read
-    # waited unpolled longer than the timeout, yet finish waits a whole one
+    # waited longer than the timeout before finish, yet finish waits a whole one
     with socket.create_server(("127.0.0.1", 0)) as silent, closing(HTTPBackend(
             f"http://127.0.0.1:{silent.getsockname()[1]}", timeout=0.2)) as client:
         read = client.start_read([("k", 0, 4)])
@@ -1144,9 +1149,25 @@ def test_silent_server_fails_a_started_read_a_timeout_after_finish_begins():
         with closing(read), pytest.raises(ReadError) as err:
             read.finish(bytearray(4))
         waited = time.monotonic() - began
-        assert client._opened == len(client._idle)
+        assert_pool_at_rest(client)
     assert "no response for 0.2 s" in str(err.value.cause)
     assert 0.2 <= waited < 1.0
+
+
+def test_silent_server_fails_every_get_of_a_read_within_one_timeout():
+    # four GETs in flight to a server that never answers: the first read
+    # that waits the timeout fails them all, so the read fails after one
+    # timeout, not one per GET (0.8 s), and gives every connection back
+    with socket.create_server(("127.0.0.1", 0)) as silent, closing(HTTPBackend(
+            f"http://127.0.0.1:{silent.getsockname()[1]}", timeout=0.2)) as client:
+        read = client.start_read([(f"k{i}", 0, 4) for i in range(4)])
+        began = time.monotonic()
+        with closing(read), pytest.raises(ReadError) as err:
+            read.finish(bytearray(16))
+        waited = time.monotonic() - began
+        assert_pool_at_rest(client)
+    assert err.value.index == 0 and "no response for 0.2 s" in str(err.value.cause)
+    assert 0.2 <= waited < 0.6
 
 
 def test_wrappers_forward_close():
