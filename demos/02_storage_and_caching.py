@@ -12,12 +12,12 @@ from pathlib import Path
 
 from loadbench import (
     ByteRange,
+    CachedBackend,
     DatasetSpec,
+    LatencyBackend,
     LatencyModel,
     LocalBackend,
-    cached,
     generate_random_dataset,
-    with_latency,
 )
 
 root = Path(tempfile.mkdtemp(prefix="loadbench-demo-"))
@@ -37,7 +37,7 @@ print(f"ranged read returns {len(ranged)} bytes, "
       f"matches slice: {ranged == whole[loc.offset:loc.offset + loc.length]}\n")
 
 # simulated round trips: every request pays one latency sample
-slow = with_latency(backend, LatencyModel(mean_ms=20.0))
+slow = LatencyBackend(backend, LatencyModel(mean_ms=20.0))
 t0 = time.perf_counter()
 for sid in range(10):
     lo = locators[sid]
@@ -51,7 +51,7 @@ print(f"lognormal RTT: mean={sum(samples) / len(samples):.1f}ms "
       f"min={min(samples):.1f}ms (floor 8.8ms)\n")
 
 # the cache turns repeated remote reads into hits
-cache = cached(slow, capacity_bytes=512 * 1024)
+cache = CachedBackend(slow, capacity_bytes=512 * 1024)
 t0 = time.perf_counter()
 for _ in range(3):
     for sid in range(10):

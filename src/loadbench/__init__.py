@@ -45,6 +45,7 @@ from .storage import (
     ByteRange,
     CachedBackend,
     HTTPBackend,
+    LatencyBackend,
     LatencyModel,
     LocalBackend,
     MemoryBackend,
@@ -54,8 +55,6 @@ from .storage import (
     StorageBackend,
     StorageError,
     StorageStats,
-    cached,
-    with_latency,
 )
 from .transforms import (
     TransformConfig,

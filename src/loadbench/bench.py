@@ -41,12 +41,12 @@ from .sampling import FILTER_KINDS
 from .storage import (
     CachedBackend,
     HTTPBackend,
+    LatencyBackend,
     LatencyModel,
     LocalBackend,
     MemoryBackend,
     NotFoundError,
     StorageBackend,
-    with_latency,
 )
 
 ENDPOINT_ENV = "LOADBENCH_ENDPOINT"
@@ -94,7 +94,7 @@ class BackendConfig:
             if self.kind == "memory":
                 backend = MemoryBackend.load(backend)
         if self.latency is not None:
-            backend = with_latency(backend, self.latency)
+            backend = LatencyBackend(backend, self.latency)
         if self.cache_bytes > 0:
             backend = CachedBackend(backend, self.cache_bytes)
         return backend

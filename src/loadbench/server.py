@@ -20,51 +20,50 @@ Wire protocol (path-style keys, no auth):
     500                        any other failure of the backend
     501                        a method other than GET, HEAD and PUT
 
-One thread serves every connection from a selector loop.  Connections are
-persistent (HTTP/1.1 keep-alive), and each carries one request at a time,
-so pipelined requests are answered in order.  The loop reads a request's
-head with the client's own head reader (``storage._HeadReader``), which
-looks at each received byte once and splits the head in one pass once its
-blank line has arrived: a request line over 64 KiB answers 414, a header
-line over 64 KiB or more than 100 headers 431, a malformed request line or
-a header line without a colon 400, and a connection that ends before the
-head's blank line, or before a PUT's whole body, gets no reply.  It closes
-the connection after an HTTP/1.0 request, ``Connection: close`` or any
-error it answers before the request is parsed.  A response's status line
-and headers go out with its body, never joined, in one ``sendmsg`` of at
-most IOV_MAX buffers as far as the socket takes them; an error reply has no
-body.  The sockets set TCP_NODELAY, so a reply leaves at once instead of
-waiting on the client's ACK of an earlier one.
+Every connection has a thread of its own, which reads its requests in
+turn on a blocking socket and answers each before it reads the next.
+Connections are persistent (HTTP/1.1 keep-alive), so pipelined requests
+are answered in order.  A request's head is read with the client's own head
+reader (``storage._HeadReader``), which looks at each received byte once
+and splits the head in one pass once its blank line has arrived: a request
+line over 64 KiB answers 414, a header line over 64 KiB or more than 100
+headers 431, a malformed request line or a header line without a colon
+400, and a connection that ends before the head's blank line, or before a
+PUT's whole body, gets no reply.  The connection closes after an HTTP/1.0
+request, ``Connection: close`` or any error answered before the request is
+parsed.  A response's status line and headers go out with its body, never
+joined, in one ``sendmsg`` of at most IOV_MAX buffers as far as the socket
+takes them; an error reply has no body.  The sockets set TCP_NODELAY, so a
+reply leaves at once instead of waiting on the client's ACK of an earlier
+one.
 
 A GET or HEAD makes at most one backend call: the server asks the backend
 for an object's size once and keeps it until a PUT of that key.  Objects
-are assumed to change only through the server's PUT.  A GET of the whole
-object is one ``get``, and a GET with ranges one ``read_into`` of all of
-them, however many the ``Range`` header lists; a multipart reply's part
-heads and slices of that one buffer go out as they are.  A HEAD says the
-Content-Length the GET would send.
+are assumed to change only through the server's PUT.  One lock covers a
+size's lookup and backend call and a PUT's store, so a size read before a
+PUT is never kept after it.  A GET of the whole object is one ``get``, and
+a GET with ranges one ``read_into`` of all of them, however many the
+``Range`` header lists; a multipart reply's part heads and slices of that
+one buffer go out as they are.  A HEAD says the Content-Length the GET
+would send.
 
 An optional ``LatencyModel`` delays each request before it is served, which
 is how the remote-storage experiments dial in AWS-like or LAN-like round
-trips.  The loop draws each request's sample as the request arrives and
-answers it once that deadline passes, so concurrent requests pay their
-latency in parallel rather than queueing behind one another.  A held
-request's connection stays registered for reads, so a request costs no
-change to the selector.  Bytes that arrive during the hold are buffered,
-not parsed, until the reply is out.  The client's end of stream (a
-half-close) stops the reading; the reply still goes out, and then the
-connection closes.  A reset closes the connection at once, and its request
-is never answered nor read from the backend.
+trips.  A connection's thread draws the request's sample once the request
+has arrived whole and waits it out before the backend call, so requests on
+different connections pay their latency in parallel rather than queueing
+behind one another.  Bytes that arrive during the hold wait in the socket
+until the reply is out.  A client that shuts down its sending side (a
+half-close) still gets its reply, and then the connection closes.  A reset
+during the hold closes the connection, and its request is never answered
+nor read from the backend.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import os
 import re
 import secrets
-import selectors
 import socket
 import sys
 import threading
@@ -133,46 +132,44 @@ def _parse_range(header: str, total: int) -> list[tuple[int, int]]:
 class _Conn:
     """One client connection and the request it carries.
 
-    ``inbuf`` holds the bytes received and not yet consumed, ``out`` the
-    reply buffers not yet sent.  The request's ``method`` is None until its
-    head is read, and ``length`` is -1 until then; then it is the body bytes
-    a PUT waits for, or None for a malformed Content-Length.  A request is
-    ``held`` from when it is complete until its reply is queued.
+    ``inbuf`` holds the bytes received and not yet consumed; those of a
+    pipelined request stay there until the request before is answered.  A
+    request's ``length`` is the body bytes a PUT sends, or None for a
+    malformed Content-Length.
     """
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.inbuf = bytearray()
-        self.out: list[bytes | memoryview] = []
-        self.events = 0         # what the selector watches it for
-        self.since = 0.0        # when it last began to wait for bytes
-        self.closing = False    # it closes once ``out`` is sent
-        self.eof = False        # the client has sent all it will send
         self.reader = _HeadReader()  # reads each request's head from inbuf
-        self.next_request()
 
-    def next_request(self) -> None:
-        self.method: str | None = None
-        self.target = self.version = ""
-        self.fields: dict[str, str] = {}
-        self.length: int | None = -1
-        self.body: bytes | None = None
-        self.held = False
+    def _recv(self) -> bool:
+        """Add the next bytes received to ``inbuf``; False once the client
+        has sent all it will send."""
+        data = self.sock.recv(_RECV_BYTES)
+        self.inbuf += data
+        return bool(data)
+
+    def read_request(self) -> bool:
+        """Read the next request whole; False if the connection ends before
+        it does.  A head the server refuses raises _BadHead with the status
+        that answers it."""
         self.close_connection = False  # HTTP/1.0 or ``Connection: close``
-
-    def parse(self) -> bool:
-        """Read the request's head once it is complete; True once it is
-        and ``inbuf`` holds the whole body.  A head the server refuses raises
-        _BadHead with the status that answers it."""
-        if self.length == -1:
-            head = self.reader.read(self.inbuf)
-            if head is None:
+        self.body: bytes | None = None
+        while (head := self.reader.read(self.inbuf)) is None:
+            if not self._recv():
                 return False
-            line, self.fields, end = head
-            del self.inbuf[:end]
-            self._request_line(line)
-            self._end_head()
-        return self.length is None or len(self.inbuf) >= self.length
+        line, self.fields, end = head
+        del self.inbuf[:end]
+        self._request_line(line)
+        self._end_head()
+        if self.length:
+            while len(self.inbuf) < self.length:
+                if not self._recv():
+                    return False
+            self.body = bytes(self.inbuf[:self.length])
+            del self.inbuf[:self.length]
+        return True
 
     def _request_line(self, line: str) -> None:
         words = line.split()
@@ -188,10 +185,10 @@ class _Conn:
                                  or fields.get("connection", "").lower() == "close")
         if (fields.get("expect", "").lower() == "100-continue"
                 and self.version == "HTTP/1.1"):
-            self.out.append(_CONTINUE)
+            self.sock.sendall(_CONTINUE)
         if self.method not in _METHODS:
             raise _BadHead(501, f"method {self.method!r} not implemented")
-        self.length = 0
+        self.length: int | None = 0
         if self.method == "PUT":
             length = fields.get("content-length", "0")
             if length.isdecimal():
@@ -205,10 +202,11 @@ class _Conn:
 class ObjectServer:
     """A running store; use as a context manager or call ``stop()`` yourself.
 
-    Its one thread, ``loadbench-store``, runs the selector loop: it accepts
-    connections, reads requests, keeps each request's latency deadline on a
-    heap and, once the deadline passes, makes the backend call itself, so a
-    slow backend call delays every connection.
+    Its thread ``loadbench-store`` accepts connections and starts a daemon
+    thread, ``loadbench-store-conn``, for each.  That thread reads the
+    connection's requests one at a time, holds each for its latency sample,
+    makes its backend call and sends the reply, and it ends when the client
+    closes the connection.  ``stop()`` ends them all and joins them.
     """
 
     # seconds a connection may wait for a request's bytes before the server
@@ -222,25 +220,23 @@ class ObjectServer:
         self.latency = latency or LatencyModel(mean_ms=0.0)
         self.host = host
         self._sizes: dict[str, int] = {}
-        self._conns: set[_Conn] = set()
-        # requests waiting out their latency: (deadline, arrival, connection)
-        self._due: list[tuple[float, int, _Conn]] = []
-        self._arrivals = itertools.count()
+        # held across a size's lookup and backend call, and across a PUT and
+        # the size it forgets, so a size read before a PUT is never kept
+        self._sizes_lock = threading.Lock()
+        # each connection's thread and socket; only the accept thread adds
+        # to it, and stop() reads it once that thread has ended
+        self._conns: dict[threading.Thread, socket.socket] = {}
+        self._closing = threading.Lock()  # a socket's close, or stop()'s shutdown
+        self._stopping = threading.Event()  # also ends every latency hold
         self._date = (-1, "")   # a Date header, formatted once a second
         self._boundary = secrets.token_hex(16)  # between multipart/byteranges parts
-        self._stopping = False
         # a burst of first connections, such as many clients starting
         # together, must not overflow the accept queue: each dropped
         # handshake is only retried a second later
         self._listener = socket.create_server((host, port), backlog=socket.SOMAXCONN)
-        self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
-        self._wake, self._waker = socket.socketpair()  # stop() ends a select
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ)
-        self._selector.register(self._wake, selectors.EVENT_READ)
         self._thread = threading.Thread(
-            target=self._serve, name="loadbench-store", daemon=True)
+            target=self._accept, name="loadbench-store", daemon=True)
         self._thread.start()
 
     @property
@@ -249,26 +245,34 @@ class ObjectServer:
 
     def _object_size(self, key: str) -> int:
         """The size of object ``key``, asked of the backend on first use."""
-        size = self._sizes.get(key)
-        if size is None:
-            size = self._sizes[key] = self.backend.size(key)
+        with self._sizes_lock:
+            size = self._sizes.get(key)
+            if size is None:
+                size = self._sizes[key] = self.backend.size(key)
         return size
 
     def _put_object(self, key: str, data: bytes) -> None:
         """Store ``data`` as ``key`` and forget the size kept for it."""
-        try:
-            self.backend.put(key, data)
-        finally:  # a failed PUT may have changed the object too
-            self._sizes.pop(key, None)
+        with self._sizes_lock:
+            try:
+                self.backend.put(key, data)
+            finally:  # a failed PUT may have changed the object too
+                self._sizes.pop(key, None)
 
     def stop(self) -> None:
-        """Close the listener and every connection, and end the loop thread."""
-        self._stopping = True
-        if self._thread.is_alive():
-            self._waker.send(b"\0")
-            self._thread.join()
-        self._wake.close()
-        self._waker.close()
+        """Close the listener and every connection, and join every thread
+        the server started; a request still held goes unanswered."""
+        self._stopping.set()
+        with suppress(OSError):  # wakes the blocked accept
+            self._listener.shutdown(socket.SHUT_RDWR)
+        self._thread.join()
+        self._listener.close()
+        with self._closing:  # wakes each connection's recv or sendmsg
+            for sock in self._conns.values():
+                with suppress(OSError):  # closed already
+                    sock.shutdown(socket.SHUT_RDWR)
+        for thread in self._conns:
+            thread.join()
 
     def __enter__(self) -> "ObjectServer":
         return self
@@ -276,126 +280,52 @@ class ObjectServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- the loop ----------------------------------------------------------------
-
-    def _serve(self) -> None:
-        try:
-            while not self._stopping:
-                for key, mask in self._selector.select(self._timeout()):
-                    conn = key.data
-                    if conn is None:
-                        if key.fileobj is self._listener:
-                            self._accept()
-                    elif mask & selectors.EVENT_WRITE:
-                        self._send(conn)
-                    else:
-                        self._read(conn)
-                self._answer_due()
-                if self._idle_timeout is not None:
-                    self._close_idle()
-        finally:
-            for conn in list(self._conns):
-                self._close(conn)
-            self._selector.close()
-            self._listener.close()
-
-    def _timeout(self) -> float | None:
-        """How long the next select may wait: until the next deadline."""
-        timeout = None
-        if self._due:
-            timeout = max(0.0, self._due[0][0] - time.monotonic())
-        idle = self._idle_timeout
-        if idle is not None and (timeout is None or timeout > idle):
-            timeout = idle
-        return timeout
-
-    def _watch(self, conn: _Conn, events: int) -> None:
-        """Have the selector watch ``conn`` for ``events`` (0: not at all)."""
-        if events == conn.events:
-            return
-        if not conn.events:
-            self._selector.register(conn.sock, events, conn)
-        elif not events:
-            self._selector.unregister(conn.sock)
-        else:
-            self._selector.modify(conn.sock, events, conn)
-        conn.events = events
+    # -- the threads -------------------------------------------------------------
 
     def _accept(self) -> None:
-        while True:
+        while not self._stopping.is_set():
             try:
                 sock, _ = self._listener.accept()
-            except OSError:  # none waiting, or none can be taken now
-                return
-            sock.setblocking(False)
+            except OSError:  # stop(), or none can be taken now
+                continue
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _Conn(sock)
-            self._conns.add(conn)
-            self._advance(conn)
+            sock.settimeout(self._idle_timeout)
+            thread = threading.Thread(target=self._serve, args=(sock,),
+                                      name="loadbench-store-conn", daemon=True)
+            thread.start()
+            # a thread drops out once it has ended, its socket closed
+            self._conns = {t: s for t, s in self._conns.items() if t.is_alive()}
+            self._conns[thread] = sock
 
-    def _close(self, conn: _Conn) -> None:
-        self._watch(conn, 0)
-        self._conns.discard(conn)
-        with suppress(OSError):
-            conn.sock.shutdown(socket.SHUT_WR)
-        conn.sock.close()
-
-    def _close_idle(self) -> None:
-        now = time.monotonic()
-        for conn in [conn for conn in self._conns if conn.events == selectors.EVENT_READ
-                     and not conn.held and now - conn.since >= self._idle_timeout]:
-            self._close(conn)
-
-    def _read(self, conn: _Conn) -> None:
+    def _serve(self, sock: socket.socket) -> None:
+        """Answer the connection's requests until it ends."""
+        conn = _Conn(sock)
         try:
-            data = conn.sock.recv(_RECV_BYTES)
-        except BlockingIOError:
-            return
-        except OSError:  # a reset: a held request goes unanswered
-            return self._close(conn)
-        if conn.held:  # parsed once the reply is out, as is the end of stream
-            conn.inbuf += data
-            conn.eof = not data
-            if conn.eof or len(conn.inbuf) >= _RECV_BYTES:
-                self._watch(conn, 0)  # no more reading until the reply is out
-            return
-        if not data:  # a request cut short gets no reply, and stores nothing
-            return self._close(conn)
-        conn.inbuf += data
-        self._advance(conn)
+            while self._answer(conn):
+                pass
+        except OSError:  # a reset, the idle timeout, or stop()
+            pass
+        finally:
+            with self._closing:
+                with suppress(OSError):
+                    sock.shutdown(socket.SHUT_WR)
+                sock.close()
 
-    def _advance(self, conn: _Conn) -> None:
-        """Read ``conn``'s next request as far as its bytes go: refuse it,
-        wait for more, or hold it for its latency once it is complete.  The
-        connection stays watched for reads while its request is held."""
+    def _answer(self, conn: _Conn) -> bool:
+        """Read ``conn``'s next request, hold it for its latency and answer
+        it; True while the connection carries on."""
         try:
-            complete = conn.parse()
+            if not conn.read_request():
+                return False  # a request cut short gets no reply, and stores nothing
         except _BadHead as bad:  # answered, and the connection closes
             conn.close_connection = True
-            return self._reply(conn, bad.status)
-        if conn.out:  # a "100 Continue": reading goes on once it is sent
-            return self._send(conn)
-        if not complete:
-            if conn.eof:  # a request cut short gets no reply, and stores nothing
-                return self._close(conn)
-            conn.since = time.monotonic()
-            return self._watch(conn, selectors.EVENT_READ)
-        self._watch(conn, 0 if conn.eof else selectors.EVENT_READ)
-        if conn.length:
-            conn.body = bytes(conn.inbuf[:conn.length])
-            del conn.inbuf[:conn.length]
-        conn.held = True
-        deadline = time.monotonic() + self.latency.sample_ms() / 1000.0
-        heapq.heappush(self._due, (deadline, next(self._arrivals), conn))
-
-    def _answer_due(self) -> None:
-        """Answer every request whose latency has passed, unless a reset
-        closed its connection meanwhile."""
-        now = time.monotonic()
-        while self._due and self._due[0][0] <= now:
-            conn = heapq.heappop(self._due)[2]
-            if conn in self._conns:
-                self._reply(conn, *self._respond(conn))
+            self._reply(conn, bad.status)
+            return False
+        if (self._stopping.wait(self.latency.sample_ms() / 1000.0)
+                or conn.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)):
+            return False  # stopped, or reset during the hold: no backend call
+        self._reply(conn, *self._respond(conn))
+        return not conn.close_connection
 
     def _respond(self, conn: _Conn) -> tuple[int, list, str, int]:
         """Make the backend call that ``conn``'s request asks for: the
@@ -460,45 +390,28 @@ class ObjectServer:
 
     def _reply(self, conn: _Conn, status: int, body: list = (), fields: str = "",
                length: int = 0) -> None:
-        """Queue a reply to ``conn``'s request and send it.  ``body`` is its
-        buffers, queued without a join, ``fields`` header lines, each ending
-        in CRLF, and ``length`` its Content-Length.  The reply says
-        ``Connection: close`` when the connection closes after it."""
+        """Send a reply to ``conn``'s request.  ``body`` is its buffers,
+        ``fields`` header lines, each ending in CRLF, and ``length`` its
+        Content-Length.  The buffers are never joined: they go out in one
+        ``sendmsg`` of at most IOV_MAX of them at a time, as far as the
+        socket takes them.  The reply says ``Connection: close`` when the
+        connection closes after it."""
         second = int(time.time())
         if second != self._date[0]:  # formatdate drops the fraction too
             self._date = (second, formatdate(second, usegmt=True))
         close = "Connection: close\r\n" if conn.close_connection else ""
-        conn.out.append(
-            f"HTTP/1.1 {status} {_PHRASES[status]}\r\nServer: {_SERVER}\r\n"
-            f"Date: {self._date[1]}\r\nContent-Length: {length}\r\n"
-            f"{fields}{close}\r\n".encode("latin-1"))
-        conn.out += body
-        conn.closing = conn.close_connection
-        conn.next_request()
-        self._send(conn)
-
-    def _send(self, conn: _Conn) -> None:
-        """Send what ``conn`` has queued, never joining the buffers; once
-        all of it is out, close the connection or read on."""
-        out = conn.out
-        try:
-            while out:
-                sent = conn.sock.sendmsg(out[:_IOV_MAX])
-                done = 0
-                while done < len(out) and sent >= len(out[done]):
-                    sent -= len(out[done])
-                    done += 1
-                del out[:done]
-                if sent:
-                    out[0] = memoryview(out[0])[sent:]
-        except BlockingIOError:
-            return self._watch(conn, selectors.EVENT_WRITE)
-        except OSError:
-            return self._close(conn)
-        if conn.closing:
-            self._close(conn)
-        else:
-            self._advance(conn)
+        out = [f"HTTP/1.1 {status} {_PHRASES[status]}\r\nServer: {_SERVER}\r\n"
+               f"Date: {self._date[1]}\r\nContent-Length: {length}\r\n"
+               f"{fields}{close}\r\n".encode("latin-1"), *body]
+        while out:
+            sent = conn.sock.sendmsg(out[:_IOV_MAX])
+            done = 0
+            while done < len(out) and sent >= len(out[done]):
+                sent -= len(out[done])
+                done += 1
+            del out[:done]
+            if sent:
+                out[0] = memoryview(out[0])[sent:]
 
 
 def serve(directory: str | Path | StorageBackend, port: int = 0,

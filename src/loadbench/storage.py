@@ -1,4 +1,4 @@
-"""Byte stores: local directory, in-memory, and S3-compatible HTTP backends.
+"""Byte stores: local directory, in-memory, and HTTP object-store backends.
 
 All backends speak the same small contract (get / put / list / size, plus
 ``read_into``, ``start_read`` and ``close``) with inclusive byte ranges, so
@@ -34,7 +34,7 @@ read fails with StorageError.
 Two wrappers recreate network conditions on top of any backend, and both
 compose over ``start_read``:
 
-* ``with_latency`` delays every request by a sample from a ``LatencyModel``
+* ``LatencyBackend`` delays every request by a sample from a ``LatencyModel``
   (constant or lognormal round-trip time, clamped to a floor).  A batch
   read draws one sample per distinct key it touches, one per GET the HTTP
   plan sends, and is due the largest of them after it starts, since those
@@ -949,7 +949,8 @@ class LatencyModel:
     thread in batch order, so a latency-wrapped loader's per-batch delays
     are a pure function of the seeds, with workers or without; draws made
     by concurrent callers on their own threads are seeded only as a
-    multiset.
+    multiset.  The object server draws on its connections' threads, one
+    thread to a connection, so its delays are seeded only as a multiset too.
     """
 
     mean_ms: float
@@ -1033,10 +1034,6 @@ class LatencyBackend(_ReadsByStart):
 
     def close(self) -> None:
         self.inner.close()
-
-
-def with_latency(backend: StorageBackend, model: LatencyModel) -> LatencyBackend:
-    return LatencyBackend(backend, model)
 
 
 @dataclass
@@ -1164,7 +1161,3 @@ class CachedBackend(_ReadsByStart):
     def cached_bytes(self) -> int:
         with self._lock:
             return self._used
-
-
-def cached(backend: StorageBackend, capacity_bytes: int) -> CachedBackend:
-    return CachedBackend(backend, capacity_bytes)

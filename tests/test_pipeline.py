@@ -33,15 +33,15 @@ from loadbench.sampling import SamplerConfig, replica_order
 from loadbench.server import serve
 from loadbench.storage import (
     ByteRange,
+    CachedBackend,
     HTTPBackend,
+    LatencyBackend,
     LatencyModel,
     LocalBackend,
     MemoryBackend,
     RangeError,
     StorageBackend,
     StorageError,
-    cached,
-    with_latency,
 )
 from loadbench.transforms import TransformConfig
 
@@ -213,7 +213,7 @@ def test_contents_independent_of_depth_latency(tiny_dataset):
         (_loader_config(num_workers=2, prefetch_depth=1), backend),
         (_loader_config(num_workers=2, prefetch_depth=6), backend),
         (_loader_config(num_workers=2),
-         with_latency(backend, LatencyModel(mean_ms=1.0))),
+         LatencyBackend(backend, LatencyModel(mean_ms=1.0))),
     ]
     for config, be in variants:
         assert _epoch_digests(config, manifest, be) == reference
@@ -316,7 +316,7 @@ def test_abandoned_epoch_leaks_no_batches(tiny_dataset):
     list(reference)
     expected = [_digest(b) for b in reference]
     loader = DataLoader(_loader_config(batch_size=4, num_workers=2), manifest,
-                        with_latency(backend, LatencyModel(mean_ms=1.0)))
+                        LatencyBackend(backend, LatencyModel(mean_ms=1.0)))
     try:
         loader.next_batch()
         loader.next_batch()
@@ -372,7 +372,7 @@ def test_shutdown_after_epoch_stops_workers(tiny_dataset):
 
 def test_shutdown_mid_epoch_is_bounded(tiny_dataset):
     root, manifests = tiny_dataset
-    backend = with_latency(LocalBackend(root), LatencyModel(mean_ms=5.0))
+    backend = LatencyBackend(LocalBackend(root), LatencyModel(mean_ms=5.0))
     loader = DataLoader(_loader_config(batch_size=4, num_workers=2),
                         manifests["train"], backend)
     loader.next_batch()
@@ -584,7 +584,7 @@ def test_lookahead_keeps_contents_over_epochs(tiny_dataset, workers, depth,
     reference = _run_epochs(DataLoader(_loader_config(), manifest, local), 3)
     backend = {"local": local,
                "memory": MemoryBackend.load(local),
-               "latency": with_latency(local, LatencyModel(mean_ms=1.0))}[kind]
+               "latency": LatencyBackend(local, LatencyModel(mean_ms=1.0))}[kind]
     loader = DataLoader(_loader_config(num_workers=workers,
                                        prefetch_depth=depth),
                         manifest, backend)
@@ -698,7 +698,7 @@ def test_lookahead_failure_surfaces_in_its_own_epoch(tiny_dataset, workers):
 def test_shutdown_after_last_epoch_stops_lookahead_workers(tiny_dataset,
                                                            epochs):
     root, manifests = tiny_dataset
-    backend = with_latency(LocalBackend(root), LatencyModel(mean_ms=5.0))
+    backend = LatencyBackend(LocalBackend(root), LatencyModel(mean_ms=5.0))
     before = set(threading.enumerate())
     loader = DataLoader(_loader_config(batch_size=4, num_workers=2),
                         manifests["train"], backend, epochs=epochs)
@@ -724,10 +724,10 @@ def test_iterating_a_started_epoch_yields_it(tiny_dataset, workers):
 
 _WRAPS = {
     "plain": lambda backend: backend,
-    "latency": lambda backend: with_latency(backend, LatencyModel(mean_ms=0.5)),
-    "cached": lambda backend: cached(backend, 1 << 20),
-    "cached-latency": lambda backend: cached(
-        with_latency(backend, LatencyModel(mean_ms=0.5)), 1 << 20),
+    "latency": lambda backend: LatencyBackend(backend, LatencyModel(mean_ms=0.5)),
+    "cached": lambda backend: CachedBackend(backend, 1 << 20),
+    "cached-latency": lambda backend: CachedBackend(
+        LatencyBackend(backend, LatencyModel(mean_ms=0.5)), 1 << 20),
 }
 
 

@@ -1,6 +1,8 @@
 import http.client
+import os
 import socket
 import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -620,7 +622,12 @@ def test_client_puts_a_body_larger_than_its_send_buffer(tmp_path):
     assert LocalBackend(tmp_path).get("big.bin") == data
 
 
-def test_keep_alive_connections_add_no_thread(store):
+def _conn_threads(before: set[threading.Thread]) -> set[threading.Thread]:
+    return {t for t in threading.enumerate()
+            if t.name == "loadbench-store-conn" and t not in before}
+
+
+def test_keep_alive_connections_each_have_a_thread_until_closed(store):
     _, local, server = store
     before = set(threading.enumerate())
     with ExitStack() as stack:
@@ -630,7 +637,107 @@ def test_keep_alive_connections_add_no_thread(store):
             conn.request("GET", "/train/shard2.dlbs")
         for conn in conns:
             assert conn.getresponse().read() == local.get("train/shard2.dlbs")
-        assert set(threading.enumerate()) == before
+        assert len(_conn_threads(before)) == 32
+    deadline = time.monotonic() + 2.0
+    for thread in _conn_threads(before):
+        thread.join(max(0.0, deadline - time.monotonic()))
+    assert not _conn_threads(before)
+
+
+class _Drawn(LatencyModel):
+    """Sets ``drawn`` at each draw: the server holds a request."""
+
+    def __init__(self, mean_ms):
+        super().__init__(mean_ms)
+        self.drawn = threading.Event()
+
+    def sample_ms(self):
+        self.drawn.set()
+        return super().sample_ms()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_stop_during_a_latency_hold_ends_every_thread_at_once():
+    latency = _Drawn(mean_ms=10_000.0)
+    before = set(threading.enumerate())
+    fds = len(os.listdir("/proc/self/fd"))
+    server = serve(MemoryBackend({"k": b"v"}), latency=latency)
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(b"GET /k HTTP/1.1\r\n\r\n")
+        assert latency.drawn.wait(5)
+        t0 = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - t0 < 1.0
+        # joined, not only told to end: no thread left and no fd but ours
+        assert set(threading.enumerate()) <= before
+        assert len(os.listdir("/proc/self/fd")) == fds + 1
+        assert sock.recv(65536) == b""  # closed, the held request unanswered
+
+
+def test_stop_joins_a_connection_thread_in_a_backend_call():
+    reading = threading.Event()
+
+    class SlowSize(MemoryBackend):
+        def size(self, key):
+            reading.set()
+            time.sleep(0.2)
+            return super().size(key)
+
+    before = set(threading.enumerate())
+    server = serve(SlowSize({"k": b"v"}))
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(b"HEAD /k HTTP/1.1\r\n\r\n")
+        assert reading.wait(5)
+        server.stop()
+        assert set(threading.enumerate()) <= before
+
+
+def test_size_is_asked_once_and_never_kept_past_a_put():
+    class SlowSize(MemoryBackend):
+        def __init__(self, objects):
+            super().__init__(objects)
+            self.sizes = 0
+            self.asking = threading.Event()
+
+        def size(self, key):
+            self.sizes += 1
+            size = super().size(key)  # a PUT during the pause makes it stale
+            self.asking.set()
+            time.sleep(0.05)
+            return size
+
+    backend = SlowSize({"k": b"abc", "j": b"abc"})
+    with serve(backend) as server:
+        # 8 connections HEAD one key at once: one of them asks its size
+        barrier = threading.Barrier(8)
+        lengths = []
+
+        def head():
+            barrier.wait()
+            lengths.append(_raw(server, "HEAD", "/k")[1]["Content-Length"])
+        threads = [threading.Thread(target=head) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert lengths == ["3"] * 8
+        assert backend.sizes == 1
+        # a PUT that lands while a HEAD waits for the old object's size
+        backend.asking.clear()
+        asking = threading.Thread(target=_raw, args=(server, "HEAD", "/j"))
+        asking.start()
+        assert backend.asking.wait(5)
+        with closing(HTTPBackend(server.endpoint)) as client:
+            client.put("j", b"abcdefgh")
+        asking.join(10)
+        assert not asking.is_alive()
+        assert _raw(server, "HEAD", "/j")[1]["Content-Length"] == "8"
 
 
 def test_latency_of_64_concurrent_requests_overlaps(tmp_path):

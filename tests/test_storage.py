@@ -23,6 +23,7 @@ from loadbench.storage import (
     ByteRange,
     CachedBackend,
     HTTPBackend,
+    LatencyBackend,
     LatencyModel,
     LocalBackend,
     MemoryBackend,
@@ -31,9 +32,7 @@ from loadbench.storage import (
     ReadError,
     StorageBackend,
     StorageError,
-    cached,
     validate_key,
-    with_latency,
 )
 
 
@@ -152,8 +151,8 @@ def test_every_backend_rejects_a_dotdot_key(tmp_path, kind):
         backend = {
             "local": lambda: local,
             "memory": lambda: MemoryBackend.load(local),
-            "latency": lambda: with_latency(MemoryBackend(), LatencyModel(mean_ms=0.0)),
-            "cached": lambda: cached(MemoryBackend(), 100),
+            "latency": lambda: LatencyBackend(MemoryBackend(), LatencyModel(mean_ms=0.0)),
+            "cached": lambda: CachedBackend(MemoryBackend(), 100),
             "http": lambda: HTTPBackend(server.endpoint),
         }[kind]()
         with closing(backend):
@@ -212,7 +211,7 @@ def test_latency_draws_across_threads_lose_and_repeat_none():
 
 def test_constant_latency_floor():
     backend = MemoryBackend({"obj": b"x" * 16})
-    delayed = with_latency(backend, LatencyModel(mean_ms=17.3))
+    delayed = LatencyBackend(backend, LatencyModel(mean_ms=17.3))
     t0 = time.perf_counter()
     for _ in range(10):
         assert delayed.get("obj") == b"x" * 16
@@ -221,7 +220,7 @@ def test_constant_latency_floor():
 
 def test_zero_latency_is_transparent():
     backend = MemoryBackend({"obj": b"data"})
-    delayed = with_latency(backend, LatencyModel(mean_ms=0.0))
+    delayed = LatencyBackend(backend, LatencyModel(mean_ms=0.0))
     assert delayed.get("obj", ByteRange(1, 2)) == b"at"
 
 
@@ -247,7 +246,7 @@ def test_latency_read_waits_its_largest_sample_once(monkeypatch):
     monkeypatch.setattr(storage_module, "time", clock)
     reference = _lognormal(3)
     samples = [reference.sample_ms() for _ in range(3)]
-    backend = with_latency(MemoryBackend({"A": b"abcdef", "B": b"ghij", "C": b"kl"}),
+    backend = LatencyBackend(MemoryBackend({"A": b"abcdef", "B": b"ghij", "C": b"kl"}),
                            _lognormal(3))
     out = bytearray(9)
     with closing(backend.start_read([("A", 0, 2), ("B", 1, 2), ("A", 4, 2),
@@ -267,7 +266,7 @@ def test_latency_read_counts_its_wait_from_its_start(monkeypatch):
     # deadline sleeps what is left, the one finished after it does not sleep
     clock = _Clock()
     monkeypatch.setattr(storage_module, "time", clock)
-    backend = with_latency(MemoryBackend({"A": b"abc"}), LatencyModel(mean_ms=10.0))
+    backend = LatencyBackend(MemoryBackend({"A": b"abc"}), LatencyModel(mean_ms=10.0))
     first = backend.start_read([("A", 0, 1)])
     second = backend.start_read([("A", 1, 2)])
     clock.now += 0.004
@@ -302,7 +301,7 @@ def test_latency_model_validation():
 
 def test_cache_forced_eviction():
     inner = MemoryBackend({"A": b"a" * 10, "B": b"b" * 10})
-    cache = cached(inner, capacity_bytes=10)  # room for one object
+    cache = CachedBackend(inner, capacity_bytes=10)  # room for one object
     for key in ("A", "B", "A"):
         cache.get(key)
     assert cache.stats.misses == 3
@@ -311,7 +310,7 @@ def test_cache_forced_eviction():
 
 def test_cache_hit_when_capacity_suffices():
     inner = MemoryBackend({"A": b"a" * 10, "B": b"b" * 10})
-    cache = cached(inner, capacity_bytes=20)
+    cache = CachedBackend(inner, capacity_bytes=20)
     for key in ("A", "B", "A"):
         cache.get(key)
     assert cache.stats.misses == 2
@@ -363,7 +362,7 @@ def test_cache_matches_reference_policy():
     objects = {f"o{i}": bytes([i]) * (10 + 13 * i % 40) for i in range(8)}
     inner = MemoryBackend(objects)
     capacity = 90
-    cache = cached(inner, capacity)
+    cache = CachedBackend(inner, capacity)
     reference = _ReferenceLRU(capacity)
     rng = SplitMix64(17)
     for _ in range(400):
@@ -388,7 +387,7 @@ def test_cache_matches_reference_policy():
 
 def test_cache_invalidates_on_put():
     inner = MemoryBackend({"A": b"old"})
-    cache = cached(inner, 100)
+    cache = CachedBackend(inner, 100)
     assert cache.get("A") == b"old"
     cache.put("A", b"new")
     assert cache.get("A") == b"new"
@@ -405,7 +404,7 @@ def test_cache_read_fails_at_the_callers_index_after_hits():
     # the misses go to the inner backend as one read; its failure is raised
     # at the caller's index, with every request before it in ``out``, hits
     # and misses alike
-    cache = cached(MemoryBackend({"A": b"abcdef", "B": b"ghij"}), 100)
+    cache = CachedBackend(MemoryBackend({"A": b"abcdef", "B": b"ghij"}), 100)
     cache.read_into([("A", 0, 2), ("B", 1, 2)], bytearray(4))
     requests = [("A", 0, 2), ("A", 3, 2), ("B", 1, 2), ("absent", 0, 1),
                 ("A", 0, 2), ("B", 0, 1)]
@@ -452,7 +451,7 @@ def test_cache_matches_reference_lru(case):
     # around gets; puts come between reads
     sizes, capacity, ops = case
     objects = {key: stream_bytes(i, size) for i, (key, size) in enumerate(sizes.items())}
-    cache = cached(MemoryBackend(objects), capacity)
+    cache = CachedBackend(MemoryBackend(objects), capacity)
     reference = _ReferenceLRU(capacity)
     pending = []  # started reads: the read, its extents and which missed
 
@@ -575,9 +574,9 @@ def _extents(local, requests):
 _BACKENDS = {
     "local": lambda root, local, server: LocalBackend(root),
     "memory": lambda root, local, server: MemoryBackend.load(local),
-    "latency": lambda root, local, server: with_latency(
+    "latency": lambda root, local, server: LatencyBackend(
         MemoryBackend.load(local), LatencyModel(mean_ms=0.1)),
-    "cached": lambda root, local, server: cached(local, 2000),
+    "cached": lambda root, local, server: CachedBackend(local, 2000),
     "http": lambda root, local, server: HTTPBackend(server.endpoint),
 }
 
@@ -667,8 +666,8 @@ def test_http_connections_are_reused(shards, monkeypatch):
 
 @pytest.mark.parametrize("wrap", [
     lambda client: client,
-    lambda client: with_latency(client, LatencyModel(mean_ms=10.0)),
-    lambda client: cached(client, 1 << 20),
+    lambda client: LatencyBackend(client, LatencyModel(mean_ms=10.0)),
+    lambda client: CachedBackend(client, 1 << 20),
 ], ids=["http", "latency", "cached"])
 def test_get_many_overlaps_round_trips(many_shards, wrap):
     # a read of 40 objects is 40 GETs, and the injected 20 ms per GET
@@ -1178,7 +1177,7 @@ def test_wrappers_forward_close():
             self.closed += 1
 
     inner = Closing({"A": b"abc"})
-    with closing(cached(with_latency(inner, LatencyModel(mean_ms=0.0)), 100)) as backend:
+    with closing(CachedBackend(LatencyBackend(inner, LatencyModel(mean_ms=0.0)), 100)) as backend:
         out = bytearray(2)
         backend.read_into([("A", 1, 2)], out)
         assert out == b"bc"
