@@ -127,7 +127,8 @@ class DatasetManifest:
     Sample ``i``'s record is ``length[i]`` bytes at ``offset[i]`` of the
     object ``shard_keys[shard[i]]``, and its label is ``label[i]``.  The
     four columns are read-only int64 arrays of one length, so a batch's
-    extents and labels come from indexing them with its ids.
+    extents and labels come from indexing them with its ids.  Every id of
+    the class index is in [0, n), so every id a sampler plans is.
     """
 
     split: str
@@ -151,6 +152,10 @@ class DatasetManifest:
                 self.shard.min() < 0 or self.shard.max() >= len(self.shard_keys)
                 or self.offset.min() < 0 or self.length.min() < 1):
             raise DatasetError("locator column outside its range")
+        n = len(self.label)
+        if any(ids and (min(ids) < 0 or max(ids) >= n)
+               for ids in self.class_index.values()):
+            raise DatasetError(f"class index names a sample outside [0, {n})")
 
     def __len__(self) -> int:
         return len(self.label)

@@ -6,9 +6,10 @@ order and, after each delivery, tops it up to ``prefetch_depth``.  A batch
 enters that window with its read started: the consumer thread calls
 ``backend.start_read`` on the batch's record extents as it submits the
 build, so the window, not the worker count, sets how many batch reads are
-in flight (over HTTP, wrapped in a cache or latency or not, their GETs go
-out then, and a latency wrapper's wait counts from then; other backends
-read when the build finishes the read).  Delivery
+in flight.  Over HTTP, plain or wrapped in a cache, their GETs go out then.
+A latency wrapper's wait counts from then, and the read it wraps, GETs
+included, runs when the build finishes the read, once the wait is over;
+other backends read then too.  Delivery
 pops the leftmost future, so batches arrive strictly in order and their
 bytes depend only on the seeds, never on worker count, prefetch depth, or
 backend latency.  With zero workers each batch is built in the caller when
@@ -104,17 +105,6 @@ from .transforms import TransformConfig, apply_draws, draw_stack, sample_seeds
 # two, ``read_record``, ``collate`` and ``replica_order``.  The batch build
 # calls neither of these two; they stay bound so that the tracer installs.
 from .transforms import apply_stack, sample_seed  # noqa: F401
-
-
-class _Refused(PendingRead):
-    """The read of a batch whose ids ``record_extents`` rejects: ``finish``
-    raises that error, so the batch fails where it is built."""
-
-    def __init__(self, error: Exception) -> None:
-        self._error = error
-
-    def finish(self, out) -> None:
-        raise self._error
 
 
 class WorkerError(Exception):
@@ -296,11 +286,9 @@ class DataLoader:
                 (self._pool.submit(self._build_batch, b, ids, draws, read), read))
 
     def _start_read(self, ids: np.ndarray) -> PendingRead:
-        """The batch's read, started; it raises nothing."""
-        try:
-            return self.backend.start_read(record_extents(self.manifest, ids))
-        except IndexError as exc:  # an id out of range
-            return _Refused(exc)
+        """The batch's read, started; it raises nothing, since every id a
+        sampler plans is within the manifest."""
+        return self.backend.start_read(record_extents(self.manifest, ids))
 
     def _abandon_epoch(self) -> None:
         """Cancel every queued build, the lookahead's too, and close its

@@ -23,34 +23,30 @@ Wire protocol (path-style keys, no auth):
 Every connection has a thread of its own, which reads its requests in
 turn on a blocking socket and answers each before it reads the next.
 Connections are persistent (HTTP/1.1 keep-alive), so pipelined requests
-are answered in order.  A request's head is read with the client's own head
-reader (``storage._HeadReader``), which looks at each received byte once
-and splits the head in one pass once its blank line has arrived: a request
-line over 64 KiB answers 414, a header line over 64 KiB or more than 100
-headers 431, a malformed request line or a header line without a colon
-400, and a connection that ends before the head's blank line, or before a
-PUT's whole body, gets no reply.  The connection closes after an HTTP/1.0
-request, ``Connection: close`` or any error answered before the request is
-parsed.  A response's status line and headers go out with its body, never
-joined, in one ``sendmsg`` of at most IOV_MAX buffers as far as the socket
-takes them; an error reply has no body.  The sockets set TCP_NODELAY, so a
-reply leaves at once instead of waiting on the client's ACK of an earlier
-one.
+are answered in order.  A connection reads its requests' heads as the
+client reads its responses' (``storage._Wire``), a line at a time, each
+received byte searched once: a request line of 64 KiB or more answers 414,
+a header line of 64 KiB or more, or more than 100 headers, 431, a malformed
+request line or a header line without a colon 400, and a connection that
+ends before the head's blank line, or before a PUT's whole body, gets no
+reply.  The connection closes after an HTTP/1.0 request, ``Connection:
+close`` or any error answered before the request is parsed.  A response's
+status line and headers go out with its body, never joined, in one
+``sendmsg`` of at most IOV_MAX buffers as far as the socket takes them; an
+error reply has no body.  The sockets set TCP_NODELAY, so a reply leaves at
+once instead of waiting on the client's ACK of an earlier one.
 
-A GET or HEAD makes at most one backend call: the server asks the backend
-for an object's size once and keeps it until a PUT of that key.  Objects
-are assumed to change only through the server's PUT.  One lock covers a
-size's lookup and backend call and a PUT's store, so a size read before a
-PUT is never kept after it.  A GET of the whole object is one ``get``, and
-a GET with ranges one ``read_into`` of all of them, however many the
-``Range`` header lists; a multipart reply's part heads and slices of that
-one buffer go out as they are.  A HEAD says the Content-Length the GET
-would send.
+The server keeps nothing between requests: a GET or HEAD of an object asks
+the backend for its size, and a PUT is one backend ``put``.  A GET of the
+whole object is then one ``get``, and a GET with ranges one ``read_into``
+of all of them, however many the ``Range`` header lists; a multipart
+reply's part heads and slices of that one buffer go out as they are.  A
+HEAD says the Content-Length the GET would send.
 
 An optional ``LatencyModel`` delays each request before it is served, which
 is how the remote-storage experiments dial in AWS-like or LAN-like round
 trips.  A connection's thread draws the request's sample once the request
-has arrived whole and waits it out before the backend call, so requests on
+has arrived whole and waits it out before the backend calls, so requests on
 different connections pay their latency in parallel rather than queueing
 behind one another.  Bytes that arrive during the hold wait in the socket
 until the reply is out.  A client that shuts down its sending side (a
@@ -67,7 +63,6 @@ import secrets
 import socket
 import sys
 import threading
-import time
 from contextlib import suppress
 from email.utils import formatdate
 from http import HTTPStatus
@@ -75,9 +70,8 @@ from pathlib import Path
 from urllib.parse import parse_qs, unquote
 
 from .storage import (
-    _RECV_BYTES,
     _BadHead,
-    _HeadReader,
+    _Wire,
     LatencyModel,
     LocalBackend,
     NotFoundError,
@@ -129,47 +123,29 @@ def _parse_range(header: str, total: int) -> list[tuple[int, int]]:
     return ranges
 
 
-class _Conn:
+class _Conn(_Wire):
     """One client connection and the request it carries.
 
-    ``inbuf`` holds the bytes received and not yet consumed; those of a
-    pipelined request stay there until the request before is answered.  A
-    request's ``length`` is the body bytes a PUT sends, or None for a
-    malformed Content-Length.
+    The bytes of a pipelined request wait in ``buf`` until the request
+    before is answered.  A request's ``length`` is the body bytes a PUT
+    sends, or None for a malformed Content-Length.
     """
 
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.inbuf = bytearray()
-        self.reader = _HeadReader()  # reads each request's head from inbuf
-
-    def _recv(self) -> bool:
-        """Add the next bytes received to ``inbuf``; False once the client
-        has sent all it will send."""
-        data = self.sock.recv(_RECV_BYTES)
-        self.inbuf += data
-        return bool(data)
-
-    def read_request(self) -> bool:
-        """Read the next request whole; False if the connection ends before
-        it does.  A head the server refuses raises _BadHead with the status
-        that answers it."""
+    def read_request(self) -> None:
+        """Read the next request whole; EOFError if the connection ends
+        before it does.  A head the server refuses raises _BadHead with the
+        status that answers it."""
         self.close_connection = False  # HTTP/1.0 or ``Connection: close``
         self.body: bytes | None = None
-        while (head := self.reader.read(self.inbuf)) is None:
-            if not self._recv():
-                return False
-        line, self.fields, end = head
-        del self.inbuf[:end]
+        line, self.fields = self.head()
         self._request_line(line)
         self._end_head()
         if self.length:
-            while len(self.inbuf) < self.length:
-                if not self._recv():
-                    return False
-            self.body = bytes(self.inbuf[:self.length])
-            del self.inbuf[:self.length]
-        return True
+            end = self.pos + self.length
+            while len(self.buf) < end:  # it grows as the bytes arrive
+                self._recv()
+            self.body = bytes(self.buf[self.pos:end])
+            self.pos = end
 
     def _request_line(self, line: str) -> None:
         words = line.split()
@@ -205,7 +181,7 @@ class ObjectServer:
     Its thread ``loadbench-store`` accepts connections and starts a daemon
     thread, ``loadbench-store-conn``, for each.  That thread reads the
     connection's requests one at a time, holds each for its latency sample,
-    makes its backend call and sends the reply, and it ends when the client
+    makes its backend calls and sends the reply, and it ends when the client
     closes the connection.  ``stop()`` ends them all and joins them.
     """
 
@@ -219,16 +195,11 @@ class ObjectServer:
         self.backend = backend
         self.latency = latency or LatencyModel(mean_ms=0.0)
         self.host = host
-        self._sizes: dict[str, int] = {}
-        # held across a size's lookup and backend call, and across a PUT and
-        # the size it forgets, so a size read before a PUT is never kept
-        self._sizes_lock = threading.Lock()
         # each connection's thread and socket; only the accept thread adds
         # to it, and stop() reads it once that thread has ended
         self._conns: dict[threading.Thread, socket.socket] = {}
         self._closing = threading.Lock()  # a socket's close, or stop()'s shutdown
         self._stopping = threading.Event()  # also ends every latency hold
-        self._date = (-1, "")   # a Date header, formatted once a second
         self._boundary = secrets.token_hex(16)  # between multipart/byteranges parts
         # a burst of first connections, such as many clients starting
         # together, must not overflow the accept queue: each dropped
@@ -242,22 +213,6 @@ class ObjectServer:
     @property
     def endpoint(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    def _object_size(self, key: str) -> int:
-        """The size of object ``key``, asked of the backend on first use."""
-        with self._sizes_lock:
-            size = self._sizes.get(key)
-            if size is None:
-                size = self._sizes[key] = self.backend.size(key)
-        return size
-
-    def _put_object(self, key: str, data: bytes) -> None:
-        """Store ``data`` as ``key`` and forget the size kept for it."""
-        with self._sizes_lock:
-            try:
-                self.backend.put(key, data)
-            finally:  # a failed PUT may have changed the object too
-                self._sizes.pop(key, None)
 
     def stop(self) -> None:
         """Close the listener and every connection, and join every thread
@@ -315,20 +270,21 @@ class ObjectServer:
         """Read ``conn``'s next request, hold it for its latency and answer
         it; True while the connection carries on."""
         try:
-            if not conn.read_request():
-                return False  # a request cut short gets no reply, and stores nothing
+            conn.read_request()
+        except EOFError:
+            return False  # a request cut short gets no reply, and stores nothing
         except _BadHead as bad:  # answered, and the connection closes
             conn.close_connection = True
             self._reply(conn, bad.status)
             return False
         if (self._stopping.wait(self.latency.sample_ms() / 1000.0)
                 or conn.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)):
-            return False  # stopped, or reset during the hold: no backend call
+            return False  # stopped, or reset during the hold: no backend calls
         self._reply(conn, *self._respond(conn))
         return not conn.close_connection
 
     def _respond(self, conn: _Conn) -> tuple[int, list, str, int]:
-        """Make the backend call that ``conn``'s request asks for: the
+        """Make the backend calls that ``conn``'s request asks for: the
         status, body buffers, extra header lines and Content-Length of its
         reply (a HEAD's says what the GET would send)."""
         total = 0
@@ -338,7 +294,7 @@ class ObjectServer:
             if conn.method == "PUT":
                 if conn.length is None:
                     return 400, [], "", 0
-                self._put_object(key, conn.body or b"")
+                self.backend.put(key, conn.body or b"")
                 return 200, [], "", 0
             if conn.method == "GET" and not key:
                 prefix = parse_qs(query).get("prefix", [""])[0]
@@ -346,7 +302,7 @@ class ObjectServer:
                 return 200, [body], "Content-Type: text/plain; charset=utf-8\r\n", len(body)
             # GET or HEAD of one object: all of it, or the ranges that a
             # Range header asks for; a HEAD reads no bytes of the object
-            total = self._object_size(key)
+            total = self.backend.size(key)
             header = conn.fields.get("range")
             if header is None:
                 if conn.method == "HEAD":
@@ -396,12 +352,9 @@ class ObjectServer:
         ``sendmsg`` of at most IOV_MAX of them at a time, as far as the
         socket takes them.  The reply says ``Connection: close`` when the
         connection closes after it."""
-        second = int(time.time())
-        if second != self._date[0]:  # formatdate drops the fraction too
-            self._date = (second, formatdate(second, usegmt=True))
         close = "Connection: close\r\n" if conn.close_connection else ""
         out = [f"HTTP/1.1 {status} {_PHRASES[status]}\r\nServer: {_SERVER}\r\n"
-               f"Date: {self._date[1]}\r\nContent-Length: {length}\r\n"
+               f"Date: {formatdate(usegmt=True)}\r\nContent-Length: {length}\r\n"
                f"{fields}{close}\r\n".encode("latin-1"), *body]
         while out:
             sent = conn.sock.sendmsg(out[:_IOV_MAX])

@@ -55,7 +55,6 @@ from __future__ import annotations
 import http.client
 import itertools
 import math
-import re
 import socket
 import threading
 import time
@@ -104,7 +103,6 @@ _IN_FLIGHT = 64
 _MAX_LINE = 65536  # the longest status, request or header line (as http.client)
 _MAX_HEADERS = 100
 _RECV_BYTES = 1 << 16
-_HEAD_END = re.compile(rb"\n\r?\n")  # a head's blank line, after CRLF or bare LF
 
 
 def validate_key(key: str) -> str:
@@ -338,68 +336,77 @@ class _BadHead(Exception):
         self.status = status
 
 
-class _HeadReader:
-    """Reads the HTTP head that a growing buffer starts with.
+class _Wire:
+    """A blocking reader of HTTP heads over one buffer, by the rules both
+    ends of the object protocol keep.
 
-    Both ends of the object protocol read heads by these rules.  Lines end
-    in CRLF or a bare LF, and field names are kept in lower case.  A line
-    of more than _MAX_LINE bytes with its line ending, more than
-    _MAX_HEADERS header lines, or a header line without a colon raises
-    _BadHead.  Each ``read`` looks only at the bytes added since the last
-    one: it resumes the search for the blank line and checks the lines
-    completed since, so a head is scanned once however it arrives, and none
-    grows without bound.  A complete head is then split in one pass.
+    ``buf`` holds the bytes received and ``pos`` is the first one not yet
+    read.  With a socket, more bytes are received as a line needs them; with
+    none, ``buf`` is all there is (a body already received).  Lines end in
+    CRLF or a bare LF, and field names are kept in lower case.  A first line
+    of _MAX_LINE bytes or more raises _BadHead(414), as does a header line
+    (431) or more than _MAX_HEADERS header lines (431), each as soon as the
+    bytes that break the limit have arrived; a header line without a colon
+    raises _BadHead(400).  Each received byte is searched for a line's end
+    once.
     """
 
-    def __init__(self) -> None:
-        self._scanned = 0  # the buffer's length at the last read
-        self._checked = 0  # where the first line not yet checked starts
-        self._lines = 0    # the lines checked
+    def __init__(self, sock: socket.socket | None = None,
+                 buf: bytearray | None = None) -> None:
+        self.sock = sock
+        self.buf = bytearray() if buf is None else buf
+        self.pos = 0
 
-    def read(self, buf: bytes | bytearray,
-             start: int = 0) -> tuple[str, dict[str, str], int] | None:
-        """The first line, the header fields and the end of the head that
-        starts at ``start`` in ``buf``, once its blank line has arrived, and
-        the reader starts over; None until then.  A head's reads all give
-        the same ``start``: a multipart body's part heads are read in place."""
-        if self._checked < start:  # a head's first read
-            self._scanned = self._checked = start
-        blank = _HEAD_END.search(buf, max(self._scanned - 2, start))
-        done = blank.start() + 1 if blank else buf.rfind(b"\n", self._scanned) + 1
-        if done > self._checked:  # lines completed since the last read
-            lines = buf[self._checked:done - 1].split(b"\n")
-            if not self._lines and len(lines[0]) >= _MAX_LINE:
-                raise _BadHead(414, f"a first line over {_MAX_LINE} bytes")
-            self._lines += len(lines)
-            if self._lines > _MAX_HEADERS + 1:
-                raise _BadHead(431, f"more than {_MAX_HEADERS} header lines")
-            if max(map(len, lines)) >= _MAX_LINE:
-                raise _BadHead(431, f"a header line over {_MAX_LINE} bytes")
-            self._checked = done
-        if blank is None:
-            if len(buf) - self._checked >= _MAX_LINE:
-                raise _BadHead(431 if self._lines else 414,
-                               f"a line over {_MAX_LINE} bytes")
-            self._scanned = len(buf)
-            return None
-        self._scanned = self._checked = self._lines = 0
-        first, *lines = buf[start:blank.start()].decode("latin-1").split("\n")
-        try:
-            fields = {name.strip().lower(): value.strip()
-                      for name, value in (line.split(":", 1) for line in lines)}
-        except ValueError:  # a line without a colon
-            bad = next(line for line in lines if ":" not in line)
-            raise _BadHead(400, f"malformed header line {bad[:80]!r}") from None
-        return first, fields, blank.end()
+    def _recv(self) -> None:
+        """Add the next bytes received to ``buf``; EOFError once the peer
+        has sent all it will, or at once with no socket."""
+        data = b"" if self.sock is None else self.sock.recv(_RECV_BYTES)
+        if not data:
+            raise EOFError("the bytes end inside a head")
+        self.buf += data
+
+    def line(self, status: int) -> str:
+        """The next line, without its line ending; _BadHead(``status``) once
+        it reaches _MAX_LINE bytes, whether or not its end has arrived."""
+        buf, start = self.buf, self.pos
+        searched = start
+        while (end := buf.find(b"\n", searched)) < 0 and len(buf) - start < _MAX_LINE:
+            searched = len(buf)
+            self._recv()
+        if not 0 <= end - start < _MAX_LINE:
+            raise _BadHead(status, f"a line of {_MAX_LINE} bytes or more")
+        self.pos = end + 1
+        if end > start and buf[end - 1] == 13:  # the CR of a CRLF
+            end -= 1
+        return buf[start:end].decode("latin-1")
+
+    def head(self) -> tuple[str, dict[str, str]]:
+        """The first line and the header fields of the next head; ``pos`` is
+        then the first byte after its blank line.  Reading a socket, the
+        bytes read before it are dropped first; a body read in place keeps
+        them, since the parts cut from it are views of it."""
+        if self.sock is not None:
+            del self.buf[:self.pos]
+            self.pos = 0
+        first, fields = self.line(414), {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.line(431)
+            if not line:
+                return first, fields
+            name, colon, value = line.partition(":")
+            if not colon:
+                raise _BadHead(400, f"malformed header line {line[:80]!r}")
+            fields[name.strip().lower()] = value.strip()
+        raise _BadHead(431, f"more than {_MAX_HEADERS} header lines")
 
 
-class _Connection:
+class _Connection(_Wire):
     """One keep-alive HTTP/1.1 connection of an ``HTTPBackend``'s pool: a
     blocking socket with the backend's timeout, carrying one request at a
     time.
 
     ``send`` sends a request whole, and ``receive`` reads its response: the
-    head, read by a ``_HeadReader``, then exactly ``Content-Length`` body
+    head, by the ``_Wire`` rules, then exactly ``Content-Length`` body
     bytes.  Interim (1xx) responses are skipped, and HEAD, 204 and 304 have
     no body.  A malformed or short response raises StorageError; a
     connection that closes before any byte of the response raises
@@ -408,8 +415,8 @@ class _Connection:
     """
 
     def __init__(self, address: tuple[str, int | None, float]) -> None:
+        super().__init__()
         self._address = address
-        self.sock: socket.socket | None = None
         self.reused = False    # it answered a request before the current one
         self.received = False  # a byte of the current response arrived
 
@@ -418,54 +425,51 @@ class _Connection:
         # http.client opens the socket (TCP_NODELAY, the timeout, its audit event)
         opener = http.client.HTTPConnection(*self._address)
         opener.connect()
-        self.sock = opener.sock
+        self.sock, self.buf, self.pos = opener.sock, bytearray(), 0
 
     def send(self, wire: bytes) -> None:
         self.received = False
         self.sock.sendall(wire)
 
+    def _recv(self) -> None:
+        super()._recv()
+        self.received = True
+
     def receive(self, bodiless: bool) -> tuple[int, dict[str, str], bytearray]:
         """The status, fields and body of the response to the request sent;
         ``bodiless`` (a HEAD) means no body."""
-        reader, buf = _HeadReader(), bytearray()
-        while True:
-            try:
-                head = reader.read(buf)
-            except _BadHead as exc:
-                raise StorageError(str(exc)) from None
-            if head is None:
-                data = self.sock.recv(_RECV_BYTES)
-                if not data:
-                    if not self.received:
-                        raise ConnectionError("connection closed before a status line")
-                    raise StorageError("connection closed inside a response head")
-                self.received = True
-                buf += data
-                continue
-            line, fields, end = head
-            words = line.split(None, 2)
-            if (len(words) < 2 or not words[0].startswith("HTTP/1.")
-                    or len(words[1]) != 3 or not words[1].isdecimal()):
-                raise StorageError(f"malformed status line {line[:80]!r}")
-            status = int(words[1])
-            del buf[:end]
-            if status >= 200:  # a 1xx is interim: the final response follows it
-                break
+        try:
+            while True:
+                line, fields = self.head()
+                words = line.split(None, 2)
+                if (len(words) < 2 or not words[0].startswith("HTTP/1.")
+                        or len(words[1]) != 3 or not words[1].isdecimal()):
+                    raise StorageError(f"malformed status line {line[:80]!r}")
+                status = int(words[1])
+                if status >= 200:  # a 1xx is interim: the final response follows it
+                    break
+        except _BadHead as exc:
+            raise StorageError(str(exc)) from None
+        except EOFError:
+            if not self.received:
+                raise ConnectionError("connection closed before a status line") from None
+            raise StorageError("connection closed inside a response head") from None
         length = 0
         if not bodiless and status not in (204, 304):
             length = fields.get("content-length", "")
             if not length.isdecimal():
                 raise StorageError(f"HTTP {status} without a Content-Length")
             length = int(length)
-        body, got = bytearray(length), min(len(buf), length)
-        body[:got] = buf[:got]
+        body, got = bytearray(length), min(len(self.buf) - self.pos, length)
+        body[:got] = self.buf[self.pos:self.pos + got]
+        self.pos += got
         view = memoryview(body)
         while got < length:
             n = self.sock.recv_into(view[got:])
             if not n:
                 raise StorageError(f"body cut short: {got} of {length} bytes")
             got += n
-        if len(buf) > length or fields.get("connection", "").lower() == "close":
+        if len(self.buf) > self.pos or fields.get("connection", "").lower() == "close":
             self.close()  # no request asked for the bytes past the body
         return status, fields, body
 
@@ -597,8 +601,8 @@ def _parts(status: int, fields: dict[str, str], data: bytes,
     """The bytes of each [key, start, end (exclusive), ...] run in the answer
     to one GET of them: a 206 of exactly the run's length for one run, and
     for more a 206 ``multipart/byteranges`` body whose parts are the runs
-    in request order, each after a head read by ``_HeadReader`` with the
-    run's own Content-Range, and then the closing delimiter.  Any other
+    in request order, each after a head read by ``_Wire`` with the run's
+    own Content-Range, and then the closing delimiter.  Any other
     answer raises StorageError."""
     if status != 206:
         raise StorageError(f"HTTP {status} for a ranged GET")
@@ -614,24 +618,23 @@ def _parts(status: int, fields: dict[str, str], data: bytes,
             or not boundary.strip('"')):
         raise StorageError(f"a multi-range GET answered as {fields.get('content-type')!r}")
     delimiter = "--" + boundary.strip('"')
-    reader, body, parts, pos = _HeadReader(), memoryview(data), [], 0
+    wire, body, parts = _Wire(buf=data), memoryview(data), []
     for k, (_, start, end, _) in enumerate(runs):
-        if k and data[pos:pos + 2] != b"\r\n":
+        if k and data[wire.pos:wire.pos + 2] != b"\r\n":
             raise StorageError(f"multipart part {k - 1} is not its range's length")
-        pos += 2 if k else 0
+        wire.pos += 2 if k else 0
         try:
-            head = reader.read(data, pos)
-        except _BadHead as exc:
+            line, head = wire.head()
+        except (_BadHead, EOFError) as exc:
             raise StorageError(f"multipart part {k}: {exc}") from None
-        crange, _, size = ("" if head is None
-                           else head[1].get("content-range", "")).partition("/")
-        if (head is None or head[0].rstrip() != delimiter
-                or crange != f"bytes {start}-{end - 1}" or not size.isdecimal()):
+        crange, _, size = head.get("content-range", "").partition("/")
+        if (line.rstrip() != delimiter or crange != f"bytes {start}-{end - 1}"
+                or not size.isdecimal()):
             raise StorageError(f"multipart part {k} is not bytes={start}-{end - 1}")
-        pos = head[2] + end - start
-        parts.append(body[head[2]:pos])
-    if data[pos:] not in (f"\r\n{delimiter}--\r\n".encode("latin-1"),
-                          f"\r\n{delimiter}--".encode("latin-1")):
+        parts.append(body[wire.pos:wire.pos + end - start])
+        wire.pos += end - start
+    if data[wire.pos:] not in (f"\r\n{delimiter}--\r\n".encode("latin-1"),
+                               f"\r\n{delimiter}--".encode("latin-1")):
         raise StorageError("multipart body without its closing delimiter "
                            "after the last part's bytes")
     return parts

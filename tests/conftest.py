@@ -1,6 +1,6 @@
 """Shared fixtures: generated datasets reused across the suite, a guard
-against object-server connection threads a test leaves running, and a check
-of an HTTP backend's connection pool."""
+against loadbench threads a test leaves running, and a check of an HTTP
+backend's connection pool."""
 
 from __future__ import annotations
 
@@ -20,22 +20,28 @@ SMALL_SPEC = DatasetSpec(n_train=2000, n_val=200, n_test=100, width=64,
                          height=64, channels=3, n_classes=20, seed=7)
 
 
+# the names of the threads loadbench starts begin with one of these: the
+# object server's accept and connection threads, the loader's pool and the
+# replicas of a replicated run
+_THREAD_PREFIXES = ("loadbench-store", "loadbench-worker", "loadbench-replica")
+
+
 @pytest.fixture(autouse=True)
-def no_connection_thread_left():
-    """Fail a test if an object-server connection thread it started is still
-    running 2 s after it ends: the thread counterpart of the
+def no_loadbench_thread_left():
+    """Fail a test if a thread loadbench started during it is still running
+    2 s after it ends: the thread counterpart of the
     ``error::ResourceWarning`` filter."""
     before = set(threading.enumerate())
     yield
     deadline = time.monotonic() + 2.0
     left = []
     for thread in set(threading.enumerate()) - before:
-        if thread.name == "loadbench-store-conn":
+        if thread.name.startswith(_THREAD_PREFIXES):
             thread.join(max(0.0, deadline - time.monotonic()))
             if thread.is_alive():
-                left.append(thread)
+                left.append(thread.name)
     if left:
-        pytest.fail(f"{len(left)} object-server connection threads left running")
+        pytest.fail(f"threads left running: {sorted(left)}")
 
 
 @pytest.fixture(scope="session")

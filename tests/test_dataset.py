@@ -216,6 +216,20 @@ def test_manifest_wire_format(tiny_dataset):
     assert isinstance(shard, str) and shard.startswith("val/")
 
 
+@pytest.mark.parametrize("at_n", [False, True], ids=["below-0", "at-n"])
+def test_a_class_index_id_outside_the_manifest_is_refused(tiny_dataset, at_n):
+    _, manifests = tiny_dataset
+    manifest = manifests["train"]
+    bad = len(manifest) if at_n else -1
+    class_index = {**manifest.class_index, 0: manifest.class_index[0] + [bad]}
+    with pytest.raises(DatasetError, match="class index"):
+        dataclasses.replace(manifest, class_index=class_index)
+    payload = json.loads(manifest.to_json())
+    payload["class_index"]["0"].append(bad)
+    with pytest.raises(DatasetError, match="class index"):
+        DatasetManifest.from_json(json.dumps(payload))
+
+
 def test_load_manifest(tiny_dataset):
     root, manifests = tiny_dataset
     loaded = load_manifest(LocalBackend(root), "test")

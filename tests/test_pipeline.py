@@ -958,32 +958,6 @@ def test_started_reads_under_thread_stress(tiny_dataset, monkeypatch):
     assert got == [reference]
 
 
-class _OutOfRangeLoader(DataLoader):
-    """Plans epochs whose fourth batch ends with an id past the manifest."""
-
-    def _plan_epoch(self, epoch):
-        plan = super()._plan_epoch(epoch)
-        ids, draws = plan[3]
-        plan[3] = (np.append(ids[:-1], len(self.manifest)), draws)
-        return plan
-
-
-@pytest.mark.parametrize("workers", [0, 2])
-def test_an_id_out_of_range_fails_its_own_batch(tiny_dataset, workers):
-    # the window of 6 starts the fourth batch's read before the first
-    # batch is delivered; its error waits for that batch
-    root, manifests = tiny_dataset
-    backend = MemoryBackend.load(LocalBackend(root))
-    delivered = []
-    with _OutOfRangeLoader(_loader_config(num_workers=workers,
-                                          prefetch_depth=6),
-                           manifests["train"], backend) as loader:
-        with pytest.raises(IndexError):
-            for batch in loader:
-                delivered.append(batch.batch_index)
-    assert delivered == [0, 1, 2]
-
-
 def _past_end_of_third_batch(root, manifest, config):
     """``manifest`` with the third batch's first record past its shard's end."""
     victim = replica_order(config.sampler, manifest, 0).ids[2 * config.batch_size]

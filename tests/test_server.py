@@ -2,7 +2,6 @@ import http.client
 import os
 import socket
 import struct
-import sys
 import threading
 import time
 import urllib.error
@@ -299,29 +298,6 @@ def test_serve_backend_or_directory(tmp_path):
         assert client.get("k") == b"v"
 
 
-def test_ranged_gets_ask_the_backend_for_the_size_once(tmp_path):
-    from loadbench.storage import MemoryBackend
-
-    class Counting(MemoryBackend):
-        sizes = 0
-
-        def size(self, key):
-            self.sizes += 1
-            return super().size(key)
-
-    backend = Counting({"k": bytes(range(100))})
-    with serve(backend) as server, \
-            closing(HTTPBackend(server.endpoint)) as client:
-        for i in range(20):
-            assert client.get("k", ByteRange(i, i + 9)) == bytes(range(i, i + 10))
-        assert backend.sizes == 1
-        client.put("k", bytes(range(150)))  # a new length
-        assert client.get("k", ByteRange(140)) == bytes(range(140, 150))
-        status, headers, body = _status(f"{server.endpoint}/k", {"Range": "bytes=100-"})
-        assert (status, body) == (206, bytes(range(100, 150)))
-        assert headers["Content-Range"] == "bytes 100-149/150"
-
-
 def test_burst_of_first_connections_is_accepted_at_once(store):
     # 16 clients open their first connection together.  A handshake the
     # accept queue drops is retried only after a second.
@@ -480,6 +456,49 @@ def test_put_cut_short_stores_nothing(store):
         sock.shutdown(socket.SHUT_WR)
         assert sock.recv(65536) == b""
     assert "uploads/short.bin" not in local.list("uploads/")
+
+
+def test_put_declaring_more_than_it_sends_keeps_no_buffer_of_that_size(store, monkeypatch):
+    # the body grows as its bytes arrive: a buffer allocated from the
+    # declared terabyte would fail the connection's thread
+    _, local, server = store
+    failed = []
+    monkeypatch.setattr(threading, "excepthook", failed.append)
+    before = set(threading.enumerate())
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(b"PUT /uploads/huge.bin HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                     b"bytes" % 2**40)
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(65536) == b""
+    for thread in set(threading.enumerate()) - before:
+        thread.join(5)
+        assert not thread.is_alive()
+    assert failed == []
+    assert "uploads/huge.bin" not in local.list("uploads/")
+    assert _status(f"{server.endpoint}/train/shard0.dlbs")[0] == 200
+
+
+def test_a_changed_object_is_served_at_its_new_size(tmp_path):
+    # the server keeps no size: an object rewritten outside it is served
+    # at its new length on the same connection
+    (tmp_path / "k").write_bytes(b"0123456789")
+    with serve(tmp_path) as server:
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            def ask(method, headers=None):
+                conn.request(method, "/k", headers=headers or {})
+                resp = conn.getresponse()
+                return resp.status, resp.headers, resp.read()
+
+            assert ask("HEAD")[1]["Content-Length"] == "10"
+            sock = conn.sock
+            (tmp_path / "k").write_bytes(b"abcde")
+            assert ask("HEAD")[1]["Content-Length"] == "5"
+            status, headers, body = ask("GET", {"Range": "bytes=-3"})
+            assert (status, body, headers["Content-Range"]) == (206, b"cde", "bytes 2-4/5")
+            assert conn.sock is sock
+        finally:
+            conn.close()
 
 
 def test_bare_lf_request_is_answered(store):
@@ -690,54 +709,6 @@ def test_stop_joins_a_connection_thread_in_a_backend_call():
         assert reading.wait(5)
         server.stop()
         assert set(threading.enumerate()) <= before
-
-
-def test_size_is_asked_once_and_never_kept_past_a_put():
-    class SlowSize(MemoryBackend):
-        def __init__(self, objects):
-            super().__init__(objects)
-            self.sizes = 0
-            self.asking = threading.Event()
-
-        def size(self, key):
-            self.sizes += 1
-            size = super().size(key)  # a PUT during the pause makes it stale
-            self.asking.set()
-            time.sleep(0.05)
-            return size
-
-    backend = SlowSize({"k": b"abc", "j": b"abc"})
-    with serve(backend) as server:
-        # 8 connections HEAD one key at once: one of them asks its size
-        barrier = threading.Barrier(8)
-        lengths = []
-
-        def head():
-            barrier.wait()
-            lengths.append(_raw(server, "HEAD", "/k")[1]["Content-Length"])
-        threads = [threading.Thread(target=head) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert lengths == ["3"] * 8
-        assert backend.sizes == 1
-        # a PUT that lands while a HEAD waits for the old object's size
-        backend.asking.clear()
-        asking = threading.Thread(target=_raw, args=(server, "HEAD", "/j"))
-        asking.start()
-        assert backend.asking.wait(5)
-        with closing(HTTPBackend(server.endpoint)) as client:
-            client.put("j", b"abcdefgh")
-        asking.join(10)
-        assert not asking.is_alive()
-        assert _raw(server, "HEAD", "/j")[1]["Content-Length"] == "8"
 
 
 def test_latency_of_64_concurrent_requests_overlaps(tmp_path):

@@ -592,6 +592,7 @@ def test_get_many_matches_get_in_order(shards, kind):
     with serve(root) as server, \
             closing(_BACKENDS[kind](root, local, server)) as backend:
         assert [backend.get(key, br) for key, br in requests] == expected
+        assert backend.list("s/") == local.list("s/")
         out = np.empty(sum(length for *_, length in extents), dtype=np.uint8)
         backend.read_into(extents, out)
         assert out.tobytes() == b"".join(expected)
@@ -705,7 +706,7 @@ class _CountingBackend(MemoryBackend):
         self.reads = 0
 
     def size(self, key):
-        self.sizes += 1  # the server asks once per key, then keeps the size
+        self.sizes += 1  # the server asks once per GET or HEAD of an object
         return super().size(key)
 
     def read_into(self, requests, out):
@@ -715,7 +716,7 @@ class _CountingBackend(MemoryBackend):
 
 def test_failed_get_many_cancels_queued_fetches(many_shards, monkeypatch):
     # one connection, so the failing first request goes out alone; the
-    # server asks one size per key it is sent, and nothing is sent after
+    # server asks one size per GET it is sent, and nothing is sent after
     # the read raises
     monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
     root, local = many_shards
@@ -754,8 +755,8 @@ def test_closed_get_many_cancels_queued_fetches(many_shards, monkeypatch):
 @pytest.mark.parametrize("stop", ["fail", "close"])
 def test_stopped_get_many_sends_no_more_requests(many_shards, monkeypatch, stop):
     # one connection, so a read's GETs go out one at a time; the server
-    # keeps each object's size, so it asks for one size per object it is
-    # sent, and reads the bytes of each ranged GET it answers.  A failed
+    # asks for one size per GET it is sent, one GET per object here, and
+    # reads the bytes of each ranged GET it answers.  A failed
     # read has read every GET when it raises (the earliest failed request
     # may be in any of them), and a read closed unfinished sends no more.
     monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
@@ -941,6 +942,29 @@ def test_a_started_read_queues_before_it_is_finished(many_shards, monkeypatch):
     assert served.log == keys
     assert outs == [local.get(key, ByteRange(0, 7)) for key in keys]
     assert took[1] < 1.0 and took[2] < 1.1
+
+
+def test_a_started_read_closed_in_the_queue_leaves_it(many_shards, monkeypatch):
+    # One connection.  R1 holds it and R2, started, queues; closing R2
+    # takes it out of the queue, so R1 and a later R3 read their bytes and
+    # the pool is left at rest.
+    monkeypatch.setattr(storage_module, "_IN_FLIGHT", 1)
+    root, local = many_shards
+    keys = local.list("m/")[:3]
+    outs = [bytearray(8) for _ in keys]
+    with serve(root) as server, \
+            closing(HTTPBackend(server.endpoint, timeout=5)) as client:
+        r1, r2 = (client.start_read([(key, 0, 8)]) for key in keys[:2])
+        assert list(client._queue) == [r2._run]
+        r2.close()
+        assert not client._queue
+        with closing(r1):
+            r1.finish(outs[0])
+        with closing(client.start_read([(keys[2], 0, 8)])) as r3:
+            r3.finish(outs[2])
+        assert_pool_at_rest(client)
+    assert outs[0] == local.get(keys[0], ByteRange(0, 7))
+    assert outs[2] == local.get(keys[2], ByteRange(0, 7))
 
 
 @pytest.mark.parametrize("stop", ["close", "timeout"])
@@ -1238,8 +1262,10 @@ _HELLO = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
      ByteRange(1, 3), False),
     (_HELLO, ByteRange(1), False),
     (b"HTTP/1.1 200 OK\r\nNoColon\r\nContent-Length: 5\r\n\r\nhello", None, False),
+    (b"HTTP/1.1 200 OK\r\nContent-Le", None, True),
 ], ids=["eof-mid-body", "no-content-length", "garbage-status-line",
-        "206-short", "206-long", "200-for-a-range", "header-without-colon"])
+        "206-short", "206-long", "200-for-a-range", "header-without-colon",
+        "eof-mid-head"])
 def test_http_rejects_a_bad_response(reply, byte_range, close):
     # the bad response raises; the next request gets its own bytes, none
     # left over from the bad one
@@ -1284,29 +1310,39 @@ def test_http_response_head_limits_and_pieces(monkeypatch, reply, ok, connection
     assert len(opened) == connections
 
 
-def test_head_reader_looks_at_each_byte_once(monkeypatch):
+class _Pieces:
+    """A socket that delivers ``data`` ``size`` bytes to a ``recv``, and
+    then nothing; ``received`` counts the bytes delivered."""
+
+    def __init__(self, data, size):
+        self._pieces = [data[i:i + size] for i in range(0, len(data), size)]
+        self.received = 0
+
+    def recv(self, n):
+        piece = self._pieces.pop(0) if self._pieces else b""
+        self.received += len(piece)
+        return piece
+
+
+def test_head_reader_looks_at_each_byte_once():
     # 99 header lines of 60,000 bytes arrive in 64 KiB pieces, as a socket
-    # delivers them; each read resumes the blank-line search where the last
-    # one stopped instead of starting again at the head's first byte
-    pattern, searched = storage_module._HEAD_END, []
+    # delivers them; each search for a line's end resumes where the last
+    # one stopped instead of starting again at the line's first byte
+    searched = []
 
-    class Counting:
-        def search(self, buf, pos):
-            searched.append(len(buf) - pos)
-            return pattern.search(buf, pos)
+    class Counting(bytearray):
+        def find(self, sub, start=0, *args):
+            at = super().find(sub, start, *args)
+            searched.append((at + 1 if at >= 0 else len(self)) - start)
+            return at
 
-    monkeypatch.setattr(storage_module, "_HEAD_END", Counting())
     head = (b"GET / HTTP/1.1\r\n"
             + b"".join(b"X%d: %s\r\n" % (i, b"a" * 60000) for i in range(99)) + b"\r\n")
-    reader, buf, got = storage_module._HeadReader(), bytearray(), None
-    for start in range(0, len(head) + 4, 1 << 16):
-        buf += (head + b"body")[start:start + (1 << 16)]
-        if (got := reader.read(buf)) is not None:
-            break
-    first, fields, end = got
-    assert first.split() == ["GET", "/", "HTTP/1.1"] and end == len(head)
+    wire = storage_module._Wire(_Pieces(head + b"body", 1 << 16), Counting())
+    first, fields = wire.head()
+    assert first.split() == ["GET", "/", "HTTP/1.1"] and wire.pos == len(head)
     assert len(fields) == 99 and fields["x98"] == "a" * 60000
-    assert sum(searched) <= len(buf) + 2 * len(searched)
+    assert sum(searched) <= len(head)
 
 
 @pytest.mark.parametrize("head, status", [
@@ -1317,14 +1353,11 @@ def test_head_reader_looks_at_each_byte_once(monkeypatch):
 def test_head_reader_refuses_a_head_before_it_ends(head, status):
     # fed 1 KiB at a time, a head that breaks a limit is refused within a
     # piece of the limit, without waiting for a blank line
-    reader = storage_module._HeadReader()
-    buf = bytearray()
+    sock = _Pieces(head, 1024)
     with pytest.raises(storage_module._BadHead) as refused:
-        for start in range(0, len(head), 1024):
-            buf += head[start:start + 1024]
-            assert reader.read(buf) is None
+        storage_module._Wire(sock).head()
     assert refused.value.status == status
-    assert len(buf) <= (64 << 10) + 1024 + 16
+    assert sock.received <= (64 << 10) + 1024 + 16
 
 
 def test_http_skips_interim_responses_and_reads_no_head_body():
@@ -1334,6 +1367,15 @@ def test_http_skips_interim_responses_and_reads_no_head_body():
             closing(HTTPBackend(endpoint, timeout=5)) as client:
         assert client.get("k") == b"hello"
         assert client.size("k") == 99
+        assert client.get("k") == b"hello"
+
+
+def test_http_size_needs_a_content_length():
+    with _scripted_server((b"HTTP/1.1 200 OK\r\n\r\n", False),
+                          (_HELLO, False)) as endpoint, \
+            closing(HTTPBackend(endpoint, timeout=5)) as client:
+        with pytest.raises(StorageError, match="without a Content-Length"):
+            client.size("k")
         assert client.get("k") == b"hello"
 
 
@@ -1616,9 +1658,14 @@ _PARTS = [(b"0-1/8", b"ab"), (b"5-6/8", b"fg")]  # of the same length
     (_multipart_reply(*_PARTS, closing_delimiter=False), False),
     (_multipart_reply(*_PARTS, separator=b"XX"), False),
     (_multipart_reply(*_PARTS, content_type=b"multipart/byteranges"), False),
+    (_multipart_reply((b"0-1/8\r\nX: " + b"a" * (70 << 10), b"ab"), _PARTS[1]), False),
+    (b"HTTP/1.1 416 Range Not Satisfiable\r\nContent-Length: 0\r\n\r\n", False),
+    (b"HTTP/1.1 416 Range Not Satisfiable\r\nContent-Range: bytes */8\r\n"
+     b"Content-Length: 0\r\n\r\n", False),
 ], ids=["well-formed", "quoted-boundary", "200-whole-object", "single-part-206",
         "reordered-parts", "wrong-content-range", "part-cut-short",
-        "no-closing-delimiter", "bad-separator", "no-boundary"])
+        "no-closing-delimiter", "bad-separator", "no-boundary",
+        "part-head-over-a-limit", "416-without-a-size", "416-for-ranges-within-it"])
 def test_http_read_into_rejects_a_bad_multipart_answer(reply, ok):
     # two runs of one key are one GET; any answer but the exact parts in
     # request order fails the GET's first request and writes no byte
@@ -1633,4 +1680,16 @@ def test_http_read_into_rejects_a_bad_multipart_answer(reply, ok):
                 client.read_into([("k", 5, 2), ("k", 0, 2)], out)
             assert err.value.index == 0 and type(err.value.cause) is StorageError
             assert out == bytes(4)
+        assert client.get("k") == b"hello"
+
+
+@pytest.mark.parametrize("data", [b"f", b"fgh"], ids=["short", "long"])
+def test_http_read_into_rejects_a_one_range_answer_of_another_length(data):
+    reply = b"HTTP/1.1 206 Partial Content\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(data), data)
+    with _scripted_server((reply, False), (_HELLO, False)) as endpoint, \
+            closing(HTTPBackend(endpoint, timeout=5)) as client:
+        with pytest.raises(ReadError) as err:
+            client.read_into([("k", 5, 2)], bytearray(2))
+        assert err.value.index == 0 and type(err.value.cause) is StorageError
         assert client.get("k") == b"hello"
